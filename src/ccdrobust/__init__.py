@@ -26,7 +26,6 @@ from .criteria import (
 )
 from .missing import (
     LossReport,
-    MissingScenario,
     delete_rows,
     increase_in_variance,
     loss_precision,
@@ -45,7 +44,7 @@ __all__ = [
     "CriteriaReport", "Region", "RegionShape", "criteria_report",
     "g_efficiency", "g_max", "region_moments", "rotatability_index",
     "spv", "v_avg",
-    "LossReport", "MissingScenario", "delete_rows", "increase_in_variance",
+    "LossReport", "delete_rows", "increase_in_variance",
     "loss_precision", "relative_g_efficiency", "relative_v_efficiency",
     "scenario_sweep",
 ]

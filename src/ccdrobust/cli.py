@@ -64,13 +64,31 @@ def _region_from_args(args, k: int) -> Region:
     return Region(shape, size)
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_list(text: str) -> list[float]:
+    """argparse type: comma-separated finite floats."""
+    return [_finite(v) for v in text.replace(" ", "").split(",") if v]
+
+
 def _alphas_from_args(args) -> list[float]:
     if args.alphas is not None:
-        vals = [float(v) for v in str(args.alphas).replace(" ", "").split(",") if v]
+        vals = args.alphas
     elif args.alpha is not None:
         vals = [args.alpha]
-    else:
+    elif args.k in DEFAULT_ALPHAS:
         vals = DEFAULT_ALPHAS[args.k]
+    else:
+        raise ValueError(f"no default alpha grid for k={args.k}; pass --alphas")
     if not vals:
         raise ValueError("empty alpha grid")
     if sorted(vals) != vals:
@@ -213,7 +231,10 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[argparse.ArgumentParser, set[str]]]:
+    """The top-level parser, and each command's parser with the option
+    names (dests) it accepts, which is what a config file may set."""
     parser = argparse.ArgumentParser(
         prog="ccdrobust",
         description="Central composite designs: criteria and robustness to "
@@ -221,49 +242,45 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key=value config file; "
                                          "command-line flags win")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[argparse.ArgumentParser, set[str]] = {}
 
-    def common(p, need_alpha=False):
-        p.add_argument("--k", type=int, default=2, help="number of factors")
-        p.add_argument("--n0", type=int, default=4, help="number of center points")
-        p.add_argument("--alpha", type=float, default=None, help="axial distance")
+    def command(name, summary, func, need_alpha=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        dests = commands[p] = set()
+
+        def add(*flags, **kwargs):
+            dests.add(p.add_argument(*flags, **kwargs).dest)
+
+        add("--k", type=int, default=2, help="number of factors")
+        add("--n0", type=int, default=4, help="number of center points")
+        add("--alpha", type=_finite, default=None, help="axial distance")
         if not need_alpha:
-            p.add_argument("--alphas", default=None,
-                           help="comma-separated ascending axial distances")
-        p.add_argument("--region", choices=("cube", "sphere"), default="cube")
-        p.add_argument("--region-size", dest="region_size", type=float, default=None,
-                       help="cube half-width or sphere radius "
-                            "(default 1 for cube, sqrt(k) for sphere)")
-        p.add_argument("--grid-step", dest="grid_step", type=float, default=None,
-                       help="G-max evaluation grid spacing; omit to use "
-                            "design+probe points only")
-        p.add_argument("--spv-scale", dest="spv_scale",
-                       choices=("residual", "full"), default="residual")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
+            add("--alphas", type=_finite_list, default=None,
+                help="comma-separated ascending axial distances")
+        add("--region", choices=("cube", "sphere"), default="cube")
+        add("--region-size", dest="region_size", type=_finite, default=None,
+            help="cube half-width or sphere radius "
+                 "(default 1 for cube, sqrt(k) for sphere)")
+        add("--grid-step", dest="grid_step", type=_finite, default=None,
+            help="G-max evaluation grid spacing; omit to use "
+                 "design+probe points only")
+        add("--spv-scale", dest="spv_scale",
+            choices=("residual", "full"), default="residual")
+        add("--out", default=None)
+        return add
 
-    p = sub.add_parser("generate", help="emit a CCD as CSV")
-    common(p, need_alpha=True)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("sweep", help="loss/efficiency sweep over alphas")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("verify", help="check embedded reference tables")
-    common(p)
-    p.add_argument("tables", nargs="*", help="table ids, e.g. 1a 2b "
-                                             "(default: all)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("plot", help="SVG loss/efficiency curves")
-    common(p)
-    p.add_argument("--metric", choices=_METRICS, required=True)
-    p.set_defaults(func=cmd_plot)
-    return parser
+    command("generate", "emit a CCD as CSV", cmd_generate, need_alpha=True)
+    command("sweep", "loss/efficiency sweep over alphas", cmd_sweep)
+    add = command("verify", "check embedded reference tables", cmd_verify)
+    add("tables", nargs="*", help="table ids, e.g. 1a 2b (default: all)")
+    add = command("plot", "SVG loss/efficiency curves", cmd_plot)
+    add("--metric", choices=_METRICS, required=True)
+    return parser, commands
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args, _ = parser.parse_known_args(argv)
     except SystemExit as exc:
@@ -274,28 +291,19 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
-        known = {a.dest for a in parser._actions}
-        for p in parser._subparsers._group_actions[0].choices.values():
-            known |= {a.dest for a in p._actions}
-        bad = set(config) - known
+        bad = set(config).difference(*commands.values())
         if bad:
             print(f"config error: unknown keys {sorted(bad)}", file=sys.stderr)
             return 1
-        # Re-parse with config values as defaults; explicit flags win.
-        for p in parser._subparsers._group_actions[0].choices.values():
+        # Re-parse with config values as defaults; explicit flags win, and
+        # argparse converts string defaults through each option's type.
+        for p, dests in commands.items():
             p.set_defaults(**{key: value for key, value in config.items()
-                              if key in {a.dest for a in p._actions}})
+                              if key in dests})
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    # Normalize types that may have come from the config file as strings.
-    for name, cast in (("k", int), ("n0", int), ("alpha", float),
-                       ("region_size", float), ("grid_step", float),
-                       ("seed", int)):
-        value = getattr(args, name, None)
-        if isinstance(value, str):
-            setattr(args, name, cast(value))
     if args.command == "generate" and args.alpha is None:
         print("generate requires --alpha", file=sys.stderr)
         return 1

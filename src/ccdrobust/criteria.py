@@ -14,6 +14,7 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 
 import numpy as np
 
@@ -55,8 +56,8 @@ class Region:
     size: float
 
     def __post_init__(self):
-        if self.size <= 0:
-            raise ValueError(f"region size must be > 0, got {self.size}")
+        if not (math.isfinite(self.size) and self.size > 0):
+            raise ValueError(f"region size must be finite and > 0, got {self.size}")
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -223,14 +224,16 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def sphere_points(k: int, radius: float, n: int) -> np.ndarray:
     """n deterministic, well-spread points on the sphere of the given
     radius: Halton sequence mapped through the Gaussian quantile and
-    normalized (equal angular spacing for k = 2)."""
+    normalized (equal angular spacing for k = 2).  The Halton bases are
+    the first len(_PRIMES) primes, which bounds k."""
+    if k > len(_PRIMES):
+        raise ValueError(f"sphere_points supports k <= {len(_PRIMES)}, got {k}")
     if k == 2:
         theta = 2 * math.pi * np.arange(n) / n
         return radius * np.column_stack([np.cos(theta), np.sin(theta)])
-    from scipy.stats import norm
-    u = np.array([[_radical_inverse(i + 1, _PRIMES[d]) for d in range(k)]
+    ppf = NormalDist().inv_cdf
+    g = np.array([[ppf(_radical_inverse(i + 1, _PRIMES[d])) for d in range(k)]
                   for i in range(n)])
-    g = norm.ppf(u)
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     return radius * g
 

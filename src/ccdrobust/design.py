@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -82,12 +83,12 @@ def gen_ccd(k: int, alpha: float, n0: int) -> Design:
     """Build a full central composite design.
 
     Raises ValueError for k < 2 (the interaction term degenerates),
-    alpha <= 0, or n0 < 1.
+    alpha that is not finite and > 0, or n0 < 1.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if n0 < 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
 

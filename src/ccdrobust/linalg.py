@@ -4,7 +4,8 @@ Everything downstream reduces to a handful of operations on the p x p
 information matrix X'X: form it, invert it, take traces and quadratic
 forms.  Inversion goes through a Cholesky factorization so that a
 residual design that can no longer estimate all p parameters fails
-loudly (SingularMatrixError) instead of returning garbage.
+loudly (SingularMatrixError) instead of returning garbage, and a matrix
+holding NaN or inf is rejected (ValueError) before it is factorized.
 
 All arithmetic is 64-bit; the error variance is taken as 1 throughout,
 so variances are reported per unit sigma^2.
@@ -13,7 +14,6 @@ so variances are reported per unit sigma^2.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SingularMatrixError",
@@ -46,12 +46,16 @@ def cross_product(X: np.ndarray) -> np.ndarray:
 
 
 def invert(M: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via Cholesky.
+    """Inverse of a symmetric positive-definite matrix via Cholesky:
+    M = LL' gives M^{-1} = L^{-T} L^{-1}.
 
-    Raises SingularMatrixError when a pivot falls below SINGULARITY_RTOL
-    of the working scale (the largest diagonal entry).
+    Raises ValueError when M holds NaN or inf, and SingularMatrixError
+    when a pivot falls below SINGULARITY_RTOL of the working scale (the
+    largest diagonal entry).
     """
     M = symmetrize(M)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix contains NaN or inf")
     scale = float(np.max(np.abs(np.diag(M)))) if M.size else 0.0
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
@@ -63,8 +67,8 @@ def invert(M: np.ndarray) -> np.ndarray:
     if float(np.min(np.diag(L)) ** 2) < SINGULARITY_RTOL * scale:
         raise SingularMatrixError(
             f"pivot below {SINGULARITY_RTOL:g} of working scale")
-    Minv = scipy.linalg.cho_solve((L, True), np.eye(M.shape[0]))
-    return symmetrize(Minv)
+    Linv = np.linalg.inv(L)
+    return symmetrize(Linv.T @ Linv)
 
 
 def quad_form(f: np.ndarray, Minv: np.ndarray) -> float:

@@ -25,7 +25,6 @@ from .linalg import SingularMatrixError
 from .model import model_matrix
 
 __all__ = [
-    "MissingScenario",
     "LossReport",
     "delete_rows",
     "increase_in_variance",
@@ -34,22 +33,6 @@ __all__ = [
     "relative_v_efficiency",
     "scenario_sweep",
 ]
-
-
-@dataclass
-class MissingScenario:
-    """A design together with the rows deleted from it."""
-
-    base: Design
-    deleted_indices: list[int]
-    deleted_class: PointClass | None = None
-
-    @property
-    def residual_n(self) -> int:
-        return self.base.n - len(self.deleted_indices)
-
-    def residual(self) -> Design:
-        return delete_rows(self.base, self.deleted_indices)
 
 
 def delete_rows(design: Design, indices: list[int]) -> Design:
@@ -81,6 +64,16 @@ def loss_precision(full: Design, residual: Design) -> float:
     return tr_res / tr_full - 1.0
 
 
+def _spv_scale_factor(spv_scale: str, full: Design, residual: Design) -> float:
+    """Multiplier taking a residual design's SPV from its own run count to
+    the `spv_scale` convention: 1 for "residual", N / (N - m) for "full"."""
+    if spv_scale == "residual":
+        return 1.0
+    if spv_scale == "full":
+        return full.n / residual.n
+    raise ValueError(f"spv_scale must be 'residual' or 'full', got {spv_scale!r}")
+
+
 def relative_g_efficiency(full: Design, residual: Design, region: Region,
                           grid_step: float | None = None,
                           spv_scale: str = "residual") -> float:
@@ -89,9 +82,7 @@ def relative_g_efficiency(full: Design, residual: Design, region: Region,
     spv_scale="full"); > 1 means the deletion did little harm."""
     g_full, _ = g_max(full, region, grid_step)
     g_res, _ = g_max(residual, region, grid_step)
-    if spv_scale == "full":
-        g_res *= full.n / residual.n
-    return g_full / g_res
+    return g_full / (g_res * _spv_scale_factor(spv_scale, full, residual))
 
 
 def relative_v_efficiency(full: Design, residual: Design, region: Region,
@@ -100,9 +91,7 @@ def relative_v_efficiency(full: Design, residual: Design, region: Region,
     residual design's."""
     v_full = v_avg(full, region)
     v_res = v_avg(residual, region)
-    if spv_scale == "full":
-        v_res *= full.n / residual.n
-    return v_full / v_res
+    return v_full / (v_res * _spv_scale_factor(spv_scale, full, residual))
 
 
 @dataclass

@@ -28,7 +28,7 @@ from . import linalg
 from .criteria import Region, RegionShape, information_inverse, probe_spv, region_moments, v_avg
 from .design import Design, PointClass, gen_ccd
 from .fixtures import ANNOTATIONS, LOSS_TABLES, SPV_TABLES, ulp_tolerance
-from .missing import delete_rows
+from .missing import _spv_scale_factor, delete_rows
 from .model import num_params
 
 __all__ = [
@@ -134,9 +134,8 @@ def _verify_spv_table(tid: str, spv_scale: str = "residual") -> list[CellCheck]:
     for alpha_s, missing, vf_s, va_s, vc_s, v_s in spec["rows"]:
         full = gen_ccd(k, float(alpha_s), n0)
         design = _residual_for(full, missing)
-        scale = full.n if spv_scale == "full" else design.n
-        f, a, c = probe_spv(design)
-        f, a, c = (x * scale / design.n for x in (f, a, c))
+        scale = _spv_scale_factor(spv_scale, full, design)
+        f, a, c = (x * scale for x in probe_spv(design))
         for col, exp_s, val in (("spv_factorial", vf_s, f),
                                 ("spv_axial", va_s, a),
                                 ("spv_center", vc_s, c)):
@@ -144,20 +143,15 @@ def _verify_spv_table(tid: str, spv_scale: str = "residual") -> list[CellCheck]:
                                     ulp_tolerance(exp_s), True))
         # V column: gate k=2,3 under the calibrated unit-cube convention;
         # k=4,5 reproduce only the interaction-dropped matrix (annotated).
-        v_cal = v_avg(design, Region(RegionShape.CUBOIDAL, 1.0))
-        if spv_scale == "full":
-            v_cal *= full.n / design.n
+        v_cal = v_avg(design, Region(RegionShape.CUBOIDAL, 1.0)) * scale
         if k <= 3:
             checks.append(CellCheck(tid, alpha_s, missing, "v_avg", v_s, v_cal,
                                     ulp_tolerance(v_s), True))
         else:
             checks.append(CellCheck(tid, alpha_s, missing, "v_avg", v_s, v_cal,
                                     ulp_tolerance(v_s), False))
-            v_pap = _paper_v_average(design, k)
-            if spv_scale == "full":
-                v_pap *= full.n / design.n
-            checks.append(CellCheck(tid, alpha_s, missing,
-                                    "v_avg[paper-moments]", v_s, v_pap,
+            checks.append(CellCheck(tid, alpha_s, missing, "v_avg[paper-moments]",
+                                    v_s, _paper_v_average(design, k) * scale,
                                     ulp_tolerance(v_s), False))
     return checks
 
@@ -233,7 +227,8 @@ def resolve_spv_scale() -> tuple[str, dict[str, float]]:
         full = gen_ccd(2, float(alpha_s), 4)
         design = _residual_for(full, missing)
         f, a, c = probe_spv(design)
-        for scale_name, mult in (("residual", 1.0), ("full", full.n / design.n)):
+        for scale_name in devs:
+            mult = _spv_scale_factor(scale_name, full, design)
             for exp_s, val in ((vf_s, f), (va_s, a), ((vc_s), c)):
                 devs[scale_name] += abs(val * mult - float(exp_s))
                 counts[scale_name] += 1

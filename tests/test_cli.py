@@ -1,9 +1,18 @@
+import contextlib
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ccdrobust
 from ccdrobust import linalg
 from ccdrobust.cli import main
 from ccdrobust.criteria import information_inverse
@@ -71,6 +80,26 @@ class TestSweep:
         assert main(["sweep", "--k", "2", "--alphas", "2.0,1.0",
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_no_default_alpha_grid(self, k, tmp_path, capsys):
+        assert main(["sweep", "--k", str(k), "--out", str(tmp_path)]) == 1
+        assert (f"no default alpha grid for k={k}; pass --alphas"
+                in capsys.readouterr().err)
+
+    @given(flag=st.sampled_from(["--alpha", "--alphas", "--region-size",
+                                 "--grid-step"]),
+           bad=st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"]),
+           finite=st.lists(st.floats(0.5, 3.0), max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_non_finite_flag_exits_1_naming_it(self, flag, bad, finite):
+        # rejected while parsing: the linear algebra is never reached
+        value = ",".join([repr(a) for a in finite] + [bad]) if flag == "--alphas" else bad
+        err = io.StringIO()
+        with (contextlib.redirect_stderr(err),
+              mock.patch.object(linalg, "invert", side_effect=AssertionError)):
+            assert main(["sweep", "--k", "2", f"{flag}={value}"]) == 1
+        assert f"argument {flag}: expected a finite number" in err.getvalue()
+
     def test_long_csv_round_trip(self, tmp_path):
         assert main(["sweep", "--k", "2", "--alphas", "1.0,2.0",
                      "--out", str(tmp_path)]) == 0
@@ -92,6 +121,10 @@ class TestVerify:
 
     def test_unknown_table(self, capsys):
         assert main(["verify", "bogus"]) == 1
+
+    def test_unknown_spv_scale(self):
+        with pytest.raises(ValueError, match="spv_scale"):
+            verify_table("1b", spv_scale="bogus")
 
     def test_table_4a_a_trace_cells(self):
         checks = verify_table("4a")
@@ -156,7 +189,8 @@ class TestPlot:
             # argparse rejects the choice before dispatch
             import argparse  # noqa: F401
             from ccdrobust.cli import _build_parser
-            _build_parser().parse_args(["plot", "--metric", "bogus"])
+            parser, _ = _build_parser()
+            parser.parse_args(["plot", "--metric", "bogus"])
 
     def test_empty_alpha_grid(self, tmp_path):
         assert main(["plot", "--k", "2", "--metric", "loss", "--alphas", "",
@@ -193,6 +227,24 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "generate", "--k", "2",
                      "--alpha", "1.0"]) == 1
 
+    def test_seed_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed=0\n")
+        assert main(["--config", str(cfg), "sweep", "--k", "2",
+                     "--alphas", "1.0", "--out", str(tmp_path)]) == 1
+        assert "unknown keys ['seed']" in capsys.readouterr().err
+
+    def test_config_alphas_typed_like_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=3\nalphas=1.0, 2.0\nmetric=loss\n")
+        assert main(["--config", str(cfg), "sweep", "--out", str(tmp_path)]) == 0
+        rows = list(csv.DictReader(io.StringIO(
+            (tmp_path / "loss_k3.csv").read_text())))
+        assert [float(r["alpha"]) for r in rows] == [1.0, 2.0]
+        cfg.write_text("alphas=1.0,nan\n")
+        assert main(["--config", str(cfg), "sweep", "--out", str(tmp_path)]) == 1
+        assert "argument --alphas" in capsys.readouterr().err
+
 
 class TestSvgChart:
     def test_rejects_empty(self):
@@ -203,3 +255,19 @@ class TestSvgChart:
         series = [("a", [1.0, 2.0], [0.1, 0.4]), ("b", [1.0, 2.0], [0.3, 0.2])]
         assert (line_chart(series, "t", "x", "y")
                 == line_chart(series, "t", "x", "y"))
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    src = str(Path(ccdrobust.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, sys\n"
+        "from ccdrobust.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['sweep', '--k', '3', '--out', {str(tmp_path)!r}]) == 0\n"
+        "    assert main(['verify']) == 2\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

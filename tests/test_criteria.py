@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccdrobust.criteria import (
     Region,
@@ -15,6 +17,7 @@ from ccdrobust.criteria import (
     region_moments,
     rotatability_index,
     sample_region,
+    sphere_points,
     spv,
     spv_many,
     v_avg,
@@ -155,6 +158,12 @@ class TestRotatability:
         with pytest.raises(ValueError):
             rotatability_index(d, 1.0, n_samples=1)
 
+    def test_sphere_points_bounds_k(self):
+        pts = sphere_points(12, 2.0, 50)
+        assert np.allclose(np.linalg.norm(pts, axis=1), 2.0)
+        with pytest.raises(ValueError, match="k <= 12"):
+            sphere_points(13, 1.0, 50)
+
 
 class TestCriteriaReport:
     def test_fields_and_consistency(self):
@@ -173,3 +182,12 @@ def test_region_validation():
         Region(RegionShape.CUBOIDAL, 0.0)
     with pytest.raises(ValueError):
         region_moments(CUBE1, 1)
+
+
+@given(shape=st.sampled_from(RegionShape),
+       size=st.one_of(st.floats(max_value=0.0),
+                      st.sampled_from([math.nan, math.inf])))
+@settings(max_examples=30, deadline=None)
+def test_region_rejects_size_not_finite_and_positive(shape, size):
+    with pytest.raises(ValueError, match="region size"):
+        Region(shape, size)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,3 +119,11 @@ def test_generated_design_is_centered(k, alpha, n0):
     d = gen_ccd(k, alpha, n0)
     assert d.n == 2 ** k + 2 * k + n0
     assert np.allclose(d.coords().sum(axis=0), 0)
+
+
+@given(alpha=st.one_of(st.floats(max_value=0.0),
+                       st.sampled_from([math.nan, math.inf])))
+@settings(max_examples=30, deadline=None)
+def test_rejects_alpha_not_finite_and_positive(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        gen_ccd(2, alpha, 4)

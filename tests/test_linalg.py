@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccdrobust import linalg
 from ccdrobust.design import gen_ccd
@@ -52,6 +56,15 @@ class TestInvert:
     def test_singular_raises(self):
         M = np.ones((3, 3))
         with pytest.raises(SingularMatrixError):
+            linalg.invert(M)
+
+    @given(i=st.integers(0, 5), j=st.integers(0, 5),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=30, deadline=None)
+    def test_non_finite_raises_value_error(self, i, j, bad):
+        M = info_matrix(2, 1.0)
+        M[i, j] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
             linalg.invert(M)
 
     def test_underdetermined_design_raises(self):

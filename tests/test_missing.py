@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccdrobust.criteria import Region, RegionShape, information_inverse, probe_spv
 from ccdrobust.design import PointClass, gen_ccd
@@ -135,6 +137,25 @@ class TestRelativeEfficiencies:
 
 
 class TestResidualSpvScaling:
+    def test_full_scale_multiplies_residual_spv_by_n_over_n_minus_1(self):
+        full = gen_ccd(2, 1.0, 4)
+        res = delete_rows(full, [0])
+        ratio = full.n / res.n
+        assert relative_v_efficiency(full, res, CUBE1, spv_scale="full") == pytest.approx(
+            relative_v_efficiency(full, res, CUBE1) / ratio, rel=1e-14)
+        assert relative_g_efficiency(full, res, CUBE1, spv_scale="full") == pytest.approx(
+            relative_g_efficiency(full, res, CUBE1) / ratio, rel=1e-14)
+
+    @given(scale=st.text().filter(lambda s: s not in ("residual", "full")))
+    @settings(max_examples=20, deadline=None)
+    def test_unknown_spv_scale_raises(self, scale):
+        full = gen_ccd(2, 1.0, 4)
+        res = delete_rows(full, [0])
+        with pytest.raises(ValueError, match="spv_scale"):
+            relative_g_efficiency(full, res, CUBE1, spv_scale=scale)
+        with pytest.raises(ValueError, match="spv_scale"):
+            relative_v_efficiency(full, res, CUBE1, spv_scale=scale)
+
     def test_residual_design_average_is_p(self):
         # (1/N_r) sum of residual SPV over residual points equals p
         full = gen_ccd(3, 1.681, 4)
