@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .criteria import Region, RegionShape, criteria_report
+from .criteria import CriteriaReport, Region, RegionShape, criteria_report
 from .design import design_to_csv, gen_ccd
 from .fixtures import LOSS_TABLES, SPV_TABLES
 from .linalg import SingularMatrixError
@@ -135,7 +135,6 @@ def _criteria_reports(k: int, n0: int, alphas: list[float], region: Region,
 def _criteria_csv(reports: list[dict]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    from .criteria import CriteriaReport
     w.writerow(CriteriaReport.FIELDS)
     for d in reports:
         w.writerow([_fmt(d[f]) for f in CriteriaReport.FIELDS])

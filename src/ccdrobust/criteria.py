@@ -67,58 +67,61 @@ class Region:
 
 
 def information_inverse(design: Design) -> np.ndarray:
-    """(X'X)^{-1} for the design's full quadratic model matrix."""
-    return linalg.invert(linalg.cross_product(model_matrix(design)))
+    """(X'X)^{-1} for the design's full quadratic model matrix: the only
+    place a design is inverted.  Computed once per (immutable) Design, kept
+    in its __dict__ as functools.cached_property would, and read-only."""
+    Minv = design.__dict__.get("_information_inverse")
+    if Minv is None:
+        Minv = linalg.invert(linalg.cross_product(model_matrix(design)))
+        Minv.flags.writeable = False
+        design.__dict__["_information_inverse"] = Minv
+    return Minv
 
 
-def spv(design: Design, x: Sequence[float], n_scale: int | None = None) -> float:
+def spv(design: Design, x: Sequence[float]) -> float:
     """Scaled prediction variance N f'(x)(X'X)^{-1} f(x).
 
-    N defaults to the run count of the design being evaluated, so a
-    residual design is scaled by its own (reduced) size.
+    N is the run count of the design being evaluated, so a residual
+    design is scaled by its own (reduced) size.
     """
-    N = design.n if n_scale is None else n_scale
-    return N * linalg.quad_form(expand_point(x), information_inverse(design))
+    return design.n * linalg.quad_form(expand_point(x), information_inverse(design))
 
 
-def spv_many(design: Design, pts: np.ndarray, Minv: np.ndarray | None = None,
-             n_scale: int | None = None) -> np.ndarray:
+def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
     """Vectorized SPV over the rows of an m x k point array."""
-    if Minv is None:
-        Minv = information_inverse(design)
-    N = design.n if n_scale is None else n_scale
     F = expand_points(pts)
-    return N * np.einsum("ij,jk,ik->i", F, Minv, F)
+    return design.n * np.einsum("ij,jk,ik->i", F, information_inverse(design), F)
 
 
 def probe_spv(design: Design) -> tuple[float, float, float]:
     """SPV at the three canonical probe points (factorial vertex, axial
     point, center)."""
-    Minv = information_inverse(design)
     pts = np.array([pt.coords for pt in canonical_probe_points(design)])
-    vals = spv_many(design, pts, Minv)
-    return float(vals[0]), float(vals[1]), float(vals[2])
+    return tuple(float(v) for v in spv_many(design, pts))
+
+
+# g_max: the largest grid (points in the region's bounding box) it accepts,
+# and the relative spread below which two SPVs tie (symmetric points of a
+# design agree to ~1e-15; distinct values differ by >= 1e-4).
+_MAX_GRID_POINTS = 10 ** 8
+_G_TIE_RTOL = 1e-12
 
 
 def _grid_chunks(region: Region, k: int, step: float,
                  chunk_rows: int = 200_000) -> Iterator[np.ndarray]:
-    """Regular grid over the region's bounding box, restricted to the
-    region, yielded in bounded-size chunks."""
-    half = region.size
-    n1 = int(math.floor(half / step + 1e-9))
+    """Regular grid over the region's bounding box in C order, restricted to
+    the region, in chunks of at most chunk_rows points.  A box of more than
+    _MAX_GRID_POINTS points raises ValueError before anything is allocated."""
+    n1 = int(min(region.size / step + 1e-9, _MAX_GRID_POINTS))  # no int(inf)
+    shape = (2 * n1 + 1,) * k
+    total = math.prod(shape)
+    if total > _MAX_GRID_POINTS:
+        raise ValueError(f"G grid at step {step:g} has more than "
+                         f"{_MAX_GRID_POINTS:.0e} points; use a coarser grid step")
     axis = np.arange(-n1, n1 + 1, dtype=float) * step
-    if k == 1:
-        yield axis.reshape(-1, 1)
-        return
-    rest = np.array(np.meshgrid(*([axis] * (k - 1)), indexing="ij"),
-                    dtype=float).reshape(k - 1, -1).T
-    per_slice = rest.shape[0]
-    take = max(1, chunk_rows // per_slice)
-    for start in range(0, len(axis), take):
-        vals = axis[start:start + take]
-        block = np.empty((len(vals) * per_slice, k))
-        block[:, 0] = np.repeat(vals, per_slice)
-        block[:, 1:] = np.tile(rest, (len(vals), 1))
+    for start in range(0, total, chunk_rows):
+        block = axis[np.stack(np.unravel_index(
+            np.arange(start, min(start + chunk_rows, total)), shape), axis=1)]
         block = block[region.contains(block)]
         if block.size:
             yield block
@@ -131,12 +134,13 @@ def g_max(design: Design, region: Region,
     The evaluation set is the design's own points, the three canonical
     probe points, and (when grid_step is not None) a regular grid over
     the region at that spacing.  A finer grid can only enlarge the set,
-    so the reported maximum never shrinks under refinement.
+    so the reported maximum never shrinks under refinement.  The location
+    is the first point in evaluation order (design rows, probes, grid)
+    within _G_TIE_RTOL of the running maximum, so rounding cannot pick
+    among tied maximizers; the value is the exact maximum.
     """
     if grid_step is not None and grid_step <= 0:
         raise ValueError("grid_step must be > 0")
-    Minv = information_inverse(design)
-    probes = np.array([pt.coords for pt in canonical_probe_points(design)])
     best_val = -math.inf
     best_loc: tuple[float, ...] = ()
 
@@ -144,14 +148,15 @@ def g_max(design: Design, region: Region,
         nonlocal best_val, best_loc
         if not len(pts):
             return
-        vals = spv_many(design, pts, Minv)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
+        vals = spv_many(design, pts)
+        top = float(vals.max())
+        if top > best_val * (1 + _G_TIE_RTOL):
+            i = int(np.argmax(vals >= top * (1 - _G_TIE_RTOL)))
             best_loc = tuple(float(c) for c in pts[i])
+        best_val = max(best_val, top)
 
     consider(design.coords())
-    consider(probes)
+    consider(np.array([pt.coords for pt in canonical_probe_points(design)]))
     if grid_step is not None:
         for chunk in _grid_chunks(region, design.k, grid_step):
             consider(chunk)
@@ -205,8 +210,8 @@ def region_moments(region: Region, k: int) -> np.ndarray:
 def v_avg(design: Design, region: Region) -> float:
     """Average SPV over the region:
     N * trace((X'X)^{-1} E[f f']) under the uniform measure on R."""
-    Minv = information_inverse(design)
-    return design.n * float(np.trace(Minv @ region_moments(region, design.k)))
+    return design.n * float(np.trace(information_inverse(design)
+                                     @ region_moments(region, design.k)))
 
 
 def _radical_inverse(i: int, base: int) -> float:
@@ -269,7 +274,7 @@ def monte_carlo_moments(region: Region, k: int, n: int, seed: int = 0,
     """Monte-Carlo estimate of the region-moments matrix and the standard
     error of each entry; the independent check for region_moments.
 
-    Accumulates in chunks so n = 10^6 stays within memory for k = 5.
+    Accumulates F'F and (F*F)'(F*F) per chunk of the n x p model matrix F.
     """
     p = num_params(k)
     total = np.zeros((p, p))
@@ -280,9 +285,9 @@ def monte_carlo_moments(region: Region, k: int, n: int, seed: int = 0,
         m = min(chunk, n - done)
         pts = _sample_region_rng(region, k, m, rng)
         F = expand_points(pts)
-        outer = np.einsum("ni,nj->nij", F, F)
-        total += outer.sum(axis=0)
-        total_sq += (outer ** 2).sum(axis=0)
+        F2 = F * F
+        total += F.T @ F
+        total_sq += F2.T @ F2
         done += m
     mean = total / n
     var = (total_sq - n * mean ** 2) / (n - 1)
@@ -328,12 +333,11 @@ def criteria_report(design: Design, region: Region | None = None,
     """
     if region is None:
         region = Region(RegionShape.CUBOIDAL, 1.0)
-    Minv = information_inverse(design)
     f, a, c = probe_spv(design)
     gmax, loc = g_max(design, region, grid_step)
     return CriteriaReport(
         alpha=design.alpha,
-        a_trace=linalg.trace(Minv),
+        a_trace=linalg.trace(information_inverse(design)),
         spv_factorial=f,
         spv_axial=a,
         spv_center=c,

@@ -11,7 +11,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -48,10 +48,10 @@ class DesignPoint:
         return len(self.coords)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Design:
-    """An ordered list of design points with factor count k and axial
-    distance alpha.
+    """An immutable, ordered tuple of design points with factor count k
+    and axial distance alpha.
 
     The canonical ordering is: factorial points (lexicographic over levels,
     -1 before +1), then axial pairs per axis (-alpha before +alpha, axis 1
@@ -61,7 +61,10 @@ class Design:
 
     k: int
     alpha: float
-    points: list[DesignPoint] = field(default_factory=list)
+    points: tuple[DesignPoint, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
 
     @property
     def n(self) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .criteria import Region, g_max, information_inverse, v_avg
-from .design import Design, PointClass
+from .design import Design, PointClass, gen_ccd
 from .linalg import SingularMatrixError
 from .model import model_matrix
 
@@ -132,8 +132,6 @@ def scenario_sweep(k: int, n0: int, alphas: list[float],
     """For each alpha: build the full CCD, delete one representative
     point of each class in turn, and collect loss and relative G/V
     efficiency.  Inestimable cells are flagged, not raised."""
-    from .design import gen_ccd
-
     reports = []
     for alpha in alphas:
         full = gen_ccd(k, alpha, n0)

@@ -28,7 +28,7 @@ from . import linalg
 from .criteria import Region, RegionShape, information_inverse, probe_spv, region_moments, v_avg
 from .design import Design, PointClass, gen_ccd
 from .fixtures import ANNOTATIONS, LOSS_TABLES, SPV_TABLES, ulp_tolerance
-from .missing import _spv_scale_factor, delete_rows
+from .missing import _spv_scale_factor, delete_rows, loss_precision
 from .model import num_params
 
 __all__ = [
@@ -103,11 +103,10 @@ def _verify_loss_table(tid: str) -> list[CellCheck]:
         checks.append(CellCheck(tid, alpha_s, "", "a_trace", a_s, a_trace,
                                 ulp_tolerance(a_s), True))
         for cls, exp_s in (("factorial", f_s), ("axial", ax_s), ("center", c_s)):
-            # one inversion per design: the exact cell is `loss_precision`'s
-            # tr_res / tr_full - 1 from the same two traces, bit for bit
-            a_res = linalg.trace(information_inverse(_residual_for(full, cls)))
+            residual = _residual_for(full, cls)
+            a_res = linalg.trace(information_inverse(residual))
             checks.append(CellCheck(tid, alpha_s, cls, f"loss_{cls}", exp_s,
-                                    a_res / a_trace - 1.0,
+                                    loss_precision(full, residual),
                                     ulp_tolerance(exp_s), True))
             checks.append(CellCheck(tid, alpha_s, cls, f"loss_{cls}[paper-trunc4]",
                                     exp_s, paper_loss(a_trace, a_res),
@@ -144,12 +143,9 @@ def _verify_spv_table(tid: str, spv_scale: str = "residual") -> list[CellCheck]:
         # V column: gate k=2,3 under the calibrated unit-cube convention;
         # k=4,5 reproduce only the interaction-dropped matrix (annotated).
         v_cal = v_avg(design, Region(RegionShape.CUBOIDAL, 1.0)) * scale
-        if k <= 3:
-            checks.append(CellCheck(tid, alpha_s, missing, "v_avg", v_s, v_cal,
-                                    ulp_tolerance(v_s), True))
-        else:
-            checks.append(CellCheck(tid, alpha_s, missing, "v_avg", v_s, v_cal,
-                                    ulp_tolerance(v_s), False))
+        checks.append(CellCheck(tid, alpha_s, missing, "v_avg", v_s, v_cal,
+                                ulp_tolerance(v_s), k <= 3))
+        if k > 3:
             checks.append(CellCheck(tid, alpha_s, missing, "v_avg[paper-moments]",
                                     v_s, _paper_v_average(design, k) * scale,
                                     ulp_tolerance(v_s), False))

@@ -80,6 +80,11 @@ class TestSweep:
         assert main(["sweep", "--k", "2", "--alphas", "2.0,1.0",
                      "--out", str(tmp_path)]) == 1
 
+    def test_absurd_grid_exits_1(self, tmp_path, capsys):
+        assert main(["sweep", "--k", "5", "--grid-step", "0.001",
+                     "--out", str(tmp_path)]) == 1
+        assert "use a coarser grid step" in capsys.readouterr().err
+
     @pytest.mark.parametrize("k", [1, 6])
     def test_no_default_alpha_grid(self, k, tmp_path, capsys):
         assert main(["sweep", "--k", str(k), "--out", str(tmp_path)]) == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccdrobust import linalg
+from ccdrobust.cli import DEFAULT_ALPHAS
 from ccdrobust.criteria import (
     Region,
     RegionShape,
+    _grid_chunks,
     criteria_report,
     g_efficiency,
     g_max,
@@ -23,9 +27,43 @@ from ccdrobust.criteria import (
     v_avg,
 )
 from ccdrobust.design import gen_ccd
+from ccdrobust.missing import scenario_sweep
 from ccdrobust.model import num_params
 
 CUBE1 = Region(RegionShape.CUBOIDAL, 1.0)
+
+
+@pytest.fixture
+def invert_calls(monkeypatch):
+    """Counts linalg.invert calls; the count is calls[0]."""
+    calls = [0]
+    real = linalg.invert
+
+    def counting(M):
+        calls[0] += 1
+        return real(M)
+
+    monkeypatch.setattr(linalg, "invert", counting)
+    return calls
+
+
+class TestInformationInverse:
+    def test_cached_and_read_only(self):
+        d = gen_ccd(3, 1.681, 4)
+        Minv = information_inverse(d)
+        assert information_inverse(d) is Minv
+        assert not Minv.flags.writeable
+        with pytest.raises(ValueError):
+            Minv[0, 0] = 0.0
+
+    def test_sweep_inverts_each_design_once(self, invert_calls):
+        # 8 alphas x (full design + 3 single-deletion residuals)
+        scenario_sweep(3, 4, DEFAULT_ALPHAS[3], CUBE1)
+        assert invert_calls[0] == 32
+
+    def test_criteria_report_inverts_once(self, invert_calls):
+        criteria_report(gen_ccd(3, 1.681, 4))
+        assert invert_calls[0] == 1
 
 
 class TestSpv:
@@ -78,6 +116,29 @@ class TestGMax:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             g_max(gen_ccd(2, 1.0, 4), CUBE1, grid_step=-0.1)
+
+    def test_tied_maximum_at_first_point_in_evaluation_order(self):
+        # the six axial points tie; (-2, 0, 0) is the first axial design row
+        assert g_max(gen_ccd(3, 2.0, 4), CUBE1, grid_step=None)[1] == (-2.0, 0.0, 0.0)
+        # rotatable: the factorial vertices tie with the axial points and come first
+        assert (g_max(gen_ccd(4, 2.0, 4), CUBE1, grid_step=None)[1]
+                == (-1.0, -1.0, -1.0, -1.0))
+
+    def test_refuses_absurd_grid(self):
+        # 2001^5 grid points; refused before anything is allocated
+        with pytest.raises(ValueError, match="coarser grid step"):
+            g_max(gen_ccd(5, 2.0, 4), CUBE1, grid_step=0.001)
+
+
+class TestGridChunks:
+    @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
+    def test_bounded_chunks_in_c_order(self, shape):
+        region = Region(shape, 1.0)
+        chunks = list(_grid_chunks(region, 3, 0.25, chunk_rows=100))
+        assert max(len(c) for c in chunks) <= 100
+        axis = np.arange(-4, 5, dtype=float) * 0.25
+        want = np.array(list(itertools.product(axis, repeat=3)))
+        assert np.array_equal(np.vstack(chunks), want[region.contains(want)])
 
 
 class TestGEfficiency:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccdrobust.design import (
+    Design,
     PointClass,
     canonical_probe_points,
     design_from_csv,
@@ -55,6 +57,12 @@ class TestGenCcd:
                 assert len(nz) == 1 and abs(nz[0]) == 1.732
             else:
                 assert all(c == 0.0 for c in pt.coords)
+
+    def test_immutable(self):
+        d = gen_ccd(2, 1.0, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.alpha = 2.0
+        assert Design(2, 1.0, list(d.points)).points == d.points
 
     def test_deterministic_regeneration(self):
         a = gen_ccd(4, 2.0, 4)
