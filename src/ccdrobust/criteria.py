@@ -10,6 +10,8 @@ sphere around the center.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -88,9 +90,10 @@ def spv(design: Design, x: Sequence[float]) -> float:
 
 
 def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
-    """Vectorized SPV over the rows of an m x k point array."""
+    """Vectorized SPV over the rows of an m x k point array:
+    N times the row sums of (F M^{-1}) * F for the model matrix F."""
     F = expand_points(pts)
-    return design.n * np.einsum("ij,jk,ik->i", F, information_inverse(design), F)
+    return design.n * np.einsum("ij,ij->i", F @ information_inverse(design), F)
 
 
 def probe_spv(design: Design) -> tuple[float, float, float]:
@@ -108,10 +111,13 @@ _G_TIE_RTOL = 1e-12
 
 
 def _grid_chunks(region: Region, k: int, step: float,
-                 chunk_rows: int = 200_000) -> Iterator[np.ndarray]:
+                 chunk_rows: int = 200_000,
+                 fundamental: bool = False) -> Iterator[np.ndarray]:
     """Regular grid over the region's bounding box in C order, restricted to
-    the region, in chunks of at most chunk_rows points.  A box of more than
-    _MAX_GRID_POINTS points raises ValueError before anything is allocated."""
+    the region, in chunks of at most chunk_rows points.  With fundamental,
+    only the grid points with 0 <= x_1 <= ... <= x_k, still in C order.  A
+    box of more than _MAX_GRID_POINTS points raises ValueError before
+    anything is allocated, whether or not it is then reduced."""
     n1 = int(min(region.size / step + 1e-9, _MAX_GRID_POINTS))  # no int(inf)
     shape = (2 * n1 + 1,) * k
     total = math.prod(shape)
@@ -119,12 +125,47 @@ def _grid_chunks(region: Region, k: int, step: float,
         raise ValueError(f"G grid at step {step:g} has more than "
                          f"{_MAX_GRID_POINTS:.0e} points; use a coarser grid step")
     axis = np.arange(-n1, n1 + 1, dtype=float) * step
+    if fundamental:
+        # Axis indices n1 <= i_1 <= ... <= i_k are c_j + n1 - j for the
+        # k-subsets c_1 < ... < c_k of range(n1 + k), which itertools yields
+        # in lexicographic, hence C, order.
+        subsets = itertools.combinations(range(n1 + k), k)
+        total = math.comb(n1 + k, k)
+
+        def indices(start: int, stop: int) -> np.ndarray:
+            flat = np.fromiter(itertools.chain.from_iterable(
+                itertools.islice(subsets, stop - start)),
+                dtype=np.intp, count=(stop - start) * k)
+            return flat.reshape(-1, k) + (n1 - np.arange(k))
+    else:
+        def indices(start: int, stop: int) -> np.ndarray:
+            return np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
     for start in range(0, total, chunk_rows):
-        block = axis[np.stack(np.unravel_index(
-            np.arange(start, min(start + chunk_rows, total)), shape), axis=1)]
+        block = axis[indices(start, min(start + chunk_rows, total))]
         block = block[region.contains(block)]
         if block.size:
             yield block
+
+
+def _fully_symmetric(design: Design) -> bool:
+    """True when the design's rows, as a multiset, are invariant under every
+    sign flip and axis permutation (the symmetry group of the cube and the
+    ball).  Checked exactly on the coordinates under the group's generators:
+    negate axis 0, swap axes 0 and 1, cycle the axes."""
+    X = design.coords()
+
+    def rows_sorted(A: np.ndarray) -> np.ndarray:
+        return A[np.lexsort(A.T[::-1])]
+
+    flipped = X.copy()
+    flipped[:, 0] = -flipped[:, 0]
+    swap = list(range(design.k))
+    swap[:2] = swap[1::-1]  # axes 0 and 1; the identity when k = 1
+    swapped = X[:, swap]
+    cycled = np.roll(X, 1, axis=1)
+    base = rows_sorted(X)
+    return all(np.array_equal(base, rows_sorted(Y))
+               for Y in (flipped, swapped, cycled))
 
 
 def g_max(design: Design, region: Region,
@@ -138,6 +179,14 @@ def g_max(design: Design, region: Region,
     is the first point in evaluation order (design rows, probes, grid)
     within _G_TIE_RTOL of the running maximum, so rounding cannot pick
     among tied maximizers; the value is the exact maximum.
+
+    When the design is invariant under every sign flip and axis
+    permutation (a full CCD, or one with a center run deleted), so is its
+    SPV, and the region and the grid are too: the grid part of the
+    evaluation order is then its fundamental domain 0 <= x_1 <= ... <= x_k
+    in C order, 2^k k! times fewer points at most.  A tied grid maximum is
+    reported there: at k=5, alpha=1, step 0.2 the location is (0 0 1 1 1),
+    not (-1 -1 -1 0 0).
     """
     if grid_step is not None and grid_step <= 0:
         raise ValueError("grid_step must be > 0")
@@ -158,7 +207,8 @@ def g_max(design: Design, region: Region,
     consider(design.coords())
     consider(np.array([pt.coords for pt in canonical_probe_points(design)]))
     if grid_step is not None:
-        for chunk in _grid_chunks(region, design.k, grid_step):
+        for chunk in _grid_chunks(region, design.k, grid_step,
+                                  fundamental=_fully_symmetric(design)):
             consider(chunk)
     return best_val, best_loc
 
@@ -233,14 +283,23 @@ def sphere_points(k: int, radius: float, n: int) -> np.ndarray:
     the first len(_PRIMES) primes, which bounds k."""
     if k > len(_PRIMES):
         raise ValueError(f"sphere_points supports k <= {len(_PRIMES)}, got {k}")
+    return radius * _unit_sphere_points(k, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _unit_sphere_points(k: int, n: int) -> np.ndarray:
+    """sphere_points on the unit sphere, computed once per (k, n) and
+    returned read-only, since every caller shares it."""
     if k == 2:
         theta = 2 * math.pi * np.arange(n) / n
-        return radius * np.column_stack([np.cos(theta), np.sin(theta)])
-    ppf = NormalDist().inv_cdf
-    g = np.array([[ppf(_radical_inverse(i + 1, _PRIMES[d])) for d in range(k)]
-                  for i in range(n)])
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return radius * g
+        g = np.column_stack([np.cos(theta), np.sin(theta)])
+    else:
+        ppf = NormalDist().inv_cdf
+        g = np.array([[ppf(_radical_inverse(i + 1, _PRIMES[d])) for d in range(k)]
+                      for i in range(n)])
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g.flags.writeable = False
+    return g
 
 
 def rotatability_index(design: Design, radius: float, n_samples: int = 200) -> float:

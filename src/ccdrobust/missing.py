@@ -81,6 +81,13 @@ def relative_g_efficiency(full: Design, residual: Design, region: Region,
     each scaled by its own run count (or both by the full N when
     spv_scale="full"); > 1 means the deletion did little harm."""
     g_full, _ = g_max(full, region, grid_step)
+    return _g_ratio(g_full, full, residual, region, grid_step, spv_scale)
+
+
+def _g_ratio(g_full: float, full: Design, residual: Design, region: Region,
+             grid_step: float | None, spv_scale: str) -> float:
+    """relative_g_efficiency given the full design's maximum SPV, so that a
+    sweep searches each full design once."""
     g_res, _ = g_max(residual, region, grid_step)
     return g_full / (g_res * _spv_scale_factor(spv_scale, full, residual))
 
@@ -137,6 +144,7 @@ def scenario_sweep(k: int, n0: int, alphas: list[float],
         full = gen_ccd(k, alpha, n0)
         rep = LossReport(alpha=alpha,
                          a_full=linalg.trace(information_inverse(full)))
+        g_full, _ = g_max(full, region, grid_step)
         for cls in classes:
             row = full.rows_of_class(cls)[0]
             residual = delete_rows(full, [row])
@@ -144,8 +152,8 @@ def scenario_sweep(k: int, n0: int, alphas: list[float],
             try:
                 setattr(rep, f"loss_{tag}", loss_precision(full, residual))
                 setattr(rep, f"re_g_{tag}",
-                        relative_g_efficiency(full, residual, region,
-                                              grid_step, spv_scale))
+                        _g_ratio(g_full, full, residual, region,
+                                 grid_step, spv_scale))
                 setattr(rep, f"re_v_{tag}",
                         relative_v_efficiency(full, residual, region, spv_scale))
             except SingularMatrixError:

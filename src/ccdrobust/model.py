@@ -52,14 +52,20 @@ def expand_point(x: Sequence[float]) -> np.ndarray:
 
 
 def expand_points(pts: np.ndarray) -> np.ndarray:
-    """Row-wise model expansion of an m x k array of points."""
+    """Row-wise model expansion of an m x k array of points.
+
+    The m x p result is preallocated column-major, so that each model
+    column is written in place and contiguously.
+    """
     pts = np.asarray(pts, dtype=float)
     m, k = pts.shape
-    cols = [np.ones(m)]
-    cols += [pts[:, i] for i in range(k)]
-    cols += [pts[:, i] ** 2 for i in range(k)]
-    cols += [pts[:, i] * pts[:, j] for i, j in interaction_pairs(k)]
-    return np.column_stack(cols)
+    F = np.empty((m, num_params(k)), order="F")
+    F[:, 0] = 1.0
+    F[:, 1:1 + k] = pts
+    np.multiply(pts, pts, out=F[:, 1 + k:1 + 2 * k])
+    for col, (i, j) in enumerate(interaction_pairs(k), start=1 + 2 * k):
+        np.multiply(pts[:, i], pts[:, j], out=F[:, col])
+    return F
 
 
 def model_matrix(design: Design) -> np.ndarray:

@@ -11,7 +11,9 @@ from ccdrobust.cli import DEFAULT_ALPHAS
 from ccdrobust.criteria import (
     Region,
     RegionShape,
+    _fully_symmetric,
     _grid_chunks,
+    _unit_sphere_points,
     criteria_report,
     g_efficiency,
     g_max,
@@ -26,8 +28,8 @@ from ccdrobust.criteria import (
     spv_many,
     v_avg,
 )
-from ccdrobust.design import gen_ccd
-from ccdrobust.missing import scenario_sweep
+from ccdrobust.design import Design, DesignPoint, PointClass, canonical_probe_points, gen_ccd
+from ccdrobust.missing import delete_rows, scenario_sweep
 from ccdrobust.model import num_params
 
 CUBE1 = Region(RegionShape.CUBOIDAL, 1.0)
@@ -130,6 +132,79 @@ class TestGMax:
             g_max(gen_ccd(5, 2.0, 4), CUBE1, grid_step=0.001)
 
 
+def _deleted(design, cls):
+    return delete_rows(design, [design.rows_of_class(cls)[0]])
+
+
+def _with_points(coords):
+    return Design(k=len(coords[0]), alpha=1.0,
+                  points=[DesignPoint(tuple(map(float, c)), PointClass.FACTORIAL)
+                          for c in coords])
+
+
+class TestReducedGSearch:
+    """g_max against a brute-force search of the whole box grid."""
+
+    @staticmethod
+    def brute_force(design, region, step):
+        n1 = int(region.size / step + 1e-9)
+        axis = np.arange(-n1, n1 + 1, dtype=float) * step
+        grid = np.array(list(itertools.product(axis, repeat=design.k)))
+        grid = grid[region.contains(grid)]
+        probes = [pt.coords for pt in canonical_probe_points(design)]
+        pts = np.vstack([design.coords(), probes, grid])
+        return float(spv_many(design, pts).max()), {tuple(x) for x in pts}
+
+    @pytest.mark.parametrize("k,step", [(2, 0.1), (3, 0.25), (4, 0.5), (5, 0.5)])
+    @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
+    @pytest.mark.parametrize("deleted", [None, *PointClass])
+    @pytest.mark.parametrize("alpha", [1.0, 1.7])
+    def test_matches_brute_force(self, k, step, shape, deleted, alpha):
+        region = Region(shape, 1.0 if shape is RegionShape.CUBOIDAL else math.sqrt(k))
+        d = gen_ccd(k, alpha, 2)
+        if deleted is not None:
+            d = _deleted(d, deleted)
+        val, loc = g_max(d, region, grid_step=step)
+        want, evaluated = self.brute_force(d, region, step)
+        assert val == pytest.approx(want, rel=1e-12, abs=0)
+        assert spv(d, loc) == pytest.approx(val, rel=1e-12, abs=0)
+        assert loc in evaluated
+
+    def test_tied_grid_maximum_in_fundamental_domain(self):
+        val, loc = g_max(gen_ccd(5, 1.0, 4), CUBE1, grid_step=0.2)
+        assert loc == (0.0, 0.0, 1.0, 1.0, 1.0)
+        assert spv(gen_ccd(5, 1.0, 4), (-1, -1, -1, 0, 0)) == pytest.approx(val, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_symmetry_truth_table(self, k):
+        for n0 in (1, 4):
+            full = gen_ccd(k, 1.5, n0)
+            assert _fully_symmetric(full)
+            assert _fully_symmetric(_deleted(full, PointClass.CENTER))
+            assert not _fully_symmetric(_deleted(full, PointClass.FACTORIAL))
+            assert not _fully_symmetric(_deleted(full, PointClass.AXIAL))
+        # alpha = 1 puts the axial points on the cube's faces: still symmetric
+        assert _fully_symmetric(gen_ccd(k, 1.0, 1))
+
+    def test_symmetry_generators(self):
+        assert _fully_symmetric(_with_points([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+        # sign flips but not permutations
+        assert not _fully_symmetric(_with_points([(1, 2), (1, -2), (-1, 2), (-1, -2)]))
+        # permutations but not sign flips
+        assert not _fully_symmetric(_with_points([(1, 0), (0, 1), (0, 0)]))
+        # at k = 3, sign flips with a swap of axes 0 and 1 are not enough, and
+        # neither are sign flips with a cycle of the axes
+        box = list(itertools.product((-1, 1), (-1, 1), (-2, 2)))
+        assert not _fully_symmetric(_with_points(box))
+        cyclic = [(x[i], x[(i + 1) % 3], x[(i + 2) % 3])
+                  for x in itertools.product((-2, 2), (-1, 1), (0,)) for i in range(3)]
+        assert not _fully_symmetric(_with_points(cyclic))
+        # one run moved by one ulp breaks the symmetry
+        pts = [tuple(p.coords) for p in gen_ccd(3, 1.5, 1).points]
+        pts[0] = (np.nextafter(-1.0, 0.0), -1.0, -1.0)
+        assert not _fully_symmetric(_with_points(pts))
+
+
 class TestGridChunks:
     @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
     def test_bounded_chunks_in_c_order(self, shape):
@@ -139,6 +214,20 @@ class TestGridChunks:
         axis = np.arange(-4, 5, dtype=float) * 0.25
         want = np.array(list(itertools.product(axis, repeat=3)))
         assert np.array_equal(np.vstack(chunks), want[region.contains(want)])
+
+    @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_fundamental_domain_in_c_order(self, shape, k):
+        region = Region(shape, 1.0)
+        chunks = list(_grid_chunks(region, k, 0.25, chunk_rows=100, fundamental=True))
+        assert max(len(c) for c in chunks) <= 100
+        box = np.vstack(list(_grid_chunks(region, k, 0.25)))
+        want = box[(box[:, 0] >= 0) & np.all(np.diff(box, axis=1) >= 0, axis=1)]
+        assert np.array_equal(np.vstack(chunks), want)
+
+    def test_fundamental_domain_keeps_the_size_guard(self):
+        with pytest.raises(ValueError, match="coarser grid step"):
+            next(_grid_chunks(CUBE1, 5, 0.001, fundamental=True))
 
 
 class TestGEfficiency:
@@ -218,6 +307,21 @@ class TestRotatability:
             rotatability_index(d, -1.0)
         with pytest.raises(ValueError):
             rotatability_index(d, 1.0, n_samples=1)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_sphere_points_memo_matches_fresh(self, k):
+        cached = _unit_sphere_points(k, 200)
+        assert np.array_equal(cached, _unit_sphere_points.__wrapped__(k, 200))
+        assert np.array_equal(sphere_points(k, 1.7, 200), 1.7 * cached)
+
+    def test_sphere_points_memo_is_read_only(self):
+        cached = _unit_sphere_points(3, 200)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+        pts = sphere_points(3, 1.0, 200)
+        pts[0, 0] = 99.0
+        assert sphere_points(3, 1.0, 200)[0, 0] != 99.0
 
     def test_sphere_points_bounds_k(self):
         pts = sphere_points(12, 2.0, 50)

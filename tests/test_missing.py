@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccdrobust import missing
 from ccdrobust.criteria import Region, RegionShape, information_inverse, probe_spv
 from ccdrobust.design import PointClass, gen_ccd
 from ccdrobust.linalg import SingularMatrixError, cross_product, quad_form, trace
@@ -194,3 +195,22 @@ class TestScenarioSweep:
         alphas = [1.0, 1.21, 1.414, 1.5, 2.0]
         traces = [r.a_full for r in scenario_sweep(2, 4, alphas, CUBE1)]
         assert all(a > b for a, b in zip(traces, traces[1:]))
+
+    def test_one_g_search_per_design(self, monkeypatch):
+        # per alpha: the full design once, then each of the 3 residuals
+        calls = [0]
+        real = missing.g_max
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(missing, "g_max", counting)
+        reports = scenario_sweep(3, 4, [1.0, 1.681], CUBE1, grid_step=0.5)
+        assert calls[0] == 2 * 4
+        for rep in reports:
+            full = gen_ccd(3, rep.alpha, 4)
+            for cls in PointClass:
+                res = delete_rows(full, [full.rows_of_class(cls)[0]])
+                assert getattr(rep, f"re_g_{cls.value}") == relative_g_efficiency(
+                    full, res, CUBE1, grid_step=0.5)

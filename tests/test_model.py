@@ -7,6 +7,7 @@ from ccdrobust.design import gen_ccd
 from ccdrobust.model import (
     column_labels,
     expand_point,
+    expand_points,
     model_matrix,
     model_matrix_to_csv,
     num_params,
@@ -28,6 +29,35 @@ class TestExpandPoint:
         f = expand_point((2.0, 3.0, 5.0))
         # interactions lexicographic: x1x2, x1x3, x2x3
         assert f[-3:].tolist() == [6.0, 10.0, 15.0]
+
+
+class TestExpandPoints:
+    @staticmethod
+    def reference(x):
+        """f(x) term by term: intercept, linear, pure quadratic, interactions."""
+        k = len(x)
+        return ([1.0] + list(x) + [x[i] ** 2 for i in range(k)]
+                + [x[i] * x[j] for i in range(k) for j in range(i + 1, k)])
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_rows_match_reference(self, k):
+        pts = np.random.default_rng(k).uniform(-2, 2, (50, k))
+        F = expand_points(pts)
+        assert F.shape == (50, num_params(k))
+        for x, f in zip(pts, F):
+            assert f.tolist() == self.reference(x.tolist())
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_empty_input(self, k):
+        assert expand_points(np.empty((0, k))).shape == (0, num_params(k))
+
+    def test_strided_view(self):
+        base = np.random.default_rng(0).uniform(-2, 2, (40, 8))
+        pts = base[::3, 1::2]  # 14 x 4, neither C- nor F-contiguous
+        assert not pts.flags.c_contiguous and not pts.flags.f_contiguous
+        F = expand_points(pts)
+        for x, f in zip(pts, F):
+            assert np.array_equal(f, expand_point(x.copy()))
 
 
 class TestModelMatrix:
