@@ -11,7 +11,6 @@ sphere around the center.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -109,63 +108,137 @@ def probe_spv(design: Design) -> tuple[float, float, float]:
 _MAX_GRID_POINTS = 10 ** 8
 _G_TIE_RTOL = 1e-12
 
-
-def _grid_chunks(region: Region, k: int, step: float,
-                 chunk_rows: int = 200_000,
-                 fundamental: bool = False) -> Iterator[np.ndarray]:
-    """Regular grid over the region's bounding box in C order, restricted to
-    the region, in chunks of at most chunk_rows points.  With fundamental,
-    only the grid points with 0 <= x_1 <= ... <= x_k, still in C order.  A
-    box of more than _MAX_GRID_POINTS points raises ValueError before
-    anything is allocated, whether or not it is then reduced."""
-    n1 = int(min(region.size / step + 1e-9, _MAX_GRID_POINTS))  # no int(inf)
-    shape = (2 * n1 + 1,) * k
-    total = math.prod(shape)
-    if total > _MAX_GRID_POINTS:
-        raise ValueError(f"G grid at step {step:g} has more than "
-                         f"{_MAX_GRID_POINTS:.0e} points; use a coarser grid step")
-    axis = np.arange(-n1, n1 + 1, dtype=float) * step
-    if fundamental:
-        # Axis indices n1 <= i_1 <= ... <= i_k are c_j + n1 - j for the
-        # k-subsets c_1 < ... < c_k of range(n1 + k), which itertools yields
-        # in lexicographic, hence C, order.
-        subsets = itertools.combinations(range(n1 + k), k)
-        total = math.comb(n1 + k, k)
-
-        def indices(start: int, stop: int) -> np.ndarray:
-            flat = np.fromiter(itertools.chain.from_iterable(
-                itertools.islice(subsets, stop - start)),
-                dtype=np.intp, count=(stop - start) * k)
-            return flat.reshape(-1, k) + (n1 - np.arange(k))
-    else:
-        def indices(start: int, stop: int) -> np.ndarray:
-            return np.stack(np.unravel_index(np.arange(start, stop), shape), axis=1)
-    for start in range(0, total, chunk_rows):
-        block = axis[indices(start, min(start + chunk_rows, total))]
-        block = block[region.contains(block)]
-        if block.size:
-            yield block
+# (flips, blocks): the flip-invariant axes, and a partition of the axes into
+# blocks of mutually transposable ones, each in axis order.
+_Symmetry = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
-def _fully_symmetric(design: Design) -> bool:
-    """True when the design's rows, as a multiset, are invariant under every
-    sign flip and axis permutation (the symmetry group of the cube and the
-    ball).  Checked exactly on the coordinates under the group's generators:
-    negate axis 0, swap axes 0 and 1, cycle the axes."""
+def _symmetry(design: Design) -> _Symmetry:
+    """The product-form symmetry of the design, read exactly from its
+    coordinates: (flips, blocks), the axes whose sign flip leaves the
+    multiset of rows unchanged, and the partition of the axes into blocks
+    whose transpositions leave it unchanged, each block in axis order.
+
+    Transposition invariance is an equivalence relation, since
+    (a c) = (a b)(b c)(a b), so each axis is compared with the first axis of
+    each block found so far; and a block's axes are all flip-invariant or
+    none, since (a b) carries the flip of a to the flip of b.  The signed
+    permutations these generate leave the SPV, the region and the grid
+    unchanged.  A symmetry not of this form (a deleted mixed-sign factorial
+    vertex is fixed by signed transpositions) contributes only its product
+    subgroup, so the search domain is larger than it could be, but correct.
+    """
     X = design.coords()
+    k = design.k
 
     def rows_sorted(A: np.ndarray) -> np.ndarray:
         return A[np.lexsort(A.T[::-1])]
 
-    flipped = X.copy()
-    flipped[:, 0] = -flipped[:, 0]
-    swap = list(range(design.k))
-    swap[:2] = swap[1::-1]  # axes 0 and 1; the identity when k = 1
-    swapped = X[:, swap]
-    cycled = np.roll(X, 1, axis=1)
     base = rows_sorted(X)
-    return all(np.array_equal(base, rows_sorted(Y))
-               for Y in (flipped, swapped, cycled))
+
+    def invariant(A: np.ndarray) -> bool:
+        return np.array_equal(base, rows_sorted(A))
+
+    flips = tuple(j for j in range(k)
+                  if invariant(np.where(np.arange(k) == j, -X, X)))
+    blocks: list[list[int]] = []
+    for j in range(k):
+        for block in blocks:
+            swap = list(range(k))
+            swap[block[0]], swap[j] = j, block[0]
+            if invariant(X[:, swap]):
+                block.append(j)
+                break
+        else:
+            blocks.append([j])
+    return flips, tuple(tuple(block) for block in blocks)
+
+
+def _multisets(n: np.ndarray, r: int) -> np.ndarray:
+    """C(n + r - 1, r), the number of non-decreasing r-tuples of n values,
+    elementwise and exact: after step i the product is C(n + i - 1, i)."""
+    count = np.ones_like(n)
+    for i in range(1, r + 1):
+        count = count * (n + i - 1) // i
+    return count
+
+
+def _grid_chunks(region: Region, step: float,
+                 symmetry: _Symmetry,
+                 chunk_rows: int = 200_000) -> Iterator[np.ndarray]:
+    """Regular grid points at the given step in the region, in C order and
+    in chunks of at most chunk_rows points, over the fundamental domain of
+    a symmetry (flips, blocks) as _symmetry returns it: x_j >= 0 on each
+    flip-invariant axis, and non-decreasing coordinates within each block.
+    With no flips and one block per axis that is the whole bounding box.  A
+    box of more than _MAX_GRID_POINTS points raises ValueError before
+    anything is allocated, whatever the domain.
+
+    The domain is the product over the blocks of each block's
+    non-decreasing index tuples.  It is built axis by axis, so that C order
+    holds also when a block's axes are not adjacent: a prefix of the first
+    j axes extends to the product of the blocks' multiset counts over the
+    remaining axes, and a run of prefixes whose extensions fit in one chunk
+    is expanded whole, while a prefix with more is split by its next axis.
+    """
+    flips, blocks = symmetry
+    k = sum(len(block) for block in blocks)
+    n1 = int(min(region.size / step + 1e-9, _MAX_GRID_POINTS))  # no int(inf)
+    if (2 * n1 + 1) ** k > _MAX_GRID_POINTS:
+        raise ValueError(f"G grid at step {step:g} has more than "
+                         f"{_MAX_GRID_POINTS:.0e} points; use a coarser grid step")
+    axis = np.arange(-n1, n1 + 1, dtype=float) * step
+    top = 2 * n1  # the largest axis index; index n1 is x = 0
+    low = [n1 if j in flips else 0 for j in range(k)]
+    prev = [-1] * k  # the previous axis of the same block
+    for block in blocks:
+        for a, b in zip(block, block[1:]):
+            prev[b] = a
+
+    def floor(P: np.ndarray, j: int) -> np.ndarray:
+        """The least index of axis j after each prefix row of P."""
+        if prev[j] >= 0:
+            return P[:, prev[j]]
+        return np.full(len(P), low[j], dtype=np.intp)
+
+    def extensions(P: np.ndarray) -> np.ndarray:
+        """The number of domain points that extend each prefix row."""
+        count = np.ones(len(P), dtype=np.int64)
+        for block in blocks:
+            rest = [a for a in block if a >= P.shape[1]]
+            if rest:
+                count *= _multisets(top + 1 - floor(P, rest[0]), len(rest))
+        return count
+
+    def extend(P: np.ndarray) -> np.ndarray:
+        """Each prefix row followed by every index its next axis allows."""
+        start = floor(P, P.shape[1])
+        reps = top + 1 - start
+        rows = np.repeat(np.arange(len(P)), reps)
+        offset = np.arange(len(rows)) - np.repeat(np.cumsum(reps) - reps, reps)
+        return np.column_stack([P[rows], start[rows] + offset])
+
+    def chunks(P: np.ndarray) -> Iterator[np.ndarray]:
+        ends = np.cumsum(extensions(P))
+        i = 0
+        while i < len(P):
+            stop = int(np.searchsorted(ends, (ends[i - 1] if i else 0) + chunk_rows,
+                                       side="right"))
+            if stop == i:
+                yield from chunks(extend(P[i:i + 1]))
+                i += 1
+                continue
+            Q = P[i:stop]
+            while Q.shape[1] < k:
+                Q = extend(Q)
+            pts = axis[Q]
+            del Q  # not kept alive while the chunk is evaluated
+            pts = pts[region.contains(pts)]
+            if pts.size:
+                yield pts
+            i = stop
+
+    yield from chunks(np.empty((1, 0), dtype=np.intp))
 
 
 def g_max(design: Design, region: Region,
@@ -180,13 +253,22 @@ def g_max(design: Design, region: Region,
     within _G_TIE_RTOL of the running maximum, so rounding cannot pick
     among tied maximizers; the value is the exact maximum.
 
-    When the design is invariant under every sign flip and axis
-    permutation (a full CCD, or one with a center run deleted), so is its
-    SPV, and the region and the grid are too: the grid part of the
-    evaluation order is then its fundamental domain 0 <= x_1 <= ... <= x_k
-    in C order, 2^k k! times fewer points at most.  A tied grid maximum is
-    reported there: at k=5, alpha=1, step 0.2 the location is (0 0 1 1 1),
-    not (-1 -1 -1 0 0).
+    The grid is searched over the fundamental domain of the design's
+    symmetry (see _symmetry and _grid_chunks), in C order: the SPV, the
+    region and the grid are invariant under every sign flip and axis
+    transposition that leaves the design's rows unchanged, so each grid
+    point has an image in the domain with the same SPV.
+    - A full CCD, or one missing a center run: 0 <= x_1 <= ... <= x_k,
+      up to 2^k k! times fewer points than the box.
+    - Missing a factorial vertex: non-decreasing coordinates within each
+      set of axes on which the vertex has the same sign; for (-1, ..., -1)
+      x_1 <= ... <= x_k, up to k! times fewer.
+    - Missing an axial run on axis j: x_j free, and the other axes
+      non-negative and non-decreasing, up to 2^(k-1) (k-1)! times fewer.
+    - A design with no such symmetry: the whole box.
+    A tied grid maximum is reported at the domain's representative: at
+    k=5, alpha=1, step 0.2 the full design's location is (0 0 1 1 1), not
+    (-1 -1 -1 0 0).
     """
     if grid_step is not None and grid_step <= 0:
         raise ValueError("grid_step must be > 0")
@@ -207,8 +289,7 @@ def g_max(design: Design, region: Region,
     consider(design.coords())
     consider(np.array([pt.coords for pt in canonical_probe_points(design)]))
     if grid_step is not None:
-        for chunk in _grid_chunks(region, design.k, grid_step,
-                                  fundamental=_fully_symmetric(design)):
+        for chunk in _grid_chunks(region, grid_step, _symmetry(design)):
             consider(chunk)
     return best_val, best_loc
 

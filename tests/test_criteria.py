@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccdrobust import linalg
+from ccdrobust import criteria, linalg
 from ccdrobust.cli import DEFAULT_ALPHAS
 from ccdrobust.criteria import (
     Region,
     RegionShape,
-    _fully_symmetric,
     _grid_chunks,
+    _symmetry,
     _unit_sphere_points,
     criteria_report,
     g_efficiency,
@@ -136,10 +136,29 @@ def _deleted(design, cls):
     return delete_rows(design, [design.rows_of_class(cls)[0]])
 
 
+def _without(design, *runs):
+    """design with the first run at each of the given coordinates deleted."""
+    coords = [pt.coords for pt in design.points]
+    return delete_rows(design, [coords.index(tuple(map(float, c))) for c in runs])
+
+
 def _with_points(coords):
     return Design(k=len(coords[0]), alpha=1.0,
                   points=[DesignPoint(tuple(map(float, c)), PointClass.FACTORIAL)
                           for c in coords])
+
+
+def _box_symmetry(k):
+    """No flips and one block per axis: the whole box."""
+    return (), tuple((j,) for j in range(k))
+
+
+def _box_grid(region, k, step):
+    """The grid points of the region's bounding box in the region, in C order."""
+    n1 = int(region.size / step + 1e-9)
+    axis = np.arange(-n1, n1 + 1, dtype=float) * step
+    grid = np.array(list(itertools.product(axis, repeat=k)))
+    return grid[region.contains(grid)]
 
 
 class TestReducedGSearch:
@@ -147,13 +166,16 @@ class TestReducedGSearch:
 
     @staticmethod
     def brute_force(design, region, step):
-        n1 = int(region.size / step + 1e-9)
-        axis = np.arange(-n1, n1 + 1, dtype=float) * step
-        grid = np.array(list(itertools.product(axis, repeat=design.k)))
-        grid = grid[region.contains(grid)]
         probes = [pt.coords for pt in canonical_probe_points(design)]
-        pts = np.vstack([design.coords(), probes, grid])
+        pts = np.vstack([design.coords(), probes, _box_grid(region, design.k, step)])
         return float(spv_many(design, pts).max()), {tuple(x) for x in pts}
+
+    def assert_matches_brute_force(self, design, region, step):
+        val, loc = g_max(design, region, grid_step=step)
+        want, evaluated = self.brute_force(design, region, step)
+        assert val == pytest.approx(want, rel=1e-12, abs=0)
+        assert spv(design, loc) == pytest.approx(val, rel=1e-12, abs=0)
+        assert loc in evaluated
 
     @pytest.mark.parametrize("k,step", [(2, 0.1), (3, 0.25), (4, 0.5), (5, 0.5)])
     @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
@@ -164,70 +186,131 @@ class TestReducedGSearch:
         d = gen_ccd(k, alpha, 2)
         if deleted is not None:
             d = _deleted(d, deleted)
-        val, loc = g_max(d, region, grid_step=step)
-        want, evaluated = self.brute_force(d, region, step)
-        assert val == pytest.approx(want, rel=1e-12, abs=0)
-        assert spv(d, loc) == pytest.approx(val, rel=1e-12, abs=0)
-        assert loc in evaluated
+        self.assert_matches_brute_force(d, region, step)
+
+    @pytest.mark.parametrize("k,step", [(2, 0.1), (3, 0.25), (4, 0.5), (5, 0.5)])
+    @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
+    @pytest.mark.parametrize("runs", ["mixed_vertex", "last_plus_alpha",
+                                      "middle_minus_alpha", "factorial_and_axial"])
+    @pytest.mark.parametrize("alpha", [1.0, 1.7])
+    def test_other_deletions_match_brute_force(self, k, step, shape, runs, alpha):
+        region = Region(shape, 1.0 if shape is RegionShape.CUBOIDAL else math.sqrt(k))
+        axial = lambda j, a: tuple(a if i == j else 0.0 for i in range(k))
+        deleted = {
+            # its stabilizer, the signed permutations fixing (1, -1, ..., -1),
+            # is not in product form: it is searched over the product
+            # subgroup, axis 0 free and axes 1..k-1 one block
+            "mixed_vertex": [(1.0,) + (-1.0,) * (k - 1)],
+            "last_plus_alpha": [axial(k - 1, alpha)],
+            # the other axes form a block whose axes are not adjacent
+            "middle_minus_alpha": [axial(k // 2, -alpha)],
+            "factorial_and_axial": [(-1.0,) * k, axial(0, -alpha)],
+        }[runs]
+        self.assert_matches_brute_force(_without(gen_ccd(k, alpha, 2), *deleted),
+                                        region, step)
 
     def test_tied_grid_maximum_in_fundamental_domain(self):
         val, loc = g_max(gen_ccd(5, 1.0, 4), CUBE1, grid_step=0.2)
         assert loc == (0.0, 0.0, 1.0, 1.0, 1.0)
         assert spv(gen_ccd(5, 1.0, 4), (-1, -1, -1, 0, 0)) == pytest.approx(val, rel=1e-12)
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
-    def test_symmetry_truth_table(self, k):
-        for n0 in (1, 4):
-            full = gen_ccd(k, 1.5, n0)
-            assert _fully_symmetric(full)
-            assert _fully_symmetric(_deleted(full, PointClass.CENTER))
-            assert not _fully_symmetric(_deleted(full, PointClass.FACTORIAL))
-            assert not _fully_symmetric(_deleted(full, PointClass.AXIAL))
-        # alpha = 1 puts the axial points on the cube's faces: still symmetric
-        assert _fully_symmetric(gen_ccd(k, 1.0, 1))
+    def test_domain_sizes(self, monkeypatch):
+        # points handed to spv_many: the design rows, 3 probes, then the grid
+        counts = []
+        real = criteria.spv_many
 
-    def test_symmetry_generators(self):
-        assert _fully_symmetric(_with_points([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
-        # sign flips but not permutations
-        assert not _fully_symmetric(_with_points([(1, 2), (1, -2), (-1, 2), (-1, -2)]))
-        # permutations but not sign flips
-        assert not _fully_symmetric(_with_points([(1, 0), (0, 1), (0, 0)]))
-        # at k = 3, sign flips with a swap of axes 0 and 1 are not enough, and
-        # neither are sign flips with a cycle of the axes
-        box = list(itertools.product((-1, 1), (-1, 1), (-2, 2)))
-        assert not _fully_symmetric(_with_points(box))
-        cyclic = [(x[i], x[(i + 1) % 3], x[(i + 2) % 3])
-                  for x in itertools.product((-2, 2), (-1, 1), (0,)) for i in range(3)]
-        assert not _fully_symmetric(_with_points(cyclic))
-        # one run moved by one ulp breaks the symmetry
-        pts = [tuple(p.coords) for p in gen_ccd(3, 1.5, 1).points]
-        pts[0] = (np.nextafter(-1.0, 0.0), -1.0, -1.0)
-        assert not _fully_symmetric(_with_points(pts))
+        def counting(design, pts):
+            counts[-1] += len(pts)
+            return real(design, pts)
+
+        monkeypatch.setattr(criteria, "spv_many", counting)
+        full = gen_ccd(5, 1.5, 4)
+        rng = np.random.default_rng(0)
+        designs = {"full": (full, 126),
+                   "center": (_deleted(full, PointClass.CENTER), 126),
+                   "factorial": (_deleted(full, PointClass.FACTORIAL), 1287),
+                   "axial": (_deleted(full, PointClass.AXIAL), 630),
+                   "no symmetry": (_with_points(rng.uniform(-1, 1, (30, 5))), 9 ** 5)}
+        for name, (d, grid) in designs.items():
+            counts.append(0)
+            g_max(d, CUBE1, grid_step=0.25)
+            assert counts[-1] == d.n + 3 + grid, name
+
+
+def _symmetry_cases():
+    for k in (2, 3, 4, 5):
+        axes = tuple(range(k))
+        for n0 in (1, 4):
+            for alpha in (1.0, 1.5):
+                full = gen_ccd(k, alpha, n0)
+                yield f"k={k}-n0={n0}-alpha={alpha}-full", full, (axes, (axes,))
+                yield (f"k={k}-n0={n0}-alpha={alpha}-center",
+                       _deleted(full, PointClass.CENTER), (axes, (axes,)))
+                # the first factorial run, (-1, ..., -1)
+                yield (f"k={k}-n0={n0}-alpha={alpha}-factorial",
+                       _deleted(full, PointClass.FACTORIAL), ((), (axes,)))
+                # the first axial run, on axis 0
+                yield (f"k={k}-n0={n0}-alpha={alpha}-axial", _deleted(full, PointClass.AXIAL),
+                       (axes[1:], ((0,), axes[1:])))
+    yield "square", _with_points([(1, 1), (1, -1), (-1, 1), (-1, -1)]), ((0, 1), ((0, 1),))
+    yield ("flips-only rectangle", _with_points([(1, 2), (1, -2), (-1, 2), (-1, -2)]),
+           ((0, 1), ((0,), (1,))))
+    yield ("permutations-only triangle", _with_points([(1, 0), (0, 1), (0, 0)]),
+           ((), ((0, 1),)))
+    yield ("box with a longer axis",
+           _with_points(list(itertools.product((-1, 1), (-1, 1), (-2, 2)))),
+           ((0, 1, 2), ((0, 1), (2,))))
+    # sign flips and cyclic shifts of the axes, but no transposition
+    cyclic = [(x[i], x[(i + 1) % 3], x[(i + 2) % 3])
+              for x in itertools.product((-2, 2), (-1, 1), (0,)) for i in range(3)]
+    yield "cyclic", _with_points(cyclic), ((0, 1, 2), ((0,), (1,), (2,)))
+    # one run moved by one ulp: only the swap of axes 1 and 2 survives
+    pts = [tuple(p.coords) for p in gen_ccd(3, 1.5, 1).points]
+    pts[0] = (np.nextafter(-1.0, 0.0), -1.0, -1.0)
+    yield "one-ulp perturbed run", _with_points(pts), ((), ((0,), (1, 2)))
+    yield ("no symmetry", _with_points([(0.1, 0.2, 0.3), (0.5, -0.4, 0.0), (-0.7, 0.6, 0.9)]),
+           _box_symmetry(3))
+
+
+@pytest.mark.parametrize("design,want", [case[1:] for case in _symmetry_cases()],
+                         ids=[case[0] for case in _symmetry_cases()])
+def test_symmetry_truth_table(design, want):
+    assert _symmetry(design) == want
 
 
 class TestGridChunks:
     @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
     def test_bounded_chunks_in_c_order(self, shape):
         region = Region(shape, 1.0)
-        chunks = list(_grid_chunks(region, 3, 0.25, chunk_rows=100))
+        chunks = list(_grid_chunks(region, 0.25, _box_symmetry(3), chunk_rows=100))
         assert max(len(c) for c in chunks) <= 100
-        axis = np.arange(-4, 5, dtype=float) * 0.25
-        want = np.array(list(itertools.product(axis, repeat=3)))
-        assert np.array_equal(np.vstack(chunks), want[region.contains(want)])
+        assert np.array_equal(np.vstack(chunks), _box_grid(region, 3, 0.25))
 
     @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_fundamental_domain_in_c_order(self, shape, k):
+    @pytest.mark.parametrize("symmetry", [
+        ((0, 1), ((0, 1),)),
+        ((0, 1, 2), ((0, 1, 2),)),
+        ((), ((0, 1, 2, 3, 4),)),
+        ((1, 2, 3, 4), ((0,), (1, 2, 3, 4))),
+        ((0, 2, 4), ((0, 2, 4), (1, 3))),
+        ((1,), ((0, 3), (1,), (2,))),
+    ], ids=["full-k2", "full-k3", "factorial-k5", "axial-k5",
+            "non-adjacent-blocks-k5", "mixed-k4"])
+    @pytest.mark.parametrize("chunk_rows", [1, 100])
+    def test_fundamental_domain_in_c_order(self, shape, symmetry, chunk_rows):
         region = Region(shape, 1.0)
-        chunks = list(_grid_chunks(region, k, 0.25, chunk_rows=100, fundamental=True))
-        assert max(len(c) for c in chunks) <= 100
-        box = np.vstack(list(_grid_chunks(region, k, 0.25)))
-        want = box[(box[:, 0] >= 0) & np.all(np.diff(box, axis=1) >= 0, axis=1)]
-        assert np.array_equal(np.vstack(chunks), want)
+        chunks = list(_grid_chunks(region, 0.25, symmetry, chunk_rows=chunk_rows))
+        assert max(len(c) for c in chunks) <= chunk_rows
+        flips, blocks = symmetry
+        box = _box_grid(region, sum(map(len, blocks)), 0.25)
+        keep = np.all(box[:, list(flips)] >= 0, axis=1)
+        for block in blocks:
+            keep &= np.all(np.diff(box[:, list(block)], axis=1) >= 0, axis=1)
+        assert np.array_equal(np.vstack(chunks), box[keep])
 
     def test_fundamental_domain_keeps_the_size_guard(self):
         with pytest.raises(ValueError, match="coarser grid step"):
-            next(_grid_chunks(CUBE1, 5, 0.001, fundamental=True))
+            next(_grid_chunks(CUBE1, 0.001, ((0, 1, 2, 3, 4), ((0, 1, 2, 3, 4),))))
 
 
 class TestGEfficiency:
