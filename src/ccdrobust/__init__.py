@@ -3,7 +3,6 @@ degradation under missing observations."""
 
 from .design import (
     Design,
-    DesignPoint,
     PointClass,
     canonical_probe_points,
     design_from_csv,
@@ -37,7 +36,7 @@ from .missing import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Design", "DesignPoint", "PointClass", "gen_ccd",
+    "Design", "PointClass", "gen_ccd",
     "canonical_probe_points", "design_to_csv", "design_from_csv",
     "expand_point", "model_matrix", "num_params",
     "SingularMatrixError",

@@ -126,12 +126,6 @@ def _loss_long_csv(k: int, reports: list[LossReport]) -> str:
     return buf.getvalue()
 
 
-def _criteria_reports(k: int, n0: int, alphas: list[float], region: Region,
-                      grid_step: float | None) -> list[dict]:
-    return [criteria_report(gen_ccd(k, alpha, n0), region, grid_step).as_dict()
-            for alpha in alphas]
-
-
 def _criteria_csv(reports: list[dict]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -158,10 +152,11 @@ def cmd_sweep(args) -> int:
     reports = scenario_sweep(args.k, args.n0, alphas, region,
                              grid_step=args.grid_step,
                              spv_scale=args.spv_scale)
+    crit = [criteria_report(rep.full, region, args.grid_step).as_dict()
+            for rep in reports]
     outdir = Path(args.out or ".")
     _write(outdir / f"loss_k{args.k}.csv", _loss_wide_csv(reports))
     _write(outdir / f"loss_k{args.k}_long.csv", _loss_long_csv(args.k, reports))
-    crit = _criteria_reports(args.k, args.n0, alphas, region, args.grid_step)
     _write(outdir / f"criteria_k{args.k}.csv", _criteria_csv(crit))
     _write(outdir / f"criteria_k{args.k}.json", _criteria_json(crit))
     for rep in reports:

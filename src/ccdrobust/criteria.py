@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .design import Design, canonical_probe_points
-from .model import expand_point, expand_points, interaction_pairs, model_matrix, num_params
+from .model import expand_point, expand_points, model_matrix, num_params
 
 __all__ = [
     "RegionShape",
@@ -98,8 +98,7 @@ def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
 def probe_spv(design: Design) -> tuple[float, float, float]:
     """SPV at the three canonical probe points (factorial vertex, axial
     point, center)."""
-    pts = np.array([pt.coords for pt in canonical_probe_points(design)])
-    return tuple(float(v) for v in spv_many(design, pts))
+    return tuple(float(v) for v in spv_many(design, canonical_probe_points(design)))
 
 
 # g_max: the largest grid (points in the region's bounding box) it accepts,
@@ -128,7 +127,7 @@ def _symmetry(design: Design) -> _Symmetry:
     vertex is fixed by signed transpositions) contributes only its product
     subgroup, so the search domain is larger than it could be, but correct.
     """
-    X = design.coords()
+    X = design.coords
     k = design.k
 
     def rows_sorted(A: np.ndarray) -> np.ndarray:
@@ -286,8 +285,8 @@ def g_max(design: Design, region: Region,
             best_loc = tuple(float(c) for c in pts[i])
         best_val = max(best_val, top)
 
-    consider(design.coords())
-    consider(np.array([pt.coords for pt in canonical_probe_points(design)]))
+    consider(design.coords)
+    consider(canonical_probe_points(design))
     if grid_step is not None:
         for chunk in _grid_chunks(region, grid_step, _symmetry(design)):
             consider(chunk)
@@ -301,9 +300,11 @@ def g_efficiency(design: Design, region: Region,
     return num_params(design.k) / gmax
 
 
+@functools.lru_cache(maxsize=64)
 def region_moments(region: Region, k: int) -> np.ndarray:
     """Analytic p x p region-moments matrix E[f(x) f(x)'] under the
-    uniform measure on the region.
+    uniform measure on the region, computed once per (region, k) and
+    returned read-only, since every caller shares it.
 
     Cube [-a, a]^k: E[x_i^2] = a^2/3, E[x_i^4] = a^4/5,
     E[x_i^2 x_j^2] = a^4/9.  Ball of radius r: E[x_i^2] = r^2/(k+2),
@@ -321,20 +322,17 @@ def region_moments(region: Region, k: int) -> np.ndarray:
         m22 = s ** 4 / ((k + 2) * (k + 4))
 
     p = num_params(k)
-    pairs = interaction_pairs(k)
+    lin = np.arange(1, 1 + k)
+    quad = np.arange(1 + k, 1 + 2 * k)
+    inter = np.arange(1 + 2 * k, p)
     M = np.zeros((p, p))
-    lin = lambda i: 1 + i
-    quad = lambda i: 1 + k + i
-    inter = lambda idx: 1 + 2 * k + idx
     M[0, 0] = 1.0
-    for i in range(k):
-        M[lin(i), lin(i)] = m2
-        M[0, quad(i)] = M[quad(i), 0] = m2
-        M[quad(i), quad(i)] = m4
-        for j in range(i + 1, k):
-            M[quad(i), quad(j)] = M[quad(j), quad(i)] = m22
-    for idx in range(len(pairs)):
-        M[inter(idx), inter(idx)] = m22
+    M[lin, lin] = m2
+    M[0, quad] = M[quad, 0] = m2
+    M[np.ix_(quad, quad)] = m22
+    M[quad, quad] = m4
+    M[inter, inter] = m22
+    M.flags.writeable = False
     return M
 
 

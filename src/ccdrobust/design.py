@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -18,13 +17,16 @@ import numpy as np
 
 __all__ = [
     "PointClass",
-    "DesignPoint",
     "Design",
     "gen_ccd",
     "canonical_probe_points",
     "design_to_csv",
     "design_from_csv",
 ]
+
+# The largest factor count: criteria_report's rotatability index draws one
+# Halton base per factor from criteria._PRIMES, which has 12.
+_MAX_K = 12
 
 
 class PointClass(Enum):
@@ -36,86 +38,80 @@ class PointClass(Enum):
     CENTER = "center"
 
 
-@dataclass(frozen=True)
-class DesignPoint:
-    """A single design run: k coded coordinates plus its point class."""
-
-    coords: tuple[float, ...]
-    point_class: PointClass
-
-    @property
-    def k(self) -> int:
-        return len(self.coords)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
-    """An immutable, ordered tuple of design points with factor count k
-    and axial distance alpha.
+    """An immutable design with axial distance alpha: an n x k array of
+    coded coordinates and the PointClass of each row, both read-only and
+    copied from what is passed in.  Equality is identity.
 
     The canonical ordering is: factorial points (lexicographic over levels,
     -1 before +1), then axial pairs per axis (-alpha before +alpha, axis 1
     to k), then the center replicates.  Residual designs produced by
-    deleting rows keep the surviving points in this order.
+    deleting rows keep the surviving rows in this order.
     """
 
-    k: int
     alpha: float
-    points: tuple[DesignPoint, ...] = ()
+    coords: np.ndarray
+    classes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        coords = np.array(self.coords, dtype=float)
+        classes = np.array(self.classes, dtype=object)
+        if coords.ndim != 2 or classes.shape != coords.shape[:1]:
+            raise ValueError(f"coords must be n x k and classes of length n, got "
+                             f"shapes {coords.shape} and {classes.shape}")
+        coords.flags.writeable = classes.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "classes", classes)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return self.coords.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.coords.shape[1]
 
     def class_count(self, point_class: PointClass) -> int:
-        return sum(1 for pt in self.points if pt.point_class is point_class)
+        return int(np.count_nonzero(self.classes == point_class))
 
-    def rows_of_class(self, point_class: PointClass) -> list[int]:
-        return [i for i, pt in enumerate(self.points)
-                if pt.point_class is point_class]
-
-    def coords(self) -> np.ndarray:
-        """n x k array of the coded coordinates, in design order."""
-        return np.array([pt.coords for pt in self.points], dtype=float)
+    def rows_of_class(self, point_class: PointClass) -> np.ndarray:
+        return np.flatnonzero(self.classes == point_class)
 
 
 def gen_ccd(k: int, alpha: float, n0: int) -> Design:
     """Build a full central composite design.
 
-    Raises ValueError for k < 2 (the interaction term degenerates),
-    alpha that is not finite and > 0, or n0 < 1.
+    Raises ValueError for k < 2 (the interaction term degenerates) or
+    k > 12, alpha that is not finite and > 0, or n0 < 1.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    if not 2 <= k <= _MAX_K:
+        raise ValueError(f"k must be in [2, {_MAX_K}], got {k}")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if n0 < 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
 
-    points: list[DesignPoint] = []
-    for levels in itertools.product((-1.0, 1.0), repeat=k):
-        points.append(DesignPoint(levels, PointClass.FACTORIAL))
-    for axis in range(k):
-        for sign in (-1.0, 1.0):
-            coords = [0.0] * k
-            coords[axis] = sign * alpha
-            points.append(DesignPoint(tuple(coords), PointClass.AXIAL))
-    center = DesignPoint((0.0,) * k, PointClass.CENTER)
-    points.extend([center] * n0)
-    return Design(k=k, alpha=float(alpha), points=points)
+    nf = 2 ** k
+    coords = np.zeros((nf + 2 * k + n0, k))
+    # factorial row i has level +1 on axis j where bit k-1-j of i is set
+    bits = (np.arange(nf)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    coords[:nf] = 2.0 * bits - 1.0
+    axes = np.arange(k)
+    coords[nf + 2 * axes, axes] = -float(alpha)
+    coords[nf + 2 * axes + 1, axes] = float(alpha)
+    classes = np.repeat(np.array(list(PointClass), dtype=object), [nf, 2 * k, n0])
+    return Design(float(alpha), coords, classes)
 
 
-def canonical_probe_points(design: Design) -> tuple[DesignPoint, DesignPoint, DesignPoint]:
-    """One representative location per point class: the all-(+1) factorial
-    vertex, the (+alpha, 0, ..., 0) axial point, and the origin."""
-    k, alpha = design.k, design.alpha
-    factorial = DesignPoint((1.0,) * k, PointClass.FACTORIAL)
-    axial = DesignPoint((alpha,) + (0.0,) * (k - 1), PointClass.AXIAL)
-    center = DesignPoint((0.0,) * k, PointClass.CENTER)
-    return factorial, axial, center
+def canonical_probe_points(design: Design) -> np.ndarray:
+    """One representative location per point class, as the rows of a 3 x k
+    array: the all-(+1) factorial vertex, the (+alpha, 0, ..., 0) axial
+    point, and the origin."""
+    probes = np.zeros((3, design.k))
+    probes[0] = 1.0
+    probes[1, 0] = design.alpha
+    return probes
 
 
 def design_to_csv(design: Design) -> str:
@@ -124,8 +120,8 @@ def design_to_csv(design: Design) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f"x{i + 1}" for i in range(design.k)] + ["class"])
-    for pt in design.points:
-        writer.writerow([repr(c) for c in pt.coords] + [pt.point_class.value])
+    for row, cls in zip(design.coords.tolist(), design.classes):
+        writer.writerow([repr(c) for c in row] + [cls.value])
     return buf.getvalue()
 
 
@@ -134,16 +130,11 @@ def design_from_csv(text: str, alpha: float | None = None) -> Design:
 
     alpha is recovered from the axial rows when not given explicitly.
     """
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    k = len(header) - 1
-    points = []
-    for row in reader:
-        if not row:
-            continue
-        coords = tuple(float(v) for v in row[:k])
-        points.append(DesignPoint(coords, PointClass(row[k])))
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    k = len(rows[0]) - 1
+    coords = np.array([[float(v) for v in row[:k]] for row in rows[1:]]).reshape(-1, k)
+    classes = np.array([PointClass(row[k]) for row in rows[1:]], dtype=object)
     if alpha is None:
-        axial = [pt for pt in points if pt.point_class is PointClass.AXIAL]
-        alpha = max(abs(c) for pt in axial for c in pt.coords) if axial else 1.0
-    return Design(k=k, alpha=float(alpha), points=points)
+        axial = coords[classes == PointClass.AXIAL]
+        alpha = np.abs(axial).max() if axial.size else 1.0
+    return Design(float(alpha), coords, classes)

@@ -22,7 +22,6 @@ from . import linalg
 from .criteria import Region, g_max, information_inverse, v_avg
 from .design import Design, PointClass, gen_ccd
 from .linalg import SingularMatrixError
-from .model import model_matrix
 
 __all__ = [
     "LossReport",
@@ -38,14 +37,14 @@ __all__ = [
 def delete_rows(design: Design, indices: list[int]) -> Design:
     """Residual design with the given rows removed; order of the
     surviving rows is preserved."""
-    idx = set(indices)
-    if len(idx) != len(indices):
+    if len(set(indices)) != len(indices):
         raise ValueError("deleted indices must be distinct")
-    for i in idx:
+    for i in indices:
         if not 0 <= i < design.n:
             raise IndexError(f"row index {i} out of range for n={design.n}")
-    points = [pt for i, pt in enumerate(design.points) if i not in idx]
-    return Design(k=design.k, alpha=design.alpha, points=points)
+    keep = np.ones(design.n, dtype=bool)
+    keep[list(indices)] = False
+    return Design(design.alpha, design.coords[keep], design.classes[keep])
 
 
 def increase_in_variance(full: Design, residual: Design) -> float:
@@ -107,6 +106,7 @@ class LossReport:
     and the effect of deleting one point of each class.
 
     A value of None marks a cell whose residual design was inestimable.
+    `full` is the full design itself, which FIELDS leaves out.
     """
 
     alpha: float
@@ -121,6 +121,7 @@ class LossReport:
     re_v_axial: float | None = None
     re_v_center: float | None = None
     inestimable: list[str] = field(default_factory=list)
+    full: Design | None = field(default=None, repr=False, compare=False)
 
     FIELDS = ("alpha", "a_full",
               "loss_factorial", "loss_axial", "loss_center",
@@ -143,7 +144,8 @@ def scenario_sweep(k: int, n0: int, alphas: list[float],
     for alpha in alphas:
         full = gen_ccd(k, alpha, n0)
         rep = LossReport(alpha=alpha,
-                         a_full=linalg.trace(information_inverse(full)))
+                         a_full=linalg.trace(information_inverse(full)),
+                         full=full)
         g_full, _ = g_max(full, region, grid_step)
         for cls in classes:
             row = full.rows_of_class(cls)[0]

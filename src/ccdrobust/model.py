@@ -9,8 +9,6 @@ fixed order keeps serialized matrices comparable.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Sequence
 
 import numpy as np
@@ -20,11 +18,9 @@ from .design import Design
 __all__ = [
     "num_params",
     "interaction_pairs",
-    "column_labels",
     "expand_point",
     "expand_points",
     "model_matrix",
-    "model_matrix_to_csv",
 ]
 
 
@@ -36,14 +32,6 @@ def num_params(k: int) -> int:
 def interaction_pairs(k: int) -> list[tuple[int, int]]:
     """Zero-based factor index pairs (i, j), i < j, lexicographic."""
     return [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-
-def column_labels(k: int) -> list[str]:
-    labels = ["1"]
-    labels += [f"x{i + 1}" for i in range(k)]
-    labels += [f"x{i + 1}^2" for i in range(k)]
-    labels += [f"x{i + 1}*x{j + 1}" for i, j in interaction_pairs(k)]
-    return labels
 
 
 def expand_point(x: Sequence[float]) -> np.ndarray:
@@ -70,14 +58,4 @@ def expand_points(pts: np.ndarray) -> np.ndarray:
 
 def model_matrix(design: Design) -> np.ndarray:
     """n x p model matrix; row order matches the design point order."""
-    return expand_points(design.coords())
-
-
-def model_matrix_to_csv(design: Design) -> str:
-    X = model_matrix(design)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(column_labels(design.k))
-    for row in X:
-        writer.writerow([repr(v) for v in row])
-    return buf.getvalue()
+    return expand_points(design.coords)

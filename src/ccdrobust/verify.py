@@ -29,7 +29,6 @@ from .criteria import Region, RegionShape, information_inverse, probe_spv, regio
 from .design import Design, PointClass, gen_ccd
 from .fixtures import ANNOTATIONS, LOSS_TABLES, SPV_TABLES, ulp_tolerance
 from .missing import _spv_scale_factor, delete_rows, loss_precision
-from .model import num_params
 
 __all__ = [
     "CellCheck",

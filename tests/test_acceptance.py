@@ -223,7 +223,7 @@ def test_criterion_09_rank_one_oracle():
             from ccdrobust.criteria import information_inverse
             Minv = information_inverse(full)
             for row in range(full.n):
-                f = expand_point(full.points[row].coords)
+                f = expand_point(full.coords[row])
                 predicted = float(f @ Minv @ Minv @ f) / (1.0 - quad_form(f, Minv))
                 actual = increase_in_variance(full, delete_rows(full, [row]))
                 worst = max(worst, abs(actual - predicted))

@@ -42,6 +42,11 @@ class TestGenerate:
     def test_invalid_k_exits_nonzero(self, capsys):
         assert main(["generate", "--k", "1", "--alpha", "1.0", "--n0", "4"]) == 1
 
+    def test_huge_k_refused_before_allocating(self, capsys):
+        # 2^40 factorial runs: refused by the k bound, nothing is built
+        assert main(["generate", "--k", "40", "--alpha", "1.0"]) == 1
+        assert "k must be in [2, 12], got 40" in capsys.readouterr().err
+
     def test_missing_alpha(self):
         assert main(["generate", "--k", "2", "--n0", "4"]) == 1
 
@@ -75,6 +80,18 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(
             (tmp_path / "loss_k3.csv").read_text())))
         assert len(rows) == 1
+
+    def test_k_above_bound_writes_nothing(self, tmp_path, capsys):
+        assert main(["sweep", "--k", "13", "--alphas", "1",
+                     "--out", str(tmp_path)]) == 1
+        assert "k must be in [2, 12], got 13" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_inversion_per_distinct_design(self, tmp_path, invert_calls):
+        # 8 alphas x (full design + 3 single-deletion residuals); the
+        # criteria rows reuse the sweep's full designs
+        assert main(["sweep", "--k", "3", "--out", str(tmp_path)]) == 0
+        assert invert_calls[0] == 32
 
     def test_descending_alphas_rejected(self, tmp_path):
         assert main(["sweep", "--k", "2", "--alphas", "2.0,1.0",
@@ -126,6 +143,12 @@ class TestVerify:
 
     def test_unknown_table(self, capsys):
         assert main(["verify", "bogus"]) == 1
+
+    def test_gated_summary(self, capsys):
+        # pinned: 75 exact loss cells and 5 SPV cells fail; a change to
+        # which cells pass must show here
+        assert main(["verify"]) == 2
+        assert "gated cells: 384/464 pass" in capsys.readouterr().out.splitlines()
 
     def test_unknown_spv_scale(self):
         with pytest.raises(ValueError, match="spv_scale"):

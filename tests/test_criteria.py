@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccdrobust import criteria, linalg
+from ccdrobust import criteria
 from ccdrobust.cli import DEFAULT_ALPHAS
 from ccdrobust.criteria import (
     Region,
@@ -28,25 +28,11 @@ from ccdrobust.criteria import (
     spv_many,
     v_avg,
 )
-from ccdrobust.design import Design, DesignPoint, PointClass, canonical_probe_points, gen_ccd
+from ccdrobust.design import Design, PointClass, canonical_probe_points, gen_ccd
 from ccdrobust.missing import delete_rows, scenario_sweep
 from ccdrobust.model import num_params
 
 CUBE1 = Region(RegionShape.CUBOIDAL, 1.0)
-
-
-@pytest.fixture
-def invert_calls(monkeypatch):
-    """Counts linalg.invert calls; the count is calls[0]."""
-    calls = [0]
-    real = linalg.invert
-
-    def counting(M):
-        calls[0] += 1
-        return real(M)
-
-    monkeypatch.setattr(linalg, "invert", counting)
-    return calls
 
 
 class TestInformationInverse:
@@ -82,7 +68,7 @@ class TestSpv:
     def test_design_average_is_p(self, k, alpha):
         # (1/N) sum of SPV over the design's own points equals p exactly
         d = gen_ccd(k, alpha, 4)
-        vals = spv_many(d, d.coords())
+        vals = spv_many(d, d.coords)
         assert vals.mean() == pytest.approx(num_params(k), abs=1e-9)
 
     def test_sign_flip_and_permutation_invariance(self):
@@ -138,14 +124,12 @@ def _deleted(design, cls):
 
 def _without(design, *runs):
     """design with the first run at each of the given coordinates deleted."""
-    coords = [pt.coords for pt in design.points]
-    return delete_rows(design, [coords.index(tuple(map(float, c))) for c in runs])
+    coords = design.coords.tolist()
+    return delete_rows(design, [coords.index(list(map(float, c))) for c in runs])
 
 
 def _with_points(coords):
-    return Design(k=len(coords[0]), alpha=1.0,
-                  points=[DesignPoint(tuple(map(float, c)), PointClass.FACTORIAL)
-                          for c in coords])
+    return Design(1.0, coords, [PointClass.FACTORIAL] * len(coords))
 
 
 def _box_symmetry(k):
@@ -166,8 +150,8 @@ class TestReducedGSearch:
 
     @staticmethod
     def brute_force(design, region, step):
-        probes = [pt.coords for pt in canonical_probe_points(design)]
-        pts = np.vstack([design.coords(), probes, _box_grid(region, design.k, step)])
+        pts = np.vstack([design.coords, canonical_probe_points(design),
+                         _box_grid(region, design.k, step)])
         return float(spv_many(design, pts).max()), {tuple(x) for x in pts}
 
     def assert_matches_brute_force(self, design, region, step):
@@ -265,7 +249,7 @@ def _symmetry_cases():
               for x in itertools.product((-2, 2), (-1, 1), (0,)) for i in range(3)]
     yield "cyclic", _with_points(cyclic), ((0, 1, 2), ((0,), (1,), (2,)))
     # one run moved by one ulp: only the swap of axes 1 and 2 survives
-    pts = [tuple(p.coords) for p in gen_ccd(3, 1.5, 1).points]
+    pts = gen_ccd(3, 1.5, 1).coords.tolist()
     pts[0] = (np.nextafter(-1.0, 0.0), -1.0, -1.0)
     yield "one-ulp perturbed run", _with_points(pts), ((), ((0,), (1, 2)))
     yield ("no symmetry", _with_points([(0.1, 0.2, 0.3), (0.5, -0.4, 0.0), (-0.7, 0.6, 0.9)]),
@@ -348,6 +332,39 @@ class TestRegionMoments:
         for region in (CUBE1, Region(RegionShape.SPHERICAL, 2.0)):
             eigs = np.linalg.eigvalsh(region_moments(region, 4))
             assert eigs.min() > -1e-12
+
+    @staticmethod
+    def entrywise(region, k):
+        """The moments matrix written entry by entry from the docstring."""
+        s, p = region.size, num_params(k)
+        if region.shape is RegionShape.CUBOIDAL:
+            m2, m4, m22 = s ** 2 / 3, s ** 4 / 5, s ** 4 / 9
+        else:
+            m2 = s ** 2 / (k + 2)
+            m4 = 3 * s ** 4 / ((k + 2) * (k + 4))
+            m22 = s ** 4 / ((k + 2) * (k + 4))
+        M = np.zeros((p, p))
+        M[0, 0] = 1.0
+        for i in range(k):
+            M[1 + i, 1 + i] = m2
+            M[0, 1 + k + i] = M[1 + k + i, 0] = m2
+            for j in range(k):
+                M[1 + k + i, 1 + k + j] = m4 if i == j else m22
+        for idx in range(1 + 2 * k, p):
+            M[idx, idx] = m22
+        return M
+
+    @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
+    @pytest.mark.parametrize("k", [2, 3, 5, 12])
+    def test_memoized_read_only_and_exact(self, shape, k):
+        region = Region(shape, 1.3)
+        M = region_moments(region, k)
+        assert region_moments(Region(shape, 1.3), k) is M
+        assert not M.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 2.0
+        assert np.array_equal(M, region_moments.__wrapped__(region, k))
+        assert M.tobytes() == self.entrywise(region, k).tobytes()
 
 
 class TestVAvg:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccdrobust.criteria import _PRIMES
 from ccdrobust.design import (
+    _MAX_K,
     Design,
     PointClass,
     canonical_probe_points,
@@ -38,43 +40,77 @@ class TestGenCcd:
     def test_axial_rows_k2(self):
         d = gen_ccd(2, 1.414, 1)
         assert d.n == 9
-        axial = [d.points[i].coords for i in d.rows_of_class(PointClass.AXIAL)]
-        assert axial == [(-1.414, 0.0), (1.414, 0.0), (0.0, -1.414), (0.0, 1.414)]
+        axial = d.coords[d.rows_of_class(PointClass.AXIAL)].tolist()
+        assert axial == [[-1.414, 0.0], [1.414, 0.0], [0.0, -1.414], [0.0, 1.414]]
 
     @pytest.mark.parametrize("k,alpha,n0", [(1, 1.0, 4), (2, 0.0, 4),
-                                            (2, -1.0, 4), (2, 1.0, 0)])
+                                            (2, -1.0, 4), (2, 1.0, 0), (13, 1.0, 4)])
     def test_rejects_bad_inputs(self, k, alpha, n0):
         with pytest.raises(ValueError):
             gen_ccd(k, alpha, n0)
 
+    def test_k_bound_is_the_criteria_bound(self):
+        # criteria_report's rotatability index needs one Halton base per factor
+        assert _MAX_K == len(_PRIMES)
+        assert gen_ccd(_MAX_K, 1.0, 1).n == 2 ** _MAX_K + 2 * _MAX_K + 1
+
     def test_point_class_invariants(self):
         d = gen_ccd(3, 1.732, 4)
-        for pt in d.points:
-            if pt.point_class is PointClass.FACTORIAL:
-                assert all(c in (-1.0, 1.0) for c in pt.coords)
-            elif pt.point_class is PointClass.AXIAL:
-                nz = [c for c in pt.coords if c != 0.0]
+        for x, cls in zip(d.coords.tolist(), d.classes):
+            if cls is PointClass.FACTORIAL:
+                assert all(c in (-1.0, 1.0) for c in x)
+            elif cls is PointClass.AXIAL:
+                nz = [c for c in x if c != 0.0]
                 assert len(nz) == 1 and abs(nz[0]) == 1.732
             else:
-                assert all(c == 0.0 for c in pt.coords)
+                assert all(c == 0.0 for c in x)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_no_negative_zero(self, k):
+        d = gen_ccd(k, 1.5, 2)
+        assert not np.any(np.signbit(d.coords[d.coords == 0.0]))
+        assert "-0.0" not in design_to_csv(d)
 
     def test_immutable(self):
         d = gen_ccd(2, 1.0, 4)
         with pytest.raises(dataclasses.FrozenInstanceError):
             d.alpha = 2.0
-        assert Design(2, 1.0, list(d.points)).points == d.points
+        with pytest.raises(ValueError, match="read-only"):
+            d.coords[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            d.classes[0] = PointClass.CENTER
+        X, classes = d.coords.copy(), list(d.classes)
+        e = Design(1.0, X, classes)
+        X[0, 0] = 5.0  # the design keeps its own copy
+        assert np.array_equal(e.coords, d.coords)
+        assert np.array_equal(e.classes, d.classes)
+        assert (e.k, e.n) == (2, 12)
+
+    def test_rejects_mismatched_arrays(self):
+        d = gen_ccd(2, 1.0, 4)
+        with pytest.raises(ValueError, match="n x k"):
+            Design(1.0, d.coords[0], d.classes[:1])
+        with pytest.raises(ValueError, match="n x k"):
+            Design(1.0, d.coords, d.classes[1:])
+
+    def test_equality_is_identity(self):
+        a = gen_ccd(2, 1.0, 4)
+        assert a == a
+        assert a != gen_ccd(2, 1.0, 4)
+        assert len({a, a, gen_ccd(2, 1.0, 4)}) == 2
 
     def test_deterministic_regeneration(self):
         a = gen_ccd(4, 2.0, 4)
         b = gen_ccd(4, 2.0, 4)
-        assert a.points == b.points
+        assert np.array_equal(a.coords, b.coords)
+        assert np.array_equal(a.classes, b.classes)
         assert design_to_csv(a) == design_to_csv(b)
 
 
 class TestMomentInvariants:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_odd_moments_vanish(self, k):
-        X = gen_ccd(k, 1.7, 3).coords()
+        X = gen_ccd(k, 1.7, 3).coords
         assert np.allclose(X.sum(axis=0), 0)
         assert np.allclose((X ** 3).sum(axis=0), 0)
         for i in range(k):
@@ -83,27 +119,24 @@ class TestMomentInvariants:
 
     @pytest.mark.parametrize("k,alpha", [(2, 1.0), (3, 1.681), (4, 2.0), (5, 2.378)])
     def test_pure_second_moment(self, k, alpha):
-        X = gen_ccd(k, alpha, 4).coords()
+        X = gen_ccd(k, alpha, 4).coords
         expected = 2 ** k + 2 * alpha ** 2
         assert np.allclose((X ** 2).sum(axis=0), expected)
 
 
 class TestCanonicalProbePoints:
     def test_k2(self):
-        f, a, c = canonical_probe_points(gen_ccd(2, 2.0, 4))
-        assert f.coords == (1.0, 1.0)
-        assert a.coords == (2.0, 0.0)
-        assert c.coords == (0.0, 0.0)
+        probes = canonical_probe_points(gen_ccd(2, 2.0, 4))
+        assert probes.tolist() == [[1.0, 1.0], [2.0, 0.0], [0.0, 0.0]]
 
     def test_k3(self):
-        f, a, c = canonical_probe_points(gen_ccd(3, 1.732, 4))
-        assert f.coords == (1.0, 1.0, 1.0)
-        assert a.coords == (1.732, 0.0, 0.0)
-        assert c.coords == (0.0, 0.0, 0.0)
+        probes = canonical_probe_points(gen_ccd(3, 1.732, 4))
+        assert probes.tolist() == [[1.0, 1.0, 1.0], [1.732, 0.0, 0.0], [0.0, 0.0, 0.0]]
 
     def test_k4_factorial_probe(self):
-        f, _, _ = canonical_probe_points(gen_ccd(4, 2.0, 4))
-        assert f.coords == (1.0,) * 4
+        probes = canonical_probe_points(gen_ccd(4, 2.0, 4))
+        assert probes.shape == (3, 4)
+        assert probes[0].tolist() == [1.0] * 4
 
 
 class TestCsv:
@@ -117,7 +150,8 @@ class TestCsv:
     def test_round_trip(self):
         d = gen_ccd(3, 1.681, 4)
         back = design_from_csv(design_to_csv(d))
-        assert back.points == d.points
+        assert np.array_equal(back.coords, d.coords)
+        assert np.array_equal(back.classes, d.classes)
         assert back.alpha == d.alpha
 
 
@@ -126,7 +160,7 @@ class TestCsv:
 def test_generated_design_is_centered(k, alpha, n0):
     d = gen_ccd(k, alpha, n0)
     assert d.n == 2 ** k + 2 * k + n0
-    assert np.allclose(d.coords().sum(axis=0), 0)
+    assert np.allclose(d.coords.sum(axis=0), 0)
 
 
 @given(alpha=st.one_of(st.floats(max_value=0.0),

@@ -29,7 +29,9 @@ class TestDeleteRows:
 
     def test_delete_nothing(self):
         d = gen_ccd(2, 1.0, 4)
-        assert delete_rows(d, []).points == d.points
+        r = delete_rows(d, [])
+        assert np.array_equal(r.coords, d.coords)
+        assert np.array_equal(r.classes, d.classes)
 
     def test_information_partition(self):
         d = gen_ccd(3, 1.732, 4)
@@ -65,7 +67,7 @@ class TestIncreaseInVariance:
         full = gen_ccd(k, alpha, 4)
         Minv = information_inverse(full)
         for row in range(full.n):
-            f = expand_point(full.points[row].coords)
+            f = expand_point(full.coords[row])
             leverage = quad_form(f, Minv)
             # Sherman-Morrison: removing row x changes trace(Minv) by
             # trace(Minv x x' Minv) / (1 - x' Minv x)
@@ -162,7 +164,7 @@ class TestResidualSpvScaling:
         full = gen_ccd(3, 1.681, 4)
         res = delete_rows(full, [0])
         from ccdrobust.criteria import spv_many
-        vals = spv_many(res, res.coords())
+        vals = spv_many(res, res.coords)
         assert vals.mean() == pytest.approx(10, abs=1e-9)
 
     def test_residual_probe_values_match_table(self):

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from ccdrobust.design import gen_ccd
-from ccdrobust.model import (
-    column_labels,
-    expand_point,
-    expand_points,
-    model_matrix,
-    model_matrix_to_csv,
-    num_params,
-)
+from ccdrobust.model import expand_point, expand_points, model_matrix, num_params
 
 
 class TestExpandPoint:
@@ -73,8 +66,8 @@ class TestModelMatrix:
     def test_rows_match_expansion(self):
         d = gen_ccd(2, 1.414, 2)
         X = model_matrix(d)
-        for i, pt in enumerate(d.points):
-            assert np.array_equal(X[i], expand_point(pt.coords))
+        for i, x in enumerate(d.coords):
+            assert np.array_equal(X[i], expand_point(x))
 
 
 def test_param_count_matches_table_headers():
@@ -95,9 +88,3 @@ def test_permutation_equivariance():
         # interaction entries are the same multiset
         assert np.allclose(sorted(fx[1 + 2 * k:]), sorted(fy[1 + 2 * k:]))
 
-
-def test_csv_headers():
-    text = model_matrix_to_csv(gen_ccd(2, 1.0, 1))
-    assert text.splitlines()[0] == "1,x1,x2,x1^2,x2^2,x1*x2"
-    assert column_labels(3) == ["1", "x1", "x2", "x3", "x1^2", "x2^2", "x3^2",
-                                "x1*x2", "x1*x3", "x2*x3"]
