@@ -2,7 +2,8 @@
 scenarios, verify against the embedded reference tables, and plot.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification failure,
-3 numeric failure (inestimable design outside a sweep).
+3 numeric failure (an inestimable full design in a sweep or plot; an
+inestimable residual design is a flagged cell, not a failure).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .criteria import CriteriaReport, Region, RegionShape, criteria_report
-from .design import design_to_csv, gen_ccd
+from .design import PointClass, design_to_csv, gen_ccd
 from .fixtures import LOSS_TABLES, SPV_TABLES
 from .linalg import SingularMatrixError
 from .missing import LossReport, scenario_sweep
@@ -119,10 +120,10 @@ def _loss_long_csv(k: int, reports: list[LossReport]) -> str:
     w.writerow(["k", "alpha", "missing_class", "metric", "value"])
     for rep in reports:
         w.writerow([k, _fmt(rep.alpha), "none", "a_trace", _fmt(rep.a_full)])
-        for cls in ("factorial", "axial", "center"):
-            for metric in ("loss", "re_g", "re_v"):
-                value = getattr(rep, f"{metric}_{cls}")
-                w.writerow([k, _fmt(rep.alpha), cls, metric, _fmt(value)])
+        for cls in PointClass:
+            for metric in _METRICS:
+                value = getattr(rep, f"{metric}_{cls.value}")
+                w.writerow([k, _fmt(rep.alpha), cls.value, metric, _fmt(value)])
     return buf.getvalue()
 
 
@@ -150,8 +151,7 @@ def cmd_sweep(args) -> int:
     alphas = _alphas_from_args(args)
     region = _region_from_args(args, args.k)
     reports = scenario_sweep(args.k, args.n0, alphas, region,
-                             grid_step=args.grid_step,
-                             spv_scale=args.spv_scale)
+                             grid_step=args.grid_step)
     crit = [criteria_report(rep.full, region, args.grid_step).as_dict()
             for rep in reports]
     outdir = Path(args.out or ".")
@@ -172,7 +172,7 @@ def cmd_verify(args) -> int:
     if tids and not set(tids) <= known:
         print(f"unknown table id(s): {sorted(set(tids) - known)}", file=sys.stderr)
         return 1
-    checks = verify_tables(tids, spv_scale=args.spv_scale)
+    checks = verify_tables(tids)
     gated_fail = 0
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -202,17 +202,16 @@ def cmd_plot(args) -> int:
     alphas = _alphas_from_args(args)
     region = _region_from_args(args, args.k)
     reports = scenario_sweep(args.k, args.n0, alphas, region,
-                             grid_step=args.grid_step,
-                             spv_scale=args.spv_scale)
+                             grid_step=args.grid_step)
     series = []
-    for cls in ("factorial", "axial", "center"):
+    for cls in PointClass:
         xs, ys = [], []
         for rep in reports:
-            value = getattr(rep, f"{args.metric}_{cls}")
+            value = getattr(rep, f"{args.metric}_{cls.value}")
             if value is not None:
                 xs.append(rep.alpha)
                 ys.append(value)
-        series.append((f"missing {cls}", xs, ys))
+        series.append((f"missing {cls.value}", xs, ys))
     labels = {"loss": "loss in precision",
               "re_g": "relative G-efficiency",
               "re_v": "relative V-efficiency"}
@@ -259,8 +258,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
         add("--grid-step", dest="grid_step", type=_finite, default=None,
             help="G-max evaluation grid spacing; omit to use "
                  "design+probe points only")
-        add("--spv-scale", dest="spv_scale",
-            choices=("residual", "full"), default="residual")
         add("--out", default=None)
         return add
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .design import Design, canonical_probe_points
-from .model import expand_point, expand_points, model_matrix, num_params
+from .model import expand_points, model_matrix, num_params
 
 __all__ = [
     "RegionShape",
@@ -80,12 +80,13 @@ def information_inverse(design: Design) -> np.ndarray:
 
 
 def spv(design: Design, x: Sequence[float]) -> float:
-    """Scaled prediction variance N f'(x)(X'X)^{-1} f(x).
+    """Scaled prediction variance N f'(x)(X'X)^{-1} f(x) at one point:
+    spv_many on a single row.
 
     N is the run count of the design being evaluated, so a residual
     design is scaled by its own (reduced) size.
     """
-    return design.n * linalg.quad_form(expand_point(x), information_inverse(design))
+    return float(spv_many(design, np.atleast_2d(x))[0])
 
 
 def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
@@ -268,9 +269,16 @@ def g_max(design: Design, region: Region,
     A tied grid maximum is reported at the domain's representative: at
     k=5, alpha=1, step 0.2 the full design's location is (0 0 1 1 1), not
     (-1 -1 -1 0 0).
+
+    The result is kept in the (immutable) design's __dict__ per (region,
+    grid_step), as information_inverse keeps the inverse, so each design
+    is searched once per region and step.
     """
     if grid_step is not None and grid_step <= 0:
         raise ValueError("grid_step must be > 0")
+    memo = design.__dict__.setdefault("_g_max", {})
+    if (region, grid_step) in memo:
+        return memo[region, grid_step]
     best_val = -math.inf
     best_loc: tuple[float, ...] = ()
 
@@ -290,7 +298,8 @@ def g_max(design: Design, region: Region,
     if grid_step is not None:
         for chunk in _grid_chunks(region, grid_step, _symmetry(design)):
             consider(chunk)
-    return best_val, best_loc
+    memo[region, grid_step] = best_val, best_loc
+    return memo[region, grid_step]
 
 
 def g_efficiency(design: Design, region: Region,
@@ -481,7 +490,7 @@ def criteria_report(design: Design, region: Region | None = None,
         spv_center=c,
         g_max=gmax,
         g_max_location=loc,
-        g_eff=num_params(design.k) / gmax,
+        g_eff=g_efficiency(design, region, grid_step),
         v_avg_cuboidal=v_avg(design, Region(RegionShape.CUBOIDAL, 1.0)),
         v_avg_spherical=v_avg(design, Region(RegionShape.SPHERICAL, math.sqrt(design.k))),
         rotatability_index=rotatability_index(design, rot_radius, rot_samples),

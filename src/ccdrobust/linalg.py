@@ -1,11 +1,11 @@
 """Dense symmetric-matrix kernel for the design criteria.
 
 Everything downstream reduces to a handful of operations on the p x p
-information matrix X'X: form it, invert it, take traces and quadratic
-forms.  Inversion goes through a Cholesky factorization so that a
-residual design that can no longer estimate all p parameters fails
-loudly (SingularMatrixError) instead of returning garbage, and a matrix
-holding NaN or inf is rejected (ValueError) before it is factorized.
+information matrix X'X: form it, invert it, take traces.  Inversion
+goes through a Cholesky factorization so that a residual design that can
+no longer estimate all p parameters fails loudly (SingularMatrixError)
+instead of returning garbage, and a matrix holding NaN or inf is
+rejected (ValueError) before it is factorized.
 
 All arithmetic is 64-bit; the error variance is taken as 1 throughout,
 so variances are reported per unit sigma^2.
@@ -20,7 +20,6 @@ __all__ = [
     "symmetrize",
     "cross_product",
     "invert",
-    "quad_form",
     "trace",
     "hat_trace",
 ]
@@ -69,16 +68,6 @@ def invert(M: np.ndarray) -> np.ndarray:
             f"pivot below {SINGULARITY_RTOL:g} of working scale")
     Linv = np.linalg.inv(L)
     return symmetrize(Linv.T @ Linv)
-
-
-def quad_form(f: np.ndarray, Minv: np.ndarray) -> float:
-    """f' Minv f for a single model vector f."""
-    f = np.asarray(f, dtype=float)
-    Minv = np.asarray(Minv, dtype=float)
-    if f.shape[0] != Minv.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: f has {f.shape[0]}, matrix is {Minv.shape}")
-    return float(f @ Minv @ f)
 
 
 def trace(M: np.ndarray) -> float:

@@ -7,9 +7,10 @@ trace((X'_r X_r)^{-1}) / trace((X'X)^{-1}) - 1, and the predictive
 damage is summarized by the G- and V-efficiencies of the residual
 design relative to the full one.
 
-Residual-design SPV is scaled by the residual run count N - m by
-default (SPV is a per-observation quantity); `spv_scale="full"` keeps
-the original N for comparison.
+Each design's SPV is scaled by its own run count, so a residual design's
+by N - m: SPV is a per-observation quantity, and this is the convention
+of the reference tables (`verify.resolve_spv_scale` compares it with
+scaling by the full N).
 """
 
 from __future__ import annotations
@@ -63,41 +64,20 @@ def loss_precision(full: Design, residual: Design) -> float:
     return tr_res / tr_full - 1.0
 
 
-def _spv_scale_factor(spv_scale: str, full: Design, residual: Design) -> float:
-    """Multiplier taking a residual design's SPV from its own run count to
-    the `spv_scale` convention: 1 for "residual", N / (N - m) for "full"."""
-    if spv_scale == "residual":
-        return 1.0
-    if spv_scale == "full":
-        return full.n / residual.n
-    raise ValueError(f"spv_scale must be 'residual' or 'full', got {spv_scale!r}")
-
-
 def relative_g_efficiency(full: Design, residual: Design, region: Region,
-                          grid_step: float | None = None,
-                          spv_scale: str = "residual") -> float:
+                          grid_step: float | None = None) -> float:
     """Ratio of the full design's maximum SPV to the residual design's,
-    each scaled by its own run count (or both by the full N when
-    spv_scale="full"); > 1 means the deletion did little harm."""
+    each scaled by its own run count; > 1 means the deletion did little
+    harm."""
     g_full, _ = g_max(full, region, grid_step)
-    return _g_ratio(g_full, full, residual, region, grid_step, spv_scale)
-
-
-def _g_ratio(g_full: float, full: Design, residual: Design, region: Region,
-             grid_step: float | None, spv_scale: str) -> float:
-    """relative_g_efficiency given the full design's maximum SPV, so that a
-    sweep searches each full design once."""
     g_res, _ = g_max(residual, region, grid_step)
-    return g_full / (g_res * _spv_scale_factor(spv_scale, full, residual))
+    return g_full / g_res
 
 
-def relative_v_efficiency(full: Design, residual: Design, region: Region,
-                          spv_scale: str = "residual") -> float:
+def relative_v_efficiency(full: Design, residual: Design, region: Region) -> float:
     """Ratio of the full design's average SPV over the region to the
     residual design's."""
-    v_full = v_avg(full, region)
-    v_res = v_avg(residual, region)
-    return v_full / (v_res * _spv_scale_factor(spv_scale, full, residual))
+    return v_avg(full, region) / v_avg(residual, region)
 
 
 @dataclass
@@ -129,24 +109,23 @@ class LossReport:
               "re_v_factorial", "re_v_axial", "re_v_center")
 
 
-_CLASSES = (PointClass.FACTORIAL, PointClass.AXIAL, PointClass.CENTER)
-
-
 def scenario_sweep(k: int, n0: int, alphas: list[float],
                    region: Region,
-                   classes: tuple[PointClass, ...] = _CLASSES,
-                   grid_step: float | None = None,
-                   spv_scale: str = "residual") -> list[LossReport]:
+                   classes: tuple[PointClass, ...] = tuple(PointClass),
+                   grid_step: float | None = None) -> list[LossReport]:
     """For each alpha: build the full CCD, delete one representative
     point of each class in turn, and collect loss and relative G/V
-    efficiency.  Inestimable cells are flagged, not raised."""
+    efficiency.  Inestimable cells are flagged, not raised; an inestimable
+    full design raises SingularMatrixError naming its alpha."""
     reports = []
     for alpha in alphas:
         full = gen_ccd(k, alpha, n0)
-        rep = LossReport(alpha=alpha,
-                         a_full=linalg.trace(information_inverse(full)),
-                         full=full)
-        g_full, _ = g_max(full, region, grid_step)
+        try:
+            a_full = linalg.trace(information_inverse(full))
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(
+                f"the full design at alpha={alpha:g} is inestimable ({exc})") from exc
+        rep = LossReport(alpha=alpha, a_full=a_full, full=full)
         for cls in classes:
             row = full.rows_of_class(cls)[0]
             residual = delete_rows(full, [row])
@@ -154,10 +133,9 @@ def scenario_sweep(k: int, n0: int, alphas: list[float],
             try:
                 setattr(rep, f"loss_{tag}", loss_precision(full, residual))
                 setattr(rep, f"re_g_{tag}",
-                        _g_ratio(g_full, full, residual, region,
-                                 grid_step, spv_scale))
+                        relative_g_efficiency(full, residual, region, grid_step))
                 setattr(rep, f"re_v_{tag}",
-                        relative_v_efficiency(full, residual, region, spv_scale))
+                        relative_v_efficiency(full, residual, region))
             except SingularMatrixError:
                 rep.inestimable.append(tag)
         reports.append(rep)

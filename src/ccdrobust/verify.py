@@ -19,6 +19,7 @@ averages.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ from . import linalg
 from .criteria import Region, RegionShape, information_inverse, probe_spv, region_moments, v_avg
 from .design import Design, PointClass, gen_ccd
 from .fixtures import ANNOTATIONS, LOSS_TABLES, SPV_TABLES, ulp_tolerance
-from .missing import _spv_scale_factor, delete_rows, loss_precision
+from .missing import delete_rows, loss_precision
 
 __all__ = [
     "CellCheck",
@@ -40,10 +41,6 @@ __all__ = [
     "resolve_spv_scale",
     "V_CANDIDATE_REGIONS",
 ]
-
-_CLASS = {"factorial": PointClass.FACTORIAL, "axial": PointClass.AXIAL,
-          "center": PointClass.CENTER}
-
 
 @dataclass
 class CellCheck:
@@ -65,11 +62,16 @@ class CellCheck:
         return self.deviation <= self.tolerance
 
 
-def _residual_for(full: Design, missing: str) -> Design:
+@functools.lru_cache(maxsize=None)  # bounded by the fixture: 104 designs
+def _fixture_design(k: int, alpha: float, n0: int, missing: str) -> Design:
+    """The CCD of a fixture row, less the first run of the `missing` class
+    ("none" keeps every run).  Each design is built once, so the loss
+    tables, the SPV tables, the calibration and the scale resolution share
+    its cached inverse."""
     if missing == "none":
-        return full
-    row = full.rows_of_class(_CLASS[missing])[0]
-    return delete_rows(full, [row])
+        return gen_ccd(k, alpha, n0)
+    full = _fixture_design(k, alpha, n0, "none")
+    return delete_rows(full, [full.rows_of_class(PointClass(missing))[0]])
 
 
 _PAPER_DECIMALS = 4    # decimals of the printed A column
@@ -97,12 +99,12 @@ def _verify_loss_table(tid: str) -> list[CellCheck]:
     k, n0 = spec["k"], spec["n0"]
     checks = []
     for alpha_s, a_s, f_s, ax_s, c_s in spec["rows"]:
-        full = gen_ccd(k, float(alpha_s), n0)
+        full = _fixture_design(k, float(alpha_s), n0, "none")
         a_trace = linalg.trace(information_inverse(full))
         checks.append(CellCheck(tid, alpha_s, "", "a_trace", a_s, a_trace,
                                 ulp_tolerance(a_s), True))
-        for cls, exp_s in (("factorial", f_s), ("axial", ax_s), ("center", c_s)):
-            residual = _residual_for(full, cls)
+        for cls, exp_s in zip((c.value for c in PointClass), (f_s, ax_s, c_s)):
+            residual = _fixture_design(k, float(alpha_s), n0, cls)
             a_res = linalg.trace(information_inverse(residual))
             checks.append(CellCheck(tid, alpha_s, cls, f"loss_{cls}", exp_s,
                                     loss_precision(full, residual),
@@ -125,15 +127,13 @@ def _paper_v_average(design: Design, k: int) -> float:
     return design.n * float(np.trace(information_inverse(design) @ M))
 
 
-def _verify_spv_table(tid: str, spv_scale: str = "residual") -> list[CellCheck]:
+def _verify_spv_table(tid: str) -> list[CellCheck]:
     spec = SPV_TABLES[tid]
     k, n0 = spec["k"], spec["n0"]
     checks = []
     for alpha_s, missing, vf_s, va_s, vc_s, v_s in spec["rows"]:
-        full = gen_ccd(k, float(alpha_s), n0)
-        design = _residual_for(full, missing)
-        scale = _spv_scale_factor(spv_scale, full, design)
-        f, a, c = (x * scale for x in probe_spv(design))
+        design = _fixture_design(k, float(alpha_s), n0, missing)
+        f, a, c = probe_spv(design)
         for col, exp_s, val in (("spv_factorial", vf_s, f),
                                 ("spv_axial", va_s, a),
                                 ("spv_center", vc_s, c)):
@@ -141,31 +141,30 @@ def _verify_spv_table(tid: str, spv_scale: str = "residual") -> list[CellCheck]:
                                     ulp_tolerance(exp_s), True))
         # V column: gate k=2,3 under the calibrated unit-cube convention;
         # k=4,5 reproduce only the interaction-dropped matrix (annotated).
-        v_cal = v_avg(design, Region(RegionShape.CUBOIDAL, 1.0)) * scale
+        v_cal = v_avg(design, Region(RegionShape.CUBOIDAL, 1.0))
         checks.append(CellCheck(tid, alpha_s, missing, "v_avg", v_s, v_cal,
                                 ulp_tolerance(v_s), k <= 3))
         if k > 3:
             checks.append(CellCheck(tid, alpha_s, missing, "v_avg[paper-moments]",
-                                    v_s, _paper_v_average(design, k) * scale,
+                                    v_s, _paper_v_average(design, k),
                                     ulp_tolerance(v_s), False))
     return checks
 
 
-def verify_table(tid: str, spv_scale: str = "residual") -> list[CellCheck]:
+def verify_table(tid: str) -> list[CellCheck]:
     if tid in LOSS_TABLES:
         return _verify_loss_table(tid)
     if tid in SPV_TABLES:
-        return _verify_spv_table(tid, spv_scale)
+        return _verify_spv_table(tid)
     raise KeyError(f"unknown table id {tid!r}")
 
 
-def verify_tables(tids: list[str] | None = None,
-                  spv_scale: str = "residual") -> list[CellCheck]:
+def verify_tables(tids: list[str] | None = None) -> list[CellCheck]:
     if tids is None:
         tids = sorted(LOSS_TABLES) + sorted(SPV_TABLES)
     checks = []
     for tid in tids:
-        checks.extend(verify_table(tid, spv_scale))
+        checks.extend(verify_table(tid))
     return checks
 
 
@@ -189,11 +188,12 @@ class CalibrationResult:
 def calibrate_v_region(tolerance: float = 0.02) -> CalibrationResult:
     """Identify which region convention reproduces the k=2 full-design V
     column, trying the unit/alpha-sized cube and sphere."""
-    rows = [(float(a), float(v)) for a, miss, *_rest, v in SPV_TABLES["1b"]["rows"]
+    spec = SPV_TABLES["1b"]
+    rows = [(float(a), float(v)) for a, miss, *_rest, v in spec["rows"]
             if miss == "none"]
     errs = {name: 0.0 for name in V_CANDIDATE_REGIONS}
     for alpha, target in rows:
-        full = gen_ccd(2, alpha, 4)
+        full = _fixture_design(spec["k"], alpha, spec["n0"], "none")
         cands = {
             "cuboidal(1)": Region(RegionShape.CUBOIDAL, 1.0),
             "cuboidal(alpha)": Region(RegionShape.CUBOIDAL, alpha),
@@ -214,19 +214,19 @@ def resolve_spv_scale() -> tuple[str, dict[str, float]]:
     """Decide whether residual-design SPV should be scaled by the reduced
     run count or the full one, by matching the residual rows of the k=2
     SPV table under both conventions."""
+    spec = SPV_TABLES["1b"]
     devs = {"residual": 0.0, "full": 0.0}
-    counts = {"residual": 0, "full": 0}
-    for alpha_s, missing, vf_s, va_s, vc_s, _v in SPV_TABLES["1b"]["rows"]:
+    cells = 0
+    for alpha_s, missing, vf_s, va_s, vc_s, _v in spec["rows"]:
         if missing == "none":
             continue
-        full = gen_ccd(2, float(alpha_s), 4)
-        design = _residual_for(full, missing)
-        f, a, c = probe_spv(design)
-        for scale_name in devs:
-            mult = _spv_scale_factor(scale_name, full, design)
-            for exp_s, val in ((vf_s, f), (va_s, a), ((vc_s), c)):
-                devs[scale_name] += abs(val * mult - float(exp_s))
-                counts[scale_name] += 1
-    mean_devs = {name: devs[name] / counts[name] for name in devs}
+        full = _fixture_design(spec["k"], float(alpha_s), spec["n0"], "none")
+        design = _fixture_design(spec["k"], float(alpha_s), spec["n0"], missing)
+        mults = {"residual": 1.0, "full": full.n / design.n}
+        for exp_s, val in zip((vf_s, va_s, vc_s), probe_spv(design)):
+            cells += 1
+            for name, mult in mults.items():
+                devs[name] += abs(val * mult - float(exp_s))
+    mean_devs = {name: dev / cells for name, dev in devs.items()}
     choice = min(mean_devs, key=mean_devs.get)
     return choice, mean_devs

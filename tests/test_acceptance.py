@@ -30,7 +30,7 @@ from ccdrobust.criteria import (
 )
 from ccdrobust.design import PointClass, gen_ccd
 from ccdrobust.fixtures import LOSS_TABLES, SPV_TABLES, ulp_tolerance
-from ccdrobust.linalg import hat_trace, quad_form
+from ccdrobust.linalg import hat_trace
 from ccdrobust.missing import delete_rows, increase_in_variance, loss_precision
 from ccdrobust.model import expand_point, model_matrix, num_params
 from ccdrobust.verify import _truncate, calibrate_v_region, paper_loss, verify_table
@@ -224,7 +224,7 @@ def test_criterion_09_rank_one_oracle():
             Minv = information_inverse(full)
             for row in range(full.n):
                 f = expand_point(full.coords[row])
-                predicted = float(f @ Minv @ Minv @ f) / (1.0 - quad_form(f, Minv))
+                predicted = float(f @ Minv @ Minv @ f) / (1.0 - float(f @ Minv @ f))
                 actual = increase_in_variance(full, delete_rows(full, [row]))
                 worst = max(worst, abs(actual - predicted))
     report(9, worst < 1e-9,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccdrobust
-from ccdrobust import linalg
+from ccdrobust import criteria, linalg, verify
 from ccdrobust.cli import main
 from ccdrobust.criteria import information_inverse
 from ccdrobust.design import PointClass, gen_ccd
@@ -93,6 +93,41 @@ class TestSweep:
         assert main(["sweep", "--k", "3", "--out", str(tmp_path)]) == 0
         assert invert_calls[0] == 32
 
+    def test_one_grid_search_per_distinct_design(self, tmp_path, monkeypatch):
+        # the criteria rows reuse the G search the sweep made of each full
+        # design: 8 alphas x 4 designs, not 8 x 5
+        calls = [0]
+        real = criteria._grid_chunks
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(criteria, "_grid_chunks", counting)
+        assert main(["sweep", "--k", "3", "--grid-step", "0.5",
+                     "--out", str(tmp_path)]) == 0
+        assert calls[0] == 32
+
+    @pytest.mark.parametrize("command", [["sweep"], ["plot", "--metric", "loss"]])
+    def test_inestimable_full_design_exits_3_naming_alpha(self, command, tmp_path,
+                                                          capsys):
+        assert main(command + ["--k", "2", "--alphas", "1e-6,1",
+                               "--out", str(tmp_path)]) == 3
+        assert ("numeric failure: the full design at alpha=1e-06 is inestimable"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spv_scale_option_is_gone(self, tmp_path, capsys):
+        assert main(["sweep", "--k", "2", "--alphas", "1", "--spv-scale", "full",
+                     "--out", str(tmp_path)]) == 1
+        assert "unrecognized arguments: --spv-scale" in capsys.readouterr().err
+        cfg = tmp_path / "scale.cfg"
+        cfg.write_text("spv-scale=residual\n")
+        assert main(["--config", str(cfg), "sweep", "--k", "2", "--alphas", "1",
+                     "--out", str(tmp_path)]) == 1
+        assert "unknown keys ['spv_scale']" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_descending_alphas_rejected(self, tmp_path):
         assert main(["sweep", "--k", "2", "--alphas", "2.0,1.0",
                      "--out", str(tmp_path)]) == 1
@@ -150,9 +185,12 @@ class TestVerify:
         assert main(["verify"]) == 2
         assert "gated cells: 384/464 pass" in capsys.readouterr().out.splitlines()
 
-    def test_unknown_spv_scale(self):
-        with pytest.raises(ValueError, match="spv_scale"):
-            verify_table("1b", spv_scale="bogus")
+    def test_one_inversion_per_distinct_design(self, invert_calls, capsys):
+        # 26 full fixture designs and 78 residuals, shared by the loss and
+        # SPV tables, the calibration and the scale resolution
+        verify._fixture_design.cache_clear()
+        assert main(["verify"]) == 2
+        assert invert_calls[0] == 104
 
     def test_table_4a_a_trace_cells(self):
         checks = verify_table("4a")

@@ -30,7 +30,7 @@ from ccdrobust.criteria import (
 )
 from ccdrobust.design import Design, PointClass, canonical_probe_points, gen_ccd
 from ccdrobust.missing import delete_rows, scenario_sweep
-from ccdrobust.model import num_params
+from ccdrobust.model import expand_points, model_matrix, num_params
 
 CUBE1 = Region(RegionShape.CUBOIDAL, 1.0)
 
@@ -71,6 +71,19 @@ class TestSpv:
         vals = spv_many(d, d.coords)
         assert vals.mean() == pytest.approx(num_params(k), abs=1e-9)
 
+    def test_agrees_with_linear_solve(self):
+        d = gen_ccd(3, 2.0, 4)
+        x = (0.4, -0.7, 1.1)
+        f = expand_points(np.array([x]))[0]
+        X = model_matrix(d)
+        direct = d.n * float(f @ np.linalg.solve(X.T @ X, f))
+        assert spv(d, x) == pytest.approx(direct, rel=1e-12)
+
+    def test_is_spv_many_on_one_row(self):
+        d = gen_ccd(3, 1.5, 4)
+        x = (0.4, -0.9, 1.2)
+        assert spv(d, x) == spv_many(d, np.array([x]))[0]
+
     def test_sign_flip_and_permutation_invariance(self):
         d = gen_ccd(3, 1.5, 4)
         x = (0.4, -0.9, 1.2)
@@ -94,6 +107,20 @@ class TestGMax:
         f, a, _ = probe_spv(gen_ccd(2, 1.414, 4))
         assert f == pytest.approx(7.500, abs=1e-3)
         assert a == pytest.approx(7.499, abs=1e-3)
+
+    def test_search_kept_per_region_and_step(self, monkeypatch):
+        d = gen_ccd(3, 1.5, 4)
+        first = g_max(d, CUBE1, grid_step=0.5)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched again")
+
+        monkeypatch.setattr(criteria, "spv_many", no_search)
+        assert g_max(d, Region(RegionShape.CUBOIDAL, 1.0), grid_step=0.5) is first
+        assert g_efficiency(d, CUBE1, grid_step=0.5) == num_params(3) / first[0]
+        for design, step in ((d, 0.25), (gen_ccd(3, 1.5, 4), 0.5)):
+            with pytest.raises(AssertionError, match="searched again"):
+                g_max(design, CUBE1, grid_step=step)
 
     def test_finer_grid_never_smaller(self):
         d = gen_ccd(3, 1.5, 4)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ccdrobust import linalg
 from ccdrobust.design import gen_ccd
 from ccdrobust.linalg import SingularMatrixError
-from ccdrobust.model import expand_point, model_matrix, num_params
+from ccdrobust.model import model_matrix, num_params
 
 
 def info_matrix(k, alpha, n0=4):
@@ -71,38 +71,6 @@ class TestInvert:
         X = model_matrix(gen_ccd(2, 1.0, 4))[:5]  # 5 rows, 6 params
         with pytest.raises(SingularMatrixError):
             linalg.invert(linalg.cross_product(X))
-
-
-class TestQuadForm:
-    def test_intercept_unit(self):
-        f = np.zeros(6)
-        f[0] = 1.0
-        assert linalg.quad_form(f, np.eye(6)) == 1.0
-
-    def test_center_spv_k2(self):
-        Minv = linalg.invert(info_matrix(2, 1.0))
-        v = 12 * linalg.quad_form(expand_point((0, 0)), Minv)
-        assert v == pytest.approx(2.500, abs=1e-3)
-
-    def test_agrees_with_linear_solve(self):
-        M = info_matrix(3, 2.0)
-        Minv = linalg.invert(M)
-        f = expand_point((0.4, -0.7, 1.1))
-        direct = linalg.quad_form(f, Minv)
-        via_solve = float(f @ np.linalg.solve(M, f))
-        assert direct == pytest.approx(via_solve, abs=1e-10)
-
-    def test_positive_definite_on_full_designs(self):
-        rng = np.random.default_rng(7)
-        for k, alpha in [(2, 1.0), (3, 1.732), (4, 2.0)]:
-            Minv = linalg.invert(info_matrix(k, alpha))
-            for _ in range(20):
-                f = rng.standard_normal(num_params(k))
-                assert linalg.quad_form(f, Minv) > 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.quad_form(np.ones(3), np.eye(4))
 
 
 class TestTrace:

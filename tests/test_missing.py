@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ccdrobust import missing
+from ccdrobust import criteria
 from ccdrobust.criteria import Region, RegionShape, information_inverse, probe_spv
 from ccdrobust.design import PointClass, gen_ccd
-from ccdrobust.linalg import SingularMatrixError, cross_product, quad_form, trace
+from ccdrobust.linalg import SingularMatrixError, cross_product, trace
 from ccdrobust.missing import (
     delete_rows,
     increase_in_variance,
@@ -68,7 +66,7 @@ class TestIncreaseInVariance:
         Minv = information_inverse(full)
         for row in range(full.n):
             f = expand_point(full.coords[row])
-            leverage = quad_form(f, Minv)
+            leverage = float(f @ Minv @ f)
             # Sherman-Morrison: removing row x changes trace(Minv) by
             # trace(Minv x x' Minv) / (1 - x' Minv x)
             predicted = float(f @ Minv @ Minv @ f) / (1.0 - leverage)
@@ -140,25 +138,6 @@ class TestRelativeEfficiencies:
 
 
 class TestResidualSpvScaling:
-    def test_full_scale_multiplies_residual_spv_by_n_over_n_minus_1(self):
-        full = gen_ccd(2, 1.0, 4)
-        res = delete_rows(full, [0])
-        ratio = full.n / res.n
-        assert relative_v_efficiency(full, res, CUBE1, spv_scale="full") == pytest.approx(
-            relative_v_efficiency(full, res, CUBE1) / ratio, rel=1e-14)
-        assert relative_g_efficiency(full, res, CUBE1, spv_scale="full") == pytest.approx(
-            relative_g_efficiency(full, res, CUBE1) / ratio, rel=1e-14)
-
-    @given(scale=st.text().filter(lambda s: s not in ("residual", "full")))
-    @settings(max_examples=20, deadline=None)
-    def test_unknown_spv_scale_raises(self, scale):
-        full = gen_ccd(2, 1.0, 4)
-        res = delete_rows(full, [0])
-        with pytest.raises(ValueError, match="spv_scale"):
-            relative_g_efficiency(full, res, CUBE1, spv_scale=scale)
-        with pytest.raises(ValueError, match="spv_scale"):
-            relative_v_efficiency(full, res, CUBE1, spv_scale=scale)
-
     def test_residual_design_average_is_p(self):
         # (1/N_r) sum of residual SPV over residual points equals p
         full = gen_ccd(3, 1.681, 4)
@@ -201,13 +180,13 @@ class TestScenarioSweep:
     def test_one_g_search_per_design(self, monkeypatch):
         # per alpha: the full design once, then each of the 3 residuals
         calls = [0]
-        real = missing.g_max
+        real = criteria._grid_chunks
 
         def counting(*args, **kwargs):
             calls[0] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(missing, "g_max", counting)
+        monkeypatch.setattr(criteria, "_grid_chunks", counting)
         reports = scenario_sweep(3, 4, [1.0, 1.681], CUBE1, grid_step=0.5)
         assert calls[0] == 2 * 4
         for rep in reports:
