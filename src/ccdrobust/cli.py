@@ -1,6 +1,9 @@
 """Command-line front end: generate designs, sweep missing-observation
 scenarios, verify against the embedded reference tables, and plot.
 
+Each command takes only the options it reads (_COMMANDS).  A --config
+file sets defaults for them; a command ignores the keys it does not take.
+
 Exit codes: 0 success, 1 usage/config error, 2 verification failure,
 3 numeric failure (an inestimable full design in a sweep or plot; an
 inestimable residual design is a flagged cell, not a failure).
@@ -167,7 +170,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tids = args.tables or None
+    tids = list(dict.fromkeys(args.tables)) or None  # each table once
     known = set(LOSS_TABLES) | set(SPV_TABLES)
     if tids and not set(tids) <= known:
         print(f"unknown table id(s): {sorted(set(tids) - known)}", file=sys.stderr)
@@ -224,10 +227,46 @@ def cmd_plot(args) -> int:
     return 0
 
 
+# Every option of every command; a config file may set all but `tables`.
+_OPTIONS = {
+    "--k": dict(type=int, default=2, help="number of factors"),
+    "--n0": dict(type=int, default=4, help="number of center points"),
+    "--alpha": dict(type=_finite, help="axial distance"),
+    "--alphas": dict(type=_finite_list,
+                     help="comma-separated ascending axial distances"),
+    "--region": dict(choices=("cube", "sphere"), default="cube"),
+    "--region-size": dict(type=_finite,
+                          help="cube half-width or sphere radius "
+                               "(default 1 for cube, sqrt(k) for sphere)"),
+    "--grid-step": dict(type=_finite,
+                        help="G-max evaluation grid spacing; omit to use "
+                             "design+probe points only"),
+    "--metric": dict(choices=_METRICS),
+    "--out": dict(help="file (generate) or directory (sweep, plot) to write; "
+                       "verify accepts it and writes only to stdout"),
+    "tables": dict(nargs="*", help="table ids, e.g. 1a 2b (default: all)"),
+}
+
+_SWEEP_OPTIONS = ("--k", "--n0", "--alpha", "--alphas", "--region",
+                  "--region-size", "--grid-step", "--out")
+
+# Each command: its function, its summary, and the options it reads.
+_COMMANDS = {
+    "generate": (cmd_generate, "emit a CCD as CSV",
+                 ("--k", "--n0", "--alpha", "--out")),
+    "sweep": (cmd_sweep, "loss/efficiency sweep over alphas", _SWEEP_OPTIONS),
+    "verify": (cmd_verify, "check embedded reference tables", ("tables", "--out")),
+    "plot": (cmd_plot, "SVG loss/efficiency curves", _SWEEP_OPTIONS + ("--metric",)),
+}
+
+# The option a command needs, checked after parsing: a config may supply it.
+_REQUIRED = {"generate": "alpha", "plot": "metric"}
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser,
                              dict[argparse.ArgumentParser, set[str]]]:
     """The top-level parser, and each command's parser with the option
-    names (dests) it accepts, which is what a config file may set."""
+    names (dests) a config file may set for it."""
     parser = argparse.ArgumentParser(
         prog="ccdrobust",
         description="Central composite designs: criteria and robustness to "
@@ -236,37 +275,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
                                          "command-line flags win")
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[argparse.ArgumentParser, set[str]] = {}
-
-    def command(name, summary, func, need_alpha=False):
+    for name, (func, summary, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         dests = commands[p] = set()
-
-        def add(*flags, **kwargs):
-            dests.add(p.add_argument(*flags, **kwargs).dest)
-
-        add("--k", type=int, default=2, help="number of factors")
-        add("--n0", type=int, default=4, help="number of center points")
-        add("--alpha", type=_finite, default=None, help="axial distance")
-        if not need_alpha:
-            add("--alphas", type=_finite_list, default=None,
-                help="comma-separated ascending axial distances")
-        add("--region", choices=("cube", "sphere"), default="cube")
-        add("--region-size", dest="region_size", type=_finite, default=None,
-            help="cube half-width or sphere radius "
-                 "(default 1 for cube, sqrt(k) for sphere)")
-        add("--grid-step", dest="grid_step", type=_finite, default=None,
-            help="G-max evaluation grid spacing; omit to use "
-                 "design+probe points only")
-        add("--out", default=None)
-        return add
-
-    command("generate", "emit a CCD as CSV", cmd_generate, need_alpha=True)
-    command("sweep", "loss/efficiency sweep over alphas", cmd_sweep)
-    add = command("verify", "check embedded reference tables", cmd_verify)
-    add("tables", nargs="*", help="table ids, e.g. 1a 2b (default: all)")
-    add = command("plot", "SVG loss/efficiency curves", cmd_plot)
-    add("--metric", choices=_METRICS, required=True)
+        for flag in flags:
+            dest = p.add_argument(flag, **_OPTIONS[flag]).dest
+            if flag.startswith("--"):  # positionals are not config keys
+                dests.add(dest)
     return parser, commands
 
 
@@ -286,6 +302,12 @@ def main(argv: list[str] | None = None) -> int:
         if bad:
             print(f"config error: unknown keys {sorted(bad)}", file=sys.stderr)
             return 1
+        for key, value in config.items():  # argparse checks only flags' choices
+            choices = _OPTIONS["--" + key.replace("_", "-")].get("choices", [value])
+            if value not in choices:
+                print(f"config error: {key} must be one of {list(choices)}, "
+                      f"got {value!r}", file=sys.stderr)
+                return 1
         # Re-parse with config values as defaults; explicit flags win, and
         # argparse converts string defaults through each option's type.
         for p, dests in commands.items():
@@ -295,12 +317,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    if args.command == "generate" and args.alpha is None:
-        print("generate requires --alpha", file=sys.stderr)
+    required = _REQUIRED.get(args.command)
+    if required and getattr(args, required) is None:
+        print(f"{args.command} requires --{required}", file=sys.stderr)
         return 1
     try:
         return args.func(args)
-    except (ValueError, IndexError, KeyError) as exc:
+    except (ValueError, IndexError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SingularMatrixError as exc:

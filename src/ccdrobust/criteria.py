@@ -154,15 +154,6 @@ def _symmetry(design: Design) -> _Symmetry:
     return flips, tuple(tuple(block) for block in blocks)
 
 
-def _multisets(n: np.ndarray, r: int) -> np.ndarray:
-    """C(n + r - 1, r), the number of non-decreasing r-tuples of n values,
-    elementwise and exact: after step i the product is C(n + i - 1, i)."""
-    count = np.ones_like(n)
-    for i in range(1, r + 1):
-        count = count * (n + i - 1) // i
-    return count
-
-
 def _grid_chunks(region: Region, step: float,
                  symmetry: _Symmetry,
                  chunk_rows: int = 200_000) -> Iterator[np.ndarray]:
@@ -176,10 +167,9 @@ def _grid_chunks(region: Region, step: float,
 
     The domain is the product over the blocks of each block's
     non-decreasing index tuples.  It is built axis by axis, so that C order
-    holds also when a block's axes are not adjacent: a prefix of the first
-    j axes extends to the product of the blocks' multiset counts over the
-    remaining axes, and a run of prefixes whose extensions fit in one chunk
-    is expanded whole, while a prefix with more is split by its next axis.
+    holds also when a block's axes are not adjacent: the prefixes of the
+    first j axes are split into runs whose next axis adds at most
+    chunk_rows rows, and each run is extended by that axis in turn.
     """
     flips, blocks = symmetry
     k = sum(len(block) for block in blocks)
@@ -201,15 +191,6 @@ def _grid_chunks(region: Region, step: float,
             return P[:, prev[j]]
         return np.full(len(P), low[j], dtype=np.intp)
 
-    def extensions(P: np.ndarray) -> np.ndarray:
-        """The number of domain points that extend each prefix row."""
-        count = np.ones(len(P), dtype=np.int64)
-        for block in blocks:
-            rest = [a for a in block if a >= P.shape[1]]
-            if rest:
-                count *= _multisets(top + 1 - floor(P, rest[0]), len(rest))
-        return count
-
     def extend(P: np.ndarray) -> np.ndarray:
         """Each prefix row followed by every index its next axis allows."""
         start = floor(P, P.shape[1])
@@ -219,30 +200,26 @@ def _grid_chunks(region: Region, step: float,
         return np.column_stack([P[rows], start[rows] + offset])
 
     def chunks(P: np.ndarray) -> Iterator[np.ndarray]:
-        ends = np.cumsum(extensions(P))
+        if P.shape[1] == k:
+            for i in range(0, len(P), chunk_rows):
+                pts = axis[P[i:i + chunk_rows]]
+                pts = pts[region.contains(pts)]
+                if pts.size:
+                    yield pts
+            return
+        ends = np.cumsum(top + 1 - floor(P, P.shape[1]))
         i = 0
         while i < len(P):
-            stop = int(np.searchsorted(ends, (ends[i - 1] if i else 0) + chunk_rows,
-                                       side="right"))
-            if stop == i:
-                yield from chunks(extend(P[i:i + 1]))
-                i += 1
-                continue
-            Q = P[i:stop]
-            while Q.shape[1] < k:
-                Q = extend(Q)
-            pts = axis[Q]
-            del Q  # not kept alive while the chunk is evaluated
-            pts = pts[region.contains(pts)]
-            if pts.size:
-                yield pts
+            stop = max(i + 1, int(np.searchsorted(
+                ends, (ends[i - 1] if i else 0) + chunk_rows, side="right")))
+            yield from chunks(extend(P[i:stop]))
             i = stop
 
     yield from chunks(np.empty((1, 0), dtype=np.intp))
 
 
 def g_max(design: Design, region: Region,
-          grid_step: float | None = 0.1) -> tuple[float, tuple[float, ...]]:
+          grid_step: float | None = None) -> tuple[float, tuple[float, ...]]:
     """Maximum SPV over the evaluation set and its location.
 
     The evaluation set is the design's own points, the three canonical
@@ -303,7 +280,7 @@ def g_max(design: Design, region: Region,
 
 
 def g_efficiency(design: Design, region: Region,
-                 grid_step: float | None = 0.1) -> float:
+                 grid_step: float | None = None) -> float:
     """p divided by the maximum SPV over the region."""
     gmax, _ = g_max(design, region, grid_step)
     return num_params(design.k) / gmax
@@ -390,14 +367,12 @@ def _unit_sphere_points(k: int, n: int) -> np.ndarray:
     return g
 
 
-def rotatability_index(design: Design, radius: float, n_samples: int = 200) -> float:
-    """Standard deviation of SPV over points on the sphere of the given
+def rotatability_index(design: Design, radius: float) -> float:
+    """Standard deviation of SPV over 200 points on the sphere of the given
     radius; ~0 iff the design is rotatable at that radius."""
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    vals = spv_many(design, sphere_points(design.k, radius, n_samples))
+    vals = spv_many(design, sphere_points(design.k, radius, 200))
     return float(np.std(vals))
 
 
@@ -416,12 +391,18 @@ def sample_region(region: Region, k: int, n: int, seed: int) -> np.ndarray:
     return _sample_region_rng(region, k, n, np.random.default_rng(seed))
 
 
-def monte_carlo_moments(region: Region, k: int, n: int, seed: int = 0,
-                        chunk: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
+# monte_carlo_moments' samples per draw: the ball sampler draws directions
+# and radii per chunk, so this size is part of the seeded stream.
+_MC_CHUNK = 100_000
+
+
+def monte_carlo_moments(region: Region, k: int, n: int,
+                        seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo estimate of the region-moments matrix and the standard
     error of each entry; the independent check for region_moments.
 
-    Accumulates F'F and (F*F)'(F*F) per chunk of the n x p model matrix F.
+    Accumulates F'F and (F*F)'(F*F) per chunk of _MC_CHUNK rows of the
+    n x p model matrix F.
     """
     p = num_params(k)
     total = np.zeros((p, p))
@@ -429,7 +410,7 @@ def monte_carlo_moments(region: Region, k: int, n: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     done = 0
     while done < n:
-        m = min(chunk, n - done)
+        m = min(_MC_CHUNK, n - done)
         pts = _sample_region_rng(region, k, m, rng)
         F = expand_points(pts)
         F2 = F * F
@@ -469,14 +450,13 @@ class CriteriaReport:
 
 
 def criteria_report(design: Design, region: Region | None = None,
-                    grid_step: float | None = 0.1,
-                    rot_radius: float = 1.0,
-                    rot_samples: int = 200) -> CriteriaReport:
+                    grid_step: float | None = None) -> CriteriaReport:
     """Evaluate every criterion for one design.
 
     v_avg is reported under both default region conventions, the unit
     cube and the sphere of radius sqrt(k); g_max uses the given region
-    (unit cube when omitted) plus the design points and probes.
+    (unit cube when omitted) plus the design points and probes; the
+    rotatability index is taken on the unit sphere.
     """
     if region is None:
         region = Region(RegionShape.CUBOIDAL, 1.0)
@@ -493,5 +473,5 @@ def criteria_report(design: Design, region: Region | None = None,
         g_eff=g_efficiency(design, region, grid_step),
         v_avg_cuboidal=v_avg(design, Region(RegionShape.CUBOIDAL, 1.0)),
         v_avg_spherical=v_avg(design, Region(RegionShape.SPHERICAL, math.sqrt(design.k))),
-        rotatability_index=rotatability_index(design, rot_radius, rot_samples),
+        rotatability_index=rotatability_index(design, 1.0),
     )

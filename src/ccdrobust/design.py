@@ -125,16 +125,13 @@ def design_to_csv(design: Design) -> str:
     return buf.getvalue()
 
 
-def design_from_csv(text: str, alpha: float | None = None) -> Design:
-    """Parse the CSV emitted by design_to_csv.
-
-    alpha is recovered from the axial rows when not given explicitly.
-    """
+def design_from_csv(text: str) -> Design:
+    """Parse the CSV emitted by design_to_csv; alpha is recovered from the
+    axial rows (1 when there are none)."""
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     k = len(rows[0]) - 1
     coords = np.array([[float(v) for v in row[:k]] for row in rows[1:]]).reshape(-1, k)
     classes = np.array([PointClass(row[k]) for row in rows[1:]], dtype=object)
-    if alpha is None:
-        axial = coords[classes == PointClass.AXIAL]
-        alpha = np.abs(axial).max() if axial.size else 1.0
+    axial = coords[classes == PointClass.AXIAL]
+    alpha = np.abs(axial).max() if axial.size else 1.0
     return Design(float(alpha), coords, classes)

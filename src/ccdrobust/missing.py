@@ -109,9 +109,7 @@ class LossReport:
               "re_v_factorial", "re_v_axial", "re_v_center")
 
 
-def scenario_sweep(k: int, n0: int, alphas: list[float],
-                   region: Region,
-                   classes: tuple[PointClass, ...] = tuple(PointClass),
+def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
                    grid_step: float | None = None) -> list[LossReport]:
     """For each alpha: build the full CCD, delete one representative
     point of each class in turn, and collect loss and relative G/V
@@ -126,7 +124,7 @@ def scenario_sweep(k: int, n0: int, alphas: list[float],
             raise SingularMatrixError(
                 f"the full design at alpha={alpha:g} is inestimable ({exc})") from exc
         rep = LossReport(alpha=alpha, a_full=a_full, full=full)
-        for cls in classes:
+        for cls in PointClass:
             row = full.rows_of_class(cls)[0]
             residual = delete_rows(full, [row])
             tag = cls.value

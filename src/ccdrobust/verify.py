@@ -185,9 +185,10 @@ class CalibrationResult:
         return self.matched if self.matched else "unreconciled"
 
 
-def calibrate_v_region(tolerance: float = 0.02) -> CalibrationResult:
+def calibrate_v_region() -> CalibrationResult:
     """Identify which region convention reproduces the k=2 full-design V
-    column, trying the unit/alpha-sized cube and sphere."""
+    column, trying the unit/alpha-sized cube and sphere: the closest one,
+    if its worst relative error is at most 2%."""
     spec = SPV_TABLES["1b"]
     rows = [(float(a), float(v)) for a, miss, *_rest, v in spec["rows"]
             if miss == "none"]
@@ -204,7 +205,7 @@ def calibrate_v_region(tolerance: float = 0.02) -> CalibrationResult:
             rel = abs(v_avg(full, region) - target) / target
             errs[name] = max(errs[name], rel)
     matched = min(errs, key=errs.get)
-    if errs[matched] > tolerance:
+    if errs[matched] > 0.02:
         matched = None
     notes = [f"{t}/{a}/{m}: {txt}" for t, a, m, txt in ANNOTATIONS]
     return CalibrationResult(matched=matched, max_rel_error=errs, notes=notes)

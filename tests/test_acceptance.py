@@ -158,10 +158,10 @@ def test_criterion_06_rotatability():
     details = []
     for k in (2, 3, 4, 5):
         alpha = 2 ** (k / 4)
-        idx = rotatability_index(gen_ccd(k, alpha, 4), 1.0, 200)
+        idx = rotatability_index(gen_ccd(k, alpha, 4), 1.0)
         ok &= idx < 1e-6
         details.append(f"k={k}: {idx:.1e}")
-    idx_non = rotatability_index(gen_ccd(2, 1.0, 4), 1.0, 200)
+    idx_non = rotatability_index(gen_ccd(2, 1.0, 4), 1.0)
     ok &= idx_non > 0.05
     report(6, ok,
            f"rotatability index < 1e-6 at alpha = 2^(k/4) ({', '.join(details)}); "

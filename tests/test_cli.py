@@ -57,6 +57,39 @@ class TestGenerate:
         assert out.read_text().splitlines()[0] == "x1,x2,class"
 
 
+@pytest.mark.parametrize("command", [
+    ["generate", "--alpha", "1", "--out", "{file}/d.csv"],
+    ["sweep", "--alphas", "1", "--out", "{file}"],
+    ["plot", "--metric", "loss", "--alphas", "1", "--out", "{file}"],
+], ids=["generate", "sweep", "plot"])
+def test_out_under_existing_file_exits_1_naming_it(command, tmp_path, capsys):
+    file = tmp_path / "taken"
+    file.write_text("kept\n")
+    argv = [arg.format(file=file) for arg in command]
+    assert main(argv[:1] + ["--k", "2"] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(file) in err
+    assert file.read_text() == "kept\n"
+
+
+_IGNORED_FLAGS = [
+    ("generate", "--region", "sphere"), ("generate", "--region-size", "2"),
+    ("generate", "--grid-step", "0.5"), ("verify", "--k", "9"),
+    ("verify", "--n0", "0"), ("verify", "--alpha", "1"),
+    ("verify", "--alphas", "5,1"), ("verify", "--region", "cube"),
+    ("verify", "--region-size", "2"), ("verify", "--grid-step", "1e-6"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _IGNORED_FLAGS,
+                         ids=[f"{c} {f}" for c, f, _ in _IGNORED_FLAGS])
+def test_flag_a_command_ignores_exits_1(command, flag, value, capsys):
+    # each of these was accepted and never read
+    needed = {"generate": ["--alpha", "1"], "verify": ["1b"]}[command]
+    assert main([command] + needed + [flag, value]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_writes_all_outputs(self, tmp_path):
         assert main(["sweep", "--k", "2", "--alphas", "1.0,1.5",
@@ -179,6 +212,15 @@ class TestVerify:
     def test_unknown_table(self, capsys):
         assert main(["verify", "bogus"]) == 1
 
+    def test_repeated_table_checked_once(self, capsys):
+        assert main(["verify", "1b", "1b"]) == 2
+        assert "gated cells: 78/80 pass" in capsys.readouterr().out.splitlines()
+
+    def test_out_accepted_and_left_empty(self, tmp_path, capsys):
+        assert main(["verify", "1b", "--out", str(tmp_path)]) == 2
+        assert "gated cells: 78/80 pass" in capsys.readouterr().out.splitlines()
+        assert list(tmp_path.iterdir()) == []
+
     def test_gated_summary(self, capsys):
         # pinned: 75 exact loss cells and 5 SPV cells fail; a change to
         # which cells pass must show here
@@ -299,6 +341,28 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "sweep", "--k", "2",
                      "--alphas", "1.0", "--out", str(tmp_path)]) == 1
         assert "unknown keys ['seed']" in capsys.readouterr().err
+
+    def test_config_supplies_required_metric(self, tmp_path):
+        cfg = tmp_path / "plot.cfg"
+        cfg.write_text("metric=re_g\nalphas=1.0,2.0\n")
+        assert main(["--config", str(cfg), "plot", "--k", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "re_g_k2.svg").exists()
+
+    def test_config_choice_checked_like_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "plot.cfg"
+        cfg.write_text("region=ball\n")
+        assert main(["--config", str(cfg), "sweep", "--k", "2", "--alphas", "1",
+                     "--out", str(tmp_path)]) == 1
+        assert ("config error: region must be one of ['cube', 'sphere'], "
+                "got 'ball'" in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_tables_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("tables=1b\n")
+        assert main(["--config", str(cfg), "verify"]) == 1
+        assert "unknown keys ['tables']" in capsys.readouterr().err
 
     def test_config_alphas_typed_like_the_flag(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

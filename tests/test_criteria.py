@@ -128,6 +128,13 @@ class TestGMax:
         fine, _ = g_max(d, CUBE1, grid_step=0.1)
         assert fine >= coarse - 1e-12
 
+    def test_default_searches_no_grid(self):
+        # one default everywhere: design rows and probes only
+        d = gen_ccd(3, 1.5, 4)
+        assert g_max(d, CUBE1) is g_max(d, CUBE1, None)
+        assert g_efficiency(d, CUBE1) == g_efficiency(d, CUBE1, None)
+        assert criteria_report(d) == criteria_report(d, CUBE1, None)
+
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             g_max(gen_ccd(2, 1.0, 4), CUBE1, grid_step=-0.1)
@@ -420,20 +427,17 @@ class TestVAvg:
 class TestRotatability:
     def test_rotatable_k2(self):
         d = gen_ccd(2, 2 ** 0.5, 4)
-        assert rotatability_index(d, 1.0, 200) < 1e-6
+        assert rotatability_index(d, 1.0) < 1e-6
 
     def test_near_rotatable_k3(self):
-        assert rotatability_index(gen_ccd(3, 1.681, 4), 1.2, 200) < 1e-3
+        assert rotatability_index(gen_ccd(3, 1.681, 4), 1.2) < 1e-3
 
     def test_non_rotatable_k2(self):
-        assert rotatability_index(gen_ccd(2, 1.0, 4), 1.0, 200) > 0.1
+        assert rotatability_index(gen_ccd(2, 1.0, 4), 1.0) > 0.1
 
     def test_rejects_bad_args(self):
-        d = gen_ccd(2, 1.0, 4)
         with pytest.raises(ValueError):
-            rotatability_index(d, -1.0)
-        with pytest.raises(ValueError):
-            rotatability_index(d, 1.0, n_samples=1)
+            rotatability_index(gen_ccd(2, 1.0, 4), -1.0)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_sphere_points_memo_matches_fresh(self, k):

@@ -112,6 +112,13 @@ class TestRelativeEfficiencies:
         assert relative_g_efficiency(d, d, CUBE1) == pytest.approx(1.0)
         assert relative_v_efficiency(d, d, CUBE1) == pytest.approx(1.0)
 
+    def test_re_g_default_matches_g_max_default(self):
+        full = gen_ccd(3, 1.5, 4)
+        res = delete_rows(full, [0])
+        re = relative_g_efficiency(full, res, CUBE1)
+        assert re == relative_g_efficiency(full, res, CUBE1, None)
+        assert re == criteria.g_max(full, CUBE1)[0] / criteria.g_max(res, CUBE1)[0]
+
     def test_re_g_k2_missing_center(self):
         full = gen_ccd(2, 1.0, 4)
         res = delete_rows(full, [full.rows_of_class(PointClass.CENTER)[0]])
