@@ -250,17 +250,18 @@ _OPTIONS = {
 _SWEEP_OPTIONS = ("--k", "--n0", "--alpha", "--alphas", "--region",
                   "--region-size", "--grid-step", "--out")
 
-# Each command: its function, its summary, and the options it reads.
+# Each command: its function, its summary, the options it reads, and the
+# option it needs (checked after parsing, since a config may supply it).
 _COMMANDS = {
     "generate": (cmd_generate, "emit a CCD as CSV",
-                 ("--k", "--n0", "--alpha", "--out")),
-    "sweep": (cmd_sweep, "loss/efficiency sweep over alphas", _SWEEP_OPTIONS),
-    "verify": (cmd_verify, "check embedded reference tables", ("tables", "--out")),
-    "plot": (cmd_plot, "SVG loss/efficiency curves", _SWEEP_OPTIONS + ("--metric",)),
+                 ("--k", "--n0", "--alpha", "--out"), "alpha"),
+    "sweep": (cmd_sweep, "loss/efficiency sweep over alphas", _SWEEP_OPTIONS,
+              None),
+    "verify": (cmd_verify, "check embedded reference tables",
+               ("tables", "--out"), None),
+    "plot": (cmd_plot, "SVG loss/efficiency curves",
+             _SWEEP_OPTIONS + ("--metric",), "metric"),
 }
-
-# The option a command needs, checked after parsing: a config may supply it.
-_REQUIRED = {"generate": "alpha", "plot": "metric"}
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser,
@@ -275,7 +276,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
                                          "command-line flags win")
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[argparse.ArgumentParser, set[str]] = {}
-    for name, (func, summary, flags) in _COMMANDS.items():
+    for name, (func, summary, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         dests = commands[p] = set()
@@ -317,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    required = _REQUIRED.get(args.command)
+    required = _COMMANDS[args.command][3]
     if required and getattr(args, required) is None:
         print(f"{args.command} requires --{required}", file=sys.stderr)
         return 1

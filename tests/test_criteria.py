@@ -50,6 +50,11 @@ class TestInformationInverse:
         assert invert_calls[0] == 32
 
     def test_criteria_report_inverts_once(self, invert_calls):
+        # the G grid is searched in chunks, each through spv_many
+        criteria_report(gen_ccd(3, 1.681, 4), grid_step=0.1)
+        assert invert_calls[0] == 1
+
+    def test_criteria_report_default_inverts_once(self, invert_calls):
         criteria_report(gen_ccd(3, 1.681, 4))
         assert invert_calls[0] == 1
 
