@@ -5,7 +5,6 @@ from .design import (
     Design,
     PointClass,
     canonical_probe_points,
-    design_from_csv,
     design_to_csv,
     gen_ccd,
 )
@@ -15,6 +14,7 @@ from .criteria import (
     CriteriaReport,
     Region,
     RegionShape,
+    a_trace,
     criteria_report,
     g_efficiency,
     g_max,
@@ -37,10 +37,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Design", "PointClass", "gen_ccd",
-    "canonical_probe_points", "design_to_csv", "design_from_csv",
+    "canonical_probe_points", "design_to_csv",
     "expand_point", "model_matrix", "num_params",
     "SingularMatrixError",
-    "CriteriaReport", "Region", "RegionShape", "criteria_report",
+    "CriteriaReport", "Region", "RegionShape", "a_trace", "criteria_report",
     "g_efficiency", "g_max", "region_moments", "rotatability_index",
     "spv", "v_avg",
     "LossReport", "delete_rows", "increase_in_variance",

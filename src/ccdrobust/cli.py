@@ -150,14 +150,23 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
+def _sweep_from_args(args) -> tuple[Region, Path, list[LossReport]]:
+    """The setup `sweep` and `plot` share: the region, the output directory
+    and the sweep's reports.  The directory is created before the sweep
+    runs, so an unusable --out fails before any work is done."""
     alphas = _alphas_from_args(args)
     region = _region_from_args(args, args.k)
+    outdir = Path(args.out or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
     reports = scenario_sweep(args.k, args.n0, alphas, region,
                              grid_step=args.grid_step)
+    return region, outdir, reports
+
+
+def cmd_sweep(args) -> int:
+    region, outdir, reports = _sweep_from_args(args)
     crit = [criteria_report(rep.full, region, args.grid_step).as_dict()
             for rep in reports]
-    outdir = Path(args.out or ".")
     _write(outdir / f"loss_k{args.k}.csv", _loss_wide_csv(reports))
     _write(outdir / f"loss_k{args.k}_long.csv", _loss_long_csv(args.k, reports))
     _write(outdir / f"criteria_k{args.k}.csv", _criteria_csv(crit))
@@ -202,10 +211,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    alphas = _alphas_from_args(args)
-    region = _region_from_args(args, args.k)
-    reports = scenario_sweep(args.k, args.n0, alphas, region,
-                             grid_step=args.grid_step)
+    _, outdir, reports = _sweep_from_args(args)
     series = []
     for cls in PointClass:
         xs, ys = [], []
@@ -220,7 +226,6 @@ def cmd_plot(args) -> int:
               "re_v": "relative V-efficiency"}
     svg = line_chart(series, f"k={args.k} CCD, {labels[args.metric]}",
                      "axial distance alpha", labels[args.metric])
-    outdir = Path(args.out or ".")
     _write(outdir / f"{args.metric}_k{args.k}.svg", svg)
     _write(outdir / f"{args.metric}_k{args.k}_long.csv",
            _loss_long_csv(args.k, reports))

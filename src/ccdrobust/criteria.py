@@ -28,6 +28,7 @@ __all__ = [
     "Region",
     "CriteriaReport",
     "information_inverse",
+    "a_trace",
     "spv",
     "spv_many",
     "probe_spv",
@@ -73,10 +74,17 @@ def information_inverse(design: Design) -> np.ndarray:
     in its __dict__ as functools.cached_property would, and read-only."""
     Minv = design.__dict__.get("_information_inverse")
     if Minv is None:
-        Minv = linalg.invert(linalg.cross_product(model_matrix(design)))
+        X = model_matrix(design)
+        Minv = linalg.invert(X.T @ X)
         Minv.flags.writeable = False
         design.__dict__["_information_inverse"] = Minv
     return Minv
+
+
+def a_trace(design: Design) -> float:
+    """The A-criterion: trace((X'X)^{-1}), the summed variance of the
+    parameter estimates."""
+    return float(np.trace(information_inverse(design)))
 
 
 def spv(design: Design, x: Sequence[float]) -> float:
@@ -464,7 +472,7 @@ def criteria_report(design: Design, region: Region | None = None,
     gmax, loc = g_max(design, region, grid_step)
     return CriteriaReport(
         alpha=design.alpha,
-        a_trace=linalg.trace(information_inverse(design)),
+        a_trace=a_trace(design),
         spv_factorial=f,
         spv_axial=a,
         spv_center=c,

@@ -21,7 +21,6 @@ __all__ = [
     "gen_ccd",
     "canonical_probe_points",
     "design_to_csv",
-    "design_from_csv",
 ]
 
 # The largest factor count: criteria_report's rotatability index draws one
@@ -124,14 +123,3 @@ def design_to_csv(design: Design) -> str:
         writer.writerow([repr(c) for c in row] + [cls.value])
     return buf.getvalue()
 
-
-def design_from_csv(text: str) -> Design:
-    """Parse the CSV emitted by design_to_csv; alpha is recovered from the
-    axial rows (1 when there are none)."""
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    k = len(rows[0]) - 1
-    coords = np.array([[float(v) for v in row[:k]] for row in rows[1:]]).reshape(-1, k)
-    classes = np.array([PointClass(row[k]) for row in rows[1:]], dtype=object)
-    axial = coords[classes == PointClass.AXIAL]
-    alpha = np.abs(axial).max() if axial.size else 1.0
-    return Design(float(alpha), coords, classes)

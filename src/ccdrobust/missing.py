@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-from .criteria import Region, g_max, information_inverse, v_avg
+from .criteria import Region, a_trace, g_max, v_avg
 from .design import Design, PointClass, gen_ccd
 from .linalg import SingularMatrixError
 
@@ -51,17 +50,13 @@ def delete_rows(design: Design, indices: list[int]) -> Design:
 def increase_in_variance(full: Design, residual: Design) -> float:
     """Increase of the A-trace caused by the missing rows:
     trace((X'_r X_r)^{-1}) - trace((X'X)^{-1}); always >= 0."""
-    tr_full = linalg.trace(information_inverse(full))
-    tr_res = linalg.trace(information_inverse(residual))
-    return tr_res - tr_full
+    return a_trace(residual) - a_trace(full)
 
 
 def loss_precision(full: Design, residual: Design) -> float:
     """Relative loss in precision of the parameter estimates:
     trace((X'_r X_r)^{-1}) / trace((X'X)^{-1}) - 1."""
-    tr_full = linalg.trace(information_inverse(full))
-    tr_res = linalg.trace(information_inverse(residual))
-    return tr_res / tr_full - 1.0
+    return a_trace(residual) / a_trace(full) - 1.0
 
 
 def relative_g_efficiency(full: Design, residual: Design, region: Region,
@@ -119,7 +114,7 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
     for alpha in alphas:
         full = gen_ccd(k, alpha, n0)
         try:
-            a_full = linalg.trace(information_inverse(full))
+            a_full = a_trace(full)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"the full design at alpha={alpha:g} is inestimable ({exc})") from exc

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccdrobust
-from ccdrobust import criteria, linalg, verify
+from ccdrobust import cli, criteria, linalg, missing, verify
 from ccdrobust.cli import main
-from ccdrobust.criteria import information_inverse
+from ccdrobust.criteria import a_trace
 from ccdrobust.design import PointClass, gen_ccd
 from ccdrobust.fixtures import LOSS_TABLES
 from ccdrobust.missing import delete_rows
@@ -62,9 +62,13 @@ class TestGenerate:
     ["sweep", "--alphas", "1", "--out", "{file}"],
     ["plot", "--metric", "loss", "--alphas", "1", "--out", "{file}"],
 ], ids=["generate", "sweep", "plot"])
-def test_out_under_existing_file_exits_1_naming_it(command, tmp_path, capsys):
+def test_out_under_existing_file_exits_1_naming_it(command, tmp_path, monkeypatch,
+                                                   capsys):
     file = tmp_path / "taken"
     file.write_text("kept\n")
+    # the path is refused before any sweep runs
+    for module in (missing, cli):  # every namespace that binds it
+        monkeypatch.setattr(module, "scenario_sweep", mock.Mock(side_effect=AssertionError))
     argv = [arg.format(file=file) for arg in command]
     assert main(argv[:1] + ["--k", "2"] + argv[1:]) == 1
     err = capsys.readouterr().err
@@ -252,8 +256,7 @@ class TestPaperLoss:
         # of exactly 17/16; a reordered sum may land one ulp below it
         full = gen_ccd(4, 2.0, 4)
         res = delete_rows(full, [full.rows_of_class(PointClass.CENTER)[0]])
-        a_full = linalg.trace(information_inverse(full))
-        a_res = linalg.trace(information_inverse(res))
+        a_full, a_res = a_trace(full), a_trace(res)
         assert a_res == pytest.approx(17 / 16, abs=1e-12)
         below = math.nextafter(17 / 16, 0.0)
         assert _truncate(below) == _truncate(17 / 16) == 1.0625

@@ -29,6 +29,7 @@ from ccdrobust.criteria import (
     v_avg,
 )
 from ccdrobust.design import Design, PointClass, canonical_probe_points, gen_ccd
+from ccdrobust.linalg import SingularMatrixError
 from ccdrobust.missing import delete_rows, scenario_sweep
 from ccdrobust.model import expand_points, model_matrix, num_params
 
@@ -43,6 +44,26 @@ class TestInformationInverse:
         assert not Minv.flags.writeable
         with pytest.raises(ValueError):
             Minv[0, 0] = 0.0
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n0", [1, 4])
+    def test_exactly_symmetric(self, k, n0):
+        # X'X and L^{-T} L^{-1} are both symmetric rank-k updates, so the
+        # inverse is symmetric to the last bit without being symmetrized
+        checked = 0
+        for alpha in DEFAULT_ALPHAS[k]:
+            full = gen_ccd(k, alpha, n0)
+            for d in [full] + [delete_rows(full, [full.rows_of_class(cls)[0]])
+                               for cls in PointClass]:
+                try:
+                    Minv = information_inverse(d)
+                except SingularMatrixError:
+                    continue
+                assert np.array_equal(Minv, Minv.T)
+                checked += 1
+        # a center run is the only point of a one-center-run design that
+        # some alpha (k=4, alpha=2) cannot lose
+        assert checked >= 4 * len(DEFAULT_ALPHAS[k]) - 1
 
     def test_sweep_inverts_each_design_once(self, invert_calls):
         # 8 alphas x (full design + 3 single-deletion residuals)
@@ -413,9 +434,8 @@ class TestVAvg:
     def test_self_measure_gives_p(self):
         # if the region moments equal (1/N) X'X, the average is exactly p
         d = gen_ccd(3, 1.681, 4)
-        from ccdrobust.linalg import cross_product
-        from ccdrobust.model import model_matrix
-        M = cross_product(model_matrix(d)) / d.n
+        X = model_matrix(d)
+        M = X.T @ X / d.n
         Minv = information_inverse(d)
         assert d.n * float(np.trace(Minv @ M)) == pytest.approx(
             num_params(3), abs=1e-9)

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccdrobust import linalg
+from ccdrobust.criteria import a_trace
 from ccdrobust.design import gen_ccd
 from ccdrobust.linalg import SingularMatrixError
-from ccdrobust.model import model_matrix, num_params
+from ccdrobust.model import model_matrix
 
 
 def info_matrix(k, alpha, n0=4):
-    return linalg.cross_product(model_matrix(gen_ccd(k, alpha, n0)))
+    X = model_matrix(gen_ccd(k, alpha, n0))
+    return X.T @ X
 
 
 class TestCrossProduct:
@@ -27,8 +29,8 @@ class TestCrossProduct:
     def test_row_partition_additivity(self):
         X = model_matrix(gen_ccd(3, 1.732, 4))
         for split in (1, 5, 9):
-            M = linalg.cross_product(X[:split]) + linalg.cross_product(X[split:])
-            assert np.max(np.abs(M - linalg.cross_product(X))) < 1e-12
+            M = X[:split].T @ X[:split] + X[split:].T @ X[split:]
+            assert np.max(np.abs(M - X.T @ X)) < 1e-12
 
 
 class TestInvert:
@@ -40,7 +42,7 @@ class TestInvert:
                            np.diag([0.5, 0.25]))
 
     def test_k2_trace(self):
-        tr = linalg.trace(linalg.invert(info_matrix(2, 1.0)))
+        tr = np.trace(linalg.invert(info_matrix(2, 1.0)))
         assert tr == pytest.approx(1.5416, abs=2e-4)
 
     def test_inverse_consistency(self):
@@ -70,29 +72,13 @@ class TestInvert:
     def test_underdetermined_design_raises(self):
         X = model_matrix(gen_ccd(2, 1.0, 4))[:5]  # 5 rows, 6 params
         with pytest.raises(SingularMatrixError):
-            linalg.invert(linalg.cross_product(X))
+            linalg.invert(X.T @ X)
 
 
-class TestTrace:
-    def test_identity(self):
-        assert linalg.trace(np.eye(10)) == 10
-
+class TestATrace:
     def test_k3_alpha1(self):
-        tr = linalg.trace(linalg.invert(info_matrix(3, 1.0)))
-        assert tr == pytest.approx(1.9369, abs=2e-4)
+        assert a_trace(gen_ccd(3, 1.0, 4)) == pytest.approx(1.9369, abs=2e-4)
 
     def test_k5_alpha3(self):
-        tr = linalg.trace(linalg.invert(info_matrix(5, 3.0)))
-        assert tr == pytest.approx(0.5963, abs=2e-4)
+        assert a_trace(gen_ccd(5, 3.0, 4)) == pytest.approx(0.5963, abs=2e-4)
 
-
-class TestHatTrace:
-    @pytest.mark.parametrize("k,alpha", [(2, 1.0), (2, 2.0), (4, 2.25)])
-    def test_equals_p(self, k, alpha):
-        X = model_matrix(gen_ccd(k, alpha, 4))
-        assert linalg.hat_trace(X) == pytest.approx(num_params(k), abs=1e-9)
-
-    def test_residual_design(self):
-        X = model_matrix(gen_ccd(3, 1.681, 4))
-        X_res = np.delete(X, 0, axis=0)
-        assert linalg.hat_trace(X_res) == pytest.approx(10, abs=1e-9)
