@@ -427,6 +427,68 @@ class TestRegionMoments:
         assert M.tobytes() == self.entrywise(region, k).tobytes()
 
 
+class TestMonteCarloMoments:
+    @staticmethod
+    def untiled(pts, n):
+        """mean and se from one F'F and (F*F)'(F*F) over all the points."""
+        F = expand_points(pts)
+        F2 = F * F
+        mean = F.T @ F / n
+        var = (F2.T @ F2 - n * mean ** 2) / (n - 1)
+        return mean, np.sqrt(np.maximum(var, 0.0) / n)
+
+    @staticmethod
+    def assert_close(got, want):
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_rejects_fewer_than_two_samples(self, n):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            monte_carlo_moments(CUBE1, 3, n)
+
+    def test_rejects_k_below_two(self):
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            monte_carlo_moments(CUBE1, 1, 1000)
+
+    @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
+    def test_tiles_only_reorder_the_sums(self, shape, monkeypatch):
+        # crosses a chunk boundary and leaves partial tiles in both chunks
+        region, k, seed = Region(shape, 1.7), 4, 9
+        n = criteria._MC_CHUNK + criteria._MC_TILE + 1
+        rng = np.random.default_rng(seed)
+        pts = np.vstack([criteria._sample_region_rng(region, k, m, rng)
+                         for m in (criteria._MC_CHUNK, n - criteria._MC_CHUNK)])
+        rows = []
+
+        def counting_expand(tile):
+            rows.append(len(tile))
+            return expand_points(tile)
+
+        monkeypatch.setattr(criteria, "expand_points", counting_expand)
+        self.assert_close(monte_carlo_moments(region, k, n, seed), self.untiled(pts, n))
+        assert max(rows) == criteria._MC_TILE and sum(rows) == n
+
+    @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
+    def test_one_chunk_samples_are_sample_region_rows(self, shape):
+        region, k, seed = Region(shape, 1.7), 3, 4
+        n = 3 * criteria._MC_TILE + 5
+        self.assert_close(monte_carlo_moments(region, k, n, seed),
+                          self.untiled(sample_region(region, k, n, seed), n))
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_ball_samples_are_unit_directions_times_radii(self, k):
+        n, seed, r = 50_000, 11, 1.7
+        pts = sample_region(Region(RegionShape.SPHERICAL, r), k, n, seed)
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((n, k))             # the directions' draws
+        radii = r * rng.random(n) ** (1.0 / k)
+        assert np.all(radii <= r)
+        assert np.all(np.linalg.norm(pts, axis=1) <= r * (1 + 1e-15))
+        norms = np.linalg.norm(pts / radii[:, None], axis=1)
+        assert np.max(np.abs(norms - 1.0)) <= 1e-15
+
+
 class TestVAvg:
     def test_matches_table_value(self):
         assert v_avg(gen_ccd(2, 1.0, 4), CUBE1) == pytest.approx(3.633, abs=2e-3)
