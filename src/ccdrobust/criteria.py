@@ -99,7 +99,13 @@ def spv(design: Design, x: Sequence[float]) -> float:
 
 def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
     """Vectorized SPV over the rows of an m x k point array:
-    N times the row sums of (F M^{-1}) * F for the model matrix F."""
+    N times the row sums of (F M^{-1}) * F for the model matrix F.
+
+    Raises ValueError unless pts is m x k for the design's k.
+    """
+    if pts.ndim != 2 or pts.shape[1] != design.k:
+        raise ValueError(f"points must be an m x {design.k} array, "
+                         f"got shape {pts.shape}")
     F = expand_points(pts)
     return design.n * np.einsum("ij,ij->i", F @ information_inverse(design), F)
 
@@ -178,6 +184,12 @@ def _grid_chunks(region: Region, step: float,
     holds also when a block's axes are not adjacent: the prefixes of the
     first j axes are split into runs whose next axis adds at most
     chunk_rows rows, and each run is extended by that axis in turn.
+
+    A point is in a cube exactly when each of its coordinates is, and every
+    coordinate is drawn from one axis vector.  So when both extreme axis
+    values +-n1*step pass Region.contains, every grid point is in the cube
+    and none is tested.  Otherwise (an extreme just past the cube's
+    tolerance), and always for a ball, each point is tested.
     """
     flips, blocks = symmetry
     k = sum(len(block) for block in blocks)
@@ -186,6 +198,8 @@ def _grid_chunks(region: Region, step: float,
         raise ValueError(f"G grid at step {step:g} has more than "
                          f"{_MAX_GRID_POINTS:.0e} points; use a coarser grid step")
     axis = np.arange(-n1, n1 + 1, dtype=float) * step
+    all_inside = (region.shape is RegionShape.CUBOIDAL
+                  and bool(region.contains(axis[[0, -1], None]).all()))
     top = 2 * n1  # the largest axis index; index n1 is x = 0
     low = [n1 if j in flips else 0 for j in range(k)]
     prev = [-1] * k  # the previous axis of the same block
@@ -211,7 +225,8 @@ def _grid_chunks(region: Region, step: float,
         if P.shape[1] == k:
             for i in range(0, len(P), chunk_rows):
                 pts = axis[P[i:i + chunk_rows]]
-                pts = pts[region.contains(pts)]
+                if not all_inside:
+                    pts = pts[region.contains(pts)]
                 if pts.size:
                     yield pts
             return
@@ -259,8 +274,8 @@ def g_max(design: Design, region: Region,
     grid_step), as information_inverse keeps the inverse, so each design
     is searched once per region and step.
     """
-    if grid_step is not None and grid_step <= 0:
-        raise ValueError("grid_step must be > 0")
+    if grid_step is not None and not (math.isfinite(grid_step) and grid_step > 0):
+        raise ValueError("grid_step must be finite and > 0")
     memo = design.__dict__.setdefault("_g_max", {})
     if (region, grid_step) in memo:
         return memo[region, grid_step]
@@ -383,8 +398,8 @@ def _unit_sphere_points(k: int, n: int) -> np.ndarray:
 def rotatability_index(design: Design, radius: float) -> float:
     """Standard deviation of SPV over 200 points on the sphere of the given
     radius; ~0 iff the design is rotatable at that radius."""
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     vals = spv_many(design, sphere_points(design.k, radius, 200))
     return float(np.std(vals))
 

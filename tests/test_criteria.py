@@ -110,6 +110,14 @@ class TestSpv:
         x = (0.4, -0.9, 1.2)
         assert spv(d, x) == spv_many(d, np.array([x]))[0]
 
+    @pytest.mark.parametrize("shape", [(4, 2), (3,), (2, 3, 3)])
+    def test_rejects_points_not_m_by_k(self, shape):
+        with pytest.raises(ValueError, match=rf"m x 3 array, got shape \({shape[0]},"):
+            spv_many(gen_ccd(3, 1.5, 4), np.zeros(shape))
+
+    def test_no_points_no_values(self):
+        assert spv_many(gen_ccd(3, 1.5, 4), np.empty((0, 3))).shape == (0,)
+
     def test_sign_flip_and_permutation_invariance(self):
         d = gen_ccd(3, 1.5, 4)
         x = (0.4, -0.9, 1.2)
@@ -164,6 +172,15 @@ class TestGMax:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             g_max(gen_ccd(2, 1.0, 4), CUBE1, grid_step=-0.1)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+    def test_rejects_step_not_finite(self, step):
+        d = gen_ccd(2, 1.0, 4)
+        for search in (g_max, g_efficiency):
+            with pytest.raises(ValueError, match="grid_step must be finite and > 0"):
+                search(d, CUBE1, step)
+        with pytest.raises(ValueError, match="grid_step must be finite and > 0"):
+            scenario_sweep(2, 4, [1.0], CUBE1, grid_step=step)
 
     def test_tied_maximum_at_first_point_in_evaluation_order(self):
         # the six axial points tie; (-2, 0, 0) is the first axial design row
@@ -352,6 +369,29 @@ class TestGridChunks:
             keep &= np.all(np.diff(box[:, list(block)], axis=1) >= 0, axis=1)
         assert np.array_equal(np.vstack(chunks), box[keep])
 
+    def test_cube_inside_grid_is_not_filtered(self, monkeypatch):
+        # only the two extreme axis values are tested against the cube
+        tested = []
+        real = Region.contains
+
+        def counting(self, pts):
+            tested.append(len(pts))
+            return real(self, pts)
+
+        monkeypatch.setattr(Region, "contains", counting)
+        chunks = list(_grid_chunks(CUBE1, 0.25, _box_symmetry(3), chunk_rows=100))
+        assert tested == [2]
+        monkeypatch.undo()
+        assert np.array_equal(np.vstack(chunks), _box_grid(CUBE1, 3, 0.25))
+
+    def test_cube_edge_past_the_tolerance_is_dropped(self):
+        # the extreme coordinate 5 * step = 1 + 1e-10 is outside the cube
+        step = 1 / (5 - 5e-10)
+        pts = np.vstack(list(_grid_chunks(CUBE1, step, _box_symmetry(3))))
+        assert len(pts) == 9 ** 3
+        assert np.array_equal(pts, _box_grid(CUBE1, 3, step))
+        assert np.max(np.abs(pts)) == 4 * step
+
     def test_fundamental_domain_keeps_the_size_guard(self):
         with pytest.raises(ValueError, match="coarser grid step"):
             next(_grid_chunks(CUBE1, 0.001, ((0, 1, 2, 3, 4), ((0, 1, 2, 3, 4),))))
@@ -525,6 +565,11 @@ class TestRotatability:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             rotatability_index(gen_ccd(2, 1.0, 4), -1.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_rejects_radius_not_finite(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            rotatability_index(gen_ccd(2, 1.0, 4), radius)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_sphere_points_memo_matches_fresh(self, k):

@@ -1,8 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from ccdrobust import criteria
-from ccdrobust.criteria import Region, RegionShape, a_trace, information_inverse, probe_spv
+from ccdrobust.cli import DEFAULT_ALPHAS
+from ccdrobust.criteria import (
+    Region,
+    RegionShape,
+    a_trace,
+    information_inverse,
+    probe_spv,
+    spv_many,
+)
 from ccdrobust.design import PointClass, gen_ccd
 from ccdrobust.linalg import SingularMatrixError
 from ccdrobust.missing import (
@@ -105,6 +115,25 @@ class TestLossPrecision:
         with pytest.raises(SingularMatrixError):
             loss_precision(full, res)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_leverage_one_exactly_when_inestimable(self, k):
+        # deleting run i leaves X'X - f_i f_i', singular iff the leverage
+        # h_i = f_i'(X'X)^{-1} f_i = SPV_i / N is 1
+        inestimable = set()
+        for n0 in (1, 4):
+            for alpha in sorted({*DEFAULT_ALPHAS[k], math.sqrt(k)}):
+                full = gen_ccd(k, alpha, n0)
+                h = spv_many(full, full.coords) / full.n
+                for i in range(full.n):
+                    try:
+                        a_trace(delete_rows(full, [i]))
+                        singular = False
+                    except SingularMatrixError:
+                        singular = True
+                        inestimable.add((n0, alpha, full.classes[i]))
+                    assert (1 - h[i] <= 1e-9) == singular, (n0, alpha, i)
+        assert inestimable == {(1, math.sqrt(k), PointClass.CENTER)}
+
 
 class TestRelativeEfficiencies:
     def test_identity_cases(self):
@@ -149,7 +178,6 @@ class TestResidualSpvScaling:
         # (1/N_r) sum of residual SPV over residual points equals p
         full = gen_ccd(3, 1.681, 4)
         res = delete_rows(full, [0])
-        from ccdrobust.criteria import spv_many
         vals = spv_many(res, res.coords)
         assert vals.mean() == pytest.approx(10, abs=1e-9)
 
