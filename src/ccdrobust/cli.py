@@ -18,8 +18,9 @@ import math
 import sys
 from pathlib import Path
 
-from .criteria import CriteriaReport, Region, RegionShape, criteria_report
-from .design import PointClass, design_to_csv, gen_ccd
+from .criteria import (CriteriaReport, Region, RegionShape, _grid_half_width,
+                       criteria_report)
+from .design import PointClass, _check_ccd_args, design_to_csv, gen_ccd
 from .fixtures import LOSS_TABLES, SPV_TABLES
 from .linalg import SingularMatrixError
 from .missing import LossReport, scenario_sweep
@@ -152,10 +153,16 @@ def cmd_generate(args) -> int:
 
 def _sweep_from_args(args) -> tuple[Region, Path, list[LossReport]]:
     """The setup `sweep` and `plot` share: the region, the output directory
-    and the sweep's reports.  The directory is created before the sweep
-    runs, so an unusable --out fails before any work is done."""
+    and the sweep's reports.  Every argument is checked before the
+    directory is created, so a rejected sweep leaves no --out behind; and
+    the directory is created before the sweep runs, so an unusable --out
+    fails before any work is done."""
     alphas = _alphas_from_args(args)
     region = _region_from_args(args, args.k)
+    for alpha in alphas:
+        _check_ccd_args(args.k, alpha, args.n0)
+    if args.grid_step is not None:
+        _grid_half_width(region, args.grid_step, args.k)
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     reports = scenario_sweep(args.k, args.n0, alphas, region,

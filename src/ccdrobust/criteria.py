@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -106,7 +108,12 @@ def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != design.k:
         raise ValueError(f"points must be an m x {design.k} array, "
                          f"got shape {pts.shape}")
-    F = expand_points(pts)
+    return _spv_rows(design, expand_points(pts))
+
+
+def _spv_rows(design: Design, F: np.ndarray) -> np.ndarray:
+    """The SPV kernel, shared by spv_many and g_max: N times the row sums of
+    (F M^{-1}) * F, the SPV at each point whose model row is a row of F."""
     return design.n * np.einsum("ij,ij->i", F @ information_inverse(design), F)
 
 
@@ -121,6 +128,16 @@ def probe_spv(design: Design) -> tuple[float, float, float]:
 # design agree to ~1e-15; distinct values differ by >= 1e-4).
 _MAX_GRID_POINTS = 10 ** 8
 _G_TIE_RTOL = 1e-12
+
+# g_max's grid domains, kept for the life of the process: each domain's
+# model matrix, as the read-only chunks _grid_models yields, keyed by
+# (region, step, symmetry) and least recently used first.  Their bytes stay
+# within _GRID_CACHE_BYTES; a larger domain is streamed and not kept.  The
+# largest domain of `sweep --k 3 --grid-step 0.02`, 176,851 points, is 13.5 MiB.
+# _grid_lock guards each lookup, and each insertion with its evictions.
+_GRID_CACHE_BYTES = 32 * 2 ** 20
+_grid_cache: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
+_grid_lock = threading.Lock()
 
 # (flips, blocks): the flip-invariant axes, and a partition of the axes into
 # blocks of mutually transposable ones, each in axis order.
@@ -168,6 +185,20 @@ def _symmetry(design: Design) -> _Symmetry:
     return flips, tuple(tuple(block) for block in blocks)
 
 
+def _grid_half_width(region: Region, step: float, k: int) -> int:
+    """n1, the largest axis index of the k-dimensional G grid at this step,
+    whose axis values are -n1*step .. n1*step.  Raises ValueError, before
+    anything is allocated, for a step that is not finite and > 0 or a box of
+    more than _MAX_GRID_POINTS points."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError("grid_step must be finite and > 0")
+    n1 = int(min(region.size / step + 1e-9, _MAX_GRID_POINTS))  # no int(inf)
+    if (2 * n1 + 1) ** k > _MAX_GRID_POINTS:
+        raise ValueError(f"G grid at step {step:g} has more than "
+                         f"{_MAX_GRID_POINTS:.0e} points; use a coarser grid step")
+    return n1
+
+
 def _grid_chunks(region: Region, step: float,
                  symmetry: _Symmetry,
                  chunk_rows: int = 200_000) -> Iterator[np.ndarray]:
@@ -177,7 +208,8 @@ def _grid_chunks(region: Region, step: float,
     flip-invariant axis, and non-decreasing coordinates within each block.
     With no flips and one block per axis that is the whole bounding box.  A
     box of more than _MAX_GRID_POINTS points raises ValueError before
-    anything is allocated, whatever the domain.
+    anything is allocated, whatever the domain (_grid_half_width).  g_max
+    reads a domain through _grid_models, which expands it once per process.
 
     The domain is the product over the blocks of each block's
     non-decreasing index tuples.  It is built axis by axis, so that C order
@@ -193,10 +225,7 @@ def _grid_chunks(region: Region, step: float,
     """
     flips, blocks = symmetry
     k = sum(len(block) for block in blocks)
-    n1 = int(min(region.size / step + 1e-9, _MAX_GRID_POINTS))  # no int(inf)
-    if (2 * n1 + 1) ** k > _MAX_GRID_POINTS:
-        raise ValueError(f"G grid at step {step:g} has more than "
-                         f"{_MAX_GRID_POINTS:.0e} points; use a coarser grid step")
+    n1 = _grid_half_width(region, step, k)
     axis = np.arange(-n1, n1 + 1, dtype=float) * step
     all_inside = (region.shape is RegionShape.CUBOIDAL
                   and bool(region.contains(axis[[0, -1], None]).all()))
@@ -241,6 +270,40 @@ def _grid_chunks(region: Region, step: float,
     yield from chunks(np.empty((1, 0), dtype=np.intp))
 
 
+def _grid_models(region: Region, step: float,
+                 symmetry: _Symmetry) -> Iterator[np.ndarray]:
+    """The model matrix of _grid_chunks' domain, one read-only chunk per
+    chunk of points; the points are its columns 1..k.  Served from
+    _grid_cache when the domain is there, else expanded as it is streamed
+    and kept when its bytes fit in _GRID_CACHE_BYTES, evicting the least
+    recently used domains until the cache fits again."""
+    key = (region, step, symmetry)
+    with _grid_lock:
+        cached = _grid_cache.get(key)
+        if cached is not None:
+            _grid_cache.move_to_end(key)
+    if cached is not None:
+        yield from cached
+        return
+    kept: list[np.ndarray] | None = []
+    size = 0
+    for pts in _grid_chunks(region, step, symmetry):
+        F = expand_points(pts)
+        F.flags.writeable = False
+        size += F.nbytes
+        if kept is not None:
+            kept.append(F)
+            if size > _GRID_CACHE_BYTES:
+                kept = None
+        yield F
+    if kept is not None:
+        with _grid_lock:
+            _grid_cache[key] = tuple(kept)
+            while sum(F.nbytes for chunks in _grid_cache.values()
+                      for F in chunks) > _GRID_CACHE_BYTES:
+                _grid_cache.popitem(last=False)
+
+
 def g_max(design: Design, region: Region,
           grid_step: float | None = None) -> tuple[float, tuple[float, ...]]:
     """Maximum SPV over the evaluation set and its location.
@@ -270,34 +333,41 @@ def g_max(design: Design, region: Region,
     k=5, alpha=1, step 0.2 the full design's location is (0 0 1 1 1), not
     (-1 -1 -1 0 0).
 
+    The domain depends only on (region, grid_step, symmetry), so every
+    design with the same symmetry, at any alpha, shares it: its model matrix
+    is expanded once per process and kept in _grid_cache, within a budget
+    of _GRID_CACHE_BYTES (32 MiB) with the least recently used domain evicted
+    first; a larger domain is expanded chunk by chunk on every search.  Each
+    chunk then costs one product with (X'X)^{-1} and one row sum
+    (_spv_rows, the kernel spv_many uses).
+
     The result is kept in the (immutable) design's __dict__ per (region,
     grid_step), as information_inverse keeps the inverse, so each design
     is searched once per region and step.
     """
-    if grid_step is not None and not (math.isfinite(grid_step) and grid_step > 0):
-        raise ValueError("grid_step must be finite and > 0")
+    if grid_step is not None:
+        _grid_half_width(region, grid_step, design.k)
     memo = design.__dict__.setdefault("_g_max", {})
     if (region, grid_step) in memo:
         return memo[region, grid_step]
     best_val = -math.inf
     best_loc: tuple[float, ...] = ()
 
-    def consider(pts: np.ndarray) -> None:
+    def consider(F: np.ndarray) -> None:
+        """Fold in the points whose model rows are the rows of F."""
         nonlocal best_val, best_loc
-        if not len(pts):
-            return
-        vals = spv_many(design, pts)
+        vals = _spv_rows(design, F)
         top = float(vals.max())
         if top > best_val * (1 + _G_TIE_RTOL):
             i = int(np.argmax(vals >= top * (1 - _G_TIE_RTOL)))
-            best_loc = tuple(float(c) for c in pts[i])
+            best_loc = tuple(float(c) for c in F[i, 1:1 + design.k])
         best_val = max(best_val, top)
 
-    consider(design.coords)
-    consider(canonical_probe_points(design))
+    consider(model_matrix(design))
+    consider(expand_points(canonical_probe_points(design)))
     if grid_step is not None:
-        for chunk in _grid_chunks(region, grid_step, _symmetry(design)):
-            consider(chunk)
+        for F in _grid_models(region, grid_step, _symmetry(design)):
+            consider(F)
     memo[region, grid_step] = best_val, best_loc
     return memo[region, grid_step]
 

@@ -78,12 +78,8 @@ class Design:
         return np.flatnonzero(self.classes == point_class)
 
 
-def gen_ccd(k: int, alpha: float, n0: int) -> Design:
-    """Build a full central composite design.
-
-    Raises ValueError for k < 2 (the interaction term degenerates) or
-    k > 12, alpha that is not finite and > 0, or n0 < 1.
-    """
+def _check_ccd_args(k: int, alpha: float, n0: int) -> None:
+    """The ValueError gen_ccd raises for its arguments, if any."""
     if not 2 <= k <= _MAX_K:
         raise ValueError(f"k must be in [2, {_MAX_K}], got {k}")
     if not (math.isfinite(alpha) and alpha > 0):
@@ -91,6 +87,14 @@ def gen_ccd(k: int, alpha: float, n0: int) -> Design:
     if n0 < 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
 
+
+def gen_ccd(k: int, alpha: float, n0: int) -> Design:
+    """Build a full central composite design.
+
+    Raises ValueError for k < 2 (the interaction term degenerates) or
+    k > 12, alpha that is not finite and > 0, or n0 < 1.
+    """
+    _check_ccd_args(k, alpha, n0)
     nf = 2 ** k
     coords = np.zeros((nf + 2 * k + n0, k))
     # factorial row i has level +1 on axis j where bit k-1-j of i is set

@@ -1,6 +1,8 @@
+from collections import OrderedDict
+
 import pytest
 
-from ccdrobust import linalg
+from ccdrobust import criteria, linalg
 
 
 @pytest.fixture
@@ -15,3 +17,11 @@ def invert_calls(monkeypatch):
 
     monkeypatch.setattr(linalg, "invert", counting)
     return calls
+
+
+@pytest.fixture
+def grid_cache(monkeypatch):
+    """An empty G-grid domain cache for the test; the process's own cache is
+    restored after it."""
+    monkeypatch.setattr(criteria, "_grid_cache", OrderedDict())
+    return criteria._grid_cache

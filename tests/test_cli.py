@@ -76,6 +76,28 @@ def test_out_under_existing_file_exits_1_naming_it(command, tmp_path, monkeypatc
     assert file.read_text() == "kept\n"
 
 
+_REJECTED_SWEEPS = [
+    (["--grid-step", "-1"], "grid_step must be finite and > 0"),
+    (["--k", "5", "--grid-step", "0.001"], "use a coarser grid step"),
+    (["--n0", "0"], "n0 must be >= 1, got 0"),
+    (["--k", "13", "--alphas", "1"], "k must be in [2, 12], got 13"),
+    (["--k", "1", "--alphas", "1"], "k must be in [2, 12], got 1"),
+    (["--alphas", "0,1"], "alpha must be finite and > 0, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["plot", "--metric", "loss"]],
+                         ids=["sweep", "plot"])
+@pytest.mark.parametrize("args, message", _REJECTED_SWEEPS,
+                         ids=[" ".join(args) for args, _ in _REJECTED_SWEEPS])
+def test_rejected_sweep_creates_no_out_directory(command, args, message, tmp_path,
+                                                 capsys):
+    out = tmp_path / "out"
+    assert main(command + args + ["--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 _IGNORED_FLAGS = [
     ("generate", "--region", "sphere"), ("generate", "--region-size", "2"),
     ("generate", "--grid-step", "0.5"), ("verify", "--k", "9"),
@@ -132,15 +154,16 @@ class TestSweep:
 
     def test_one_grid_search_per_distinct_design(self, tmp_path, monkeypatch):
         # the criteria rows reuse the G search the sweep made of each full
-        # design: 8 alphas x 4 designs, not 8 x 5
+        # design: 8 alphas x 4 designs, not 8 x 5; counted per search, as
+        # the grid domain itself is built once (TestGridCache)
         calls = [0]
-        real = criteria._grid_chunks
+        real = criteria._grid_models
 
         def counting(*args, **kwargs):
             calls[0] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(criteria, "_grid_chunks", counting)
+        monkeypatch.setattr(criteria, "_grid_models", counting)
         assert main(["sweep", "--k", "3", "--grid-step", "0.5",
                      "--out", str(tmp_path)]) == 0
         assert calls[0] == 32

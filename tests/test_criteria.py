@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccdrobust import criteria
-from ccdrobust.cli import DEFAULT_ALPHAS
+from ccdrobust.cli import DEFAULT_ALPHAS, main
 from ccdrobust.criteria import (
     Region,
     RegionShape,
@@ -149,7 +151,7 @@ class TestGMax:
         def no_search(*args, **kwargs):
             raise AssertionError("searched again")
 
-        monkeypatch.setattr(criteria, "spv_many", no_search)
+        monkeypatch.setattr(criteria, "_spv_rows", no_search)
         assert g_max(d, Region(RegionShape.CUBOIDAL, 1.0), grid_step=0.5) is first
         assert g_efficiency(d, CUBE1, grid_step=0.5) == num_params(3) / first[0]
         for design, step in ((d, 0.25), (gen_ccd(3, 1.5, 4), 0.5)):
@@ -276,15 +278,16 @@ class TestReducedGSearch:
         assert spv(gen_ccd(5, 1.0, 4), (-1, -1, -1, 0, 0)) == pytest.approx(val, rel=1e-12)
 
     def test_domain_sizes(self, monkeypatch):
-        # points handed to spv_many: the design rows, 3 probes, then the grid
+        # rows handed to the SPV kernel: the design rows, 3 probes, then the
+        # grid, whether its domain is expanded now or was cached
         counts = []
-        real = criteria.spv_many
+        real = criteria._spv_rows
 
-        def counting(design, pts):
-            counts[-1] += len(pts)
-            return real(design, pts)
+        def counting(design, F):
+            counts[-1] += len(F)
+            return real(design, F)
 
-        monkeypatch.setattr(criteria, "spv_many", counting)
+        monkeypatch.setattr(criteria, "_spv_rows", counting)
         full = gen_ccd(5, 1.5, 4)
         rng = np.random.default_rng(0)
         designs = {"full": (full, 126),
@@ -395,6 +398,127 @@ class TestGridChunks:
     def test_fundamental_domain_keeps_the_size_guard(self):
         with pytest.raises(ValueError, match="coarser grid step"):
             next(_grid_chunks(CUBE1, 0.001, ((0, 1, 2, 3, 4), ((0, 1, 2, 3, 4),))))
+
+
+class TestGridCache:
+    def test_sweep_builds_each_domain_once(self, grid_cache, tmp_path, monkeypatch):
+        built = []
+        real = criteria._grid_chunks
+
+        def recording(region, step, symmetry, *args, **kwargs):
+            built.append((region, step, symmetry))
+            return real(region, step, symmetry, *args, **kwargs)
+
+        monkeypatch.setattr(criteria, "_grid_chunks", recording)
+        assert main(["sweep", "--k", "3", "--grid-step", "0.5",
+                     "--out", str(tmp_path)]) == 0
+        # full and center-deleted designs share a symmetry at every alpha
+        symmetries = {_symmetry(d) for alpha in DEFAULT_ALPHAS[3]
+                      for full in [gen_ccd(3, alpha, 4)]
+                      for d in [full] + [_deleted(full, cls) for cls in PointClass]}
+        assert len(symmetries) == 3
+        assert sorted(built, key=repr) == sorted(
+            ((CUBE1, 0.5, sym) for sym in symmetries), key=repr)
+        assert set(grid_cache) == set(built)
+
+    def test_cached_arrays_are_read_only(self, grid_cache):
+        g_max(gen_ccd(3, 1.5, 4), CUBE1, grid_step=0.25)
+        (chunks,) = grid_cache.values()
+        for F in chunks:
+            assert not F.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                F[0, 0] = 2.0
+
+    def test_domain_over_budget_streams_and_is_not_kept(self, grid_cache, monkeypatch):
+        # the k=3 full domain at step 0.25 is 35 points x 10 columns x 8 bytes
+        monkeypatch.setattr(criteria, "_GRID_CACHE_BYTES", 35 * 10 * 8 - 1)
+        built = []
+        real = criteria._grid_chunks
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(criteria, "_grid_chunks", counting)
+        first = g_max(gen_ccd(3, 1.5, 4), CUBE1, grid_step=0.25)
+        assert not grid_cache
+        assert g_max(gen_ccd(3, 1.5, 4), CUBE1, grid_step=0.25) == first
+        assert len(built) == 2 and not grid_cache
+
+    def test_least_recently_used_domain_is_evicted(self, grid_cache, monkeypatch):
+        # k=3 domains at step 0.5: full 10 points, axial 30, factorial 35,
+        # each 80 bytes a point; room for 62 points
+        monkeypatch.setattr(criteria, "_GRID_CACHE_BYTES", 5000)
+        full = gen_ccd(3, 1.5, 4)
+        designs = [full] + [_deleted(full, cls)
+                            for cls in (PointClass.AXIAL, PointClass.FACTORIAL)]
+        keys = [(CUBE1, 0.5, _symmetry(d)) for d in designs]
+        g_max(designs[0], CUBE1, grid_step=0.5)
+        g_max(designs[1], CUBE1, grid_step=0.5)
+        assert list(grid_cache) == keys[:2]
+        g_max(gen_ccd(3, 2.0, 4), CUBE1, grid_step=0.5)  # uses keys[0] again
+        assert list(grid_cache) == [keys[1], keys[0]]
+        g_max(designs[2], CUBE1, grid_step=0.5)
+        assert list(grid_cache) == [keys[0], keys[2]]
+        assert sum(F.nbytes for chunks in grid_cache.values() for F in chunks) <= 5000
+
+    def test_threads_share_the_cache(self, grid_cache, monkeypatch):
+        # more threads than cores and a short switch interval; room for two
+        # of the three k=3 domains, so lookups race with evictions
+        monkeypatch.setattr(criteria, "_GRID_CACHE_BYTES", 5000)
+
+        def searches():
+            full = gen_ccd(3, 1.5, 4)
+            return [g_max(d, CUBE1, grid_step=0.5)
+                    for d in [full] + [_deleted(full, cls) for cls in PointClass]]
+
+        want = searches()
+        results, errors = [], []
+
+        def worker():
+            try:
+                for _ in range(25):
+                    results.append(searches())
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == 8 * 25 and all(r == want for r in results)
+        assert sum(F.nbytes for chunks in grid_cache.values() for F in chunks) <= 5000
+
+    @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_cold_and_warm_cache_agree_bit_for_bit(self, grid_cache, monkeypatch,
+                                                   shape, k):
+        region = Region(shape, 1.0 if shape is RegionShape.CUBOIDAL else math.sqrt(k))
+
+        def searches():
+            full = gen_ccd(k, 1.5, 4)
+            return [g_max(d, region, grid_step=0.25)
+                    for d in [full] + [_deleted(full, cls) for cls in PointClass]]
+
+        cold = searches()
+        assert grid_cache
+        monkeypatch.setattr(criteria, "_grid_chunks", None)  # every domain is cached
+        warm = searches()
+        monkeypatch.undo()
+        monkeypatch.setattr(criteria, "_GRID_CACHE_BYTES", 0)
+        grid_cache.clear()
+        streamed = searches()
+        assert not grid_cache
+        # repr round-trips a float exactly, the sign of a zero included
+        assert repr(cold) == repr(warm) == repr(streamed)
 
 
 class TestGEfficiency:

@@ -213,15 +213,16 @@ class TestScenarioSweep:
         assert all(a > b for a, b in zip(traces, traces[1:]))
 
     def test_one_g_search_per_design(self, monkeypatch):
-        # per alpha: the full design once, then each of the 3 residuals
+        # per alpha: the full design once, then each of the 3 residuals;
+        # counted per search, as the grid domain itself is built once
         calls = [0]
-        real = criteria._grid_chunks
+        real = criteria._grid_models
 
         def counting(*args, **kwargs):
             calls[0] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(criteria, "_grid_chunks", counting)
+        monkeypatch.setattr(criteria, "_grid_models", counting)
         reports = scenario_sweep(3, 4, [1.0, 1.681], CUBE1, grid_step=0.5)
         assert calls[0] == 2 * 4
         for rep in reports:
