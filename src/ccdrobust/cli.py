@@ -21,7 +21,7 @@ from pathlib import Path
 from .criteria import (CriteriaReport, Region, RegionShape, _grid_half_width,
                        criteria_report)
 from .design import PointClass, _check_ccd_args, design_to_csv, gen_ccd
-from .fixtures import LOSS_TABLES, SPV_TABLES
+from .fixtures import ANNOTATIONS, LOSS_TABLES, SPV_TABLES
 from .linalg import SingularMatrixError
 from .missing import LossReport, scenario_sweep
 from .svgplot import line_chart
@@ -37,7 +37,10 @@ DEFAULT_ALPHAS = {
     5: [1.0, 1.5, 2.236, 2.378, 2.5, 2.75, 3.0],
 }
 
-_METRICS = ("loss", "re_g", "re_v")
+# Each LossReport metric, by the name --metric takes, with its plot label.
+_METRICS = {"loss": "loss in precision",
+            "re_g": "relative G-efficiency",
+            "re_v": "relative V-efficiency"}
 
 
 def _fmt(value) -> str:
@@ -109,40 +112,22 @@ def _write(path: Path | None, text: str) -> None:
         path.write_text(text)
 
 
-def _loss_wide_csv(reports: list[LossReport]) -> str:
+def _csv(header, rows) -> str:
+    """A CSV table: the header row, then each of rows, every cell through _fmt."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(LossReport.FIELDS)
-    for rep in reports:
-        w.writerow([_fmt(getattr(rep, f)) for f in LossReport.FIELDS])
+    w.writerow(header)
+    w.writerows([_fmt(value) for value in row] for row in rows)
     return buf.getvalue()
 
 
 def _loss_long_csv(k: int, reports: list[LossReport]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["k", "alpha", "missing_class", "metric", "value"])
+    rows = []
     for rep in reports:
-        w.writerow([k, _fmt(rep.alpha), "none", "a_trace", _fmt(rep.a_full)])
-        for cls in PointClass:
-            for metric in _METRICS:
-                value = getattr(rep, f"{metric}_{cls.value}")
-                w.writerow([k, _fmt(rep.alpha), cls.value, metric, _fmt(value)])
-    return buf.getvalue()
-
-
-def _criteria_csv(reports: list[dict]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CriteriaReport.FIELDS)
-    for d in reports:
-        w.writerow([_fmt(d[f]) for f in CriteriaReport.FIELDS])
-    return buf.getvalue()
-
-
-def _criteria_json(reports: list[dict]) -> str:
-    import json
-    return json.dumps(reports, indent=2) + "\n"
+        rows.append([k, rep.alpha, "none", "a_trace", rep.a_full])
+        rows += [[k, rep.alpha, cls.value, metric, getattr(rep, f"{metric}_{cls.value}")]
+                 for cls in PointClass for metric in _METRICS]
+    return _csv(("k", "alpha", "missing_class", "metric", "value"), rows)
 
 
 def cmd_generate(args) -> int:
@@ -174,10 +159,13 @@ def cmd_sweep(args) -> int:
     region, outdir, reports = _sweep_from_args(args)
     crit = [criteria_report(rep.full, region, args.grid_step).as_dict()
             for rep in reports]
-    _write(outdir / f"loss_k{args.k}.csv", _loss_wide_csv(reports))
+    _write(outdir / f"loss_k{args.k}.csv", _csv(
+        LossReport.FIELDS, ([getattr(rep, f) for f in LossReport.FIELDS] for rep in reports)))
     _write(outdir / f"loss_k{args.k}_long.csv", _loss_long_csv(args.k, reports))
-    _write(outdir / f"criteria_k{args.k}.csv", _criteria_csv(crit))
-    _write(outdir / f"criteria_k{args.k}.json", _criteria_json(crit))
+    _write(outdir / f"criteria_k{args.k}.csv", _csv(
+        CriteriaReport.FIELDS, ([d[f] for f in CriteriaReport.FIELDS] for d in crit)))
+    import json
+    _write(outdir / f"criteria_k{args.k}.json", json.dumps(crit, indent=2) + "\n")
     for rep in reports:
         for tag in rep.inestimable:
             print(f"note: alpha={rep.alpha:g} missing={tag}: inestimable",
@@ -209,8 +197,8 @@ def cmd_verify(args) -> int:
     print(f"V-region calibration: {cal.verdict}")
     for name, err in sorted(cal.max_rel_error.items()):
         print(f"  {name}: max relative error {err:.4f}")
-    for note in cal.notes:
-        print(f"  note: {note}")
+    for table, alpha, missing, text in ANNOTATIONS:
+        print(f"  note: {table}/{alpha}/{missing}: {text}")
     scale, devs = resolve_spv_scale()
     print(f"residual SPV scaling resolved to: {scale} "
           f"(mean |dev| residual={devs['residual']:.4f}, full={devs['full']:.4f})")
@@ -228,11 +216,8 @@ def cmd_plot(args) -> int:
                 xs.append(rep.alpha)
                 ys.append(value)
         series.append((f"missing {cls.value}", xs, ys))
-    labels = {"loss": "loss in precision",
-              "re_g": "relative G-efficiency",
-              "re_v": "relative V-efficiency"}
-    svg = line_chart(series, f"k={args.k} CCD, {labels[args.metric]}",
-                     "axial distance alpha", labels[args.metric])
+    label = _METRICS[args.metric]
+    svg = line_chart(series, f"k={args.k} CCD, {label}", "axial distance alpha", label)
     _write(outdir / f"{args.metric}_k{args.k}.svg", svg)
     _write(outdir / f"{args.metric}_k{args.k}_long.csv",
            _loss_long_csv(args.k, reports))
@@ -253,7 +238,7 @@ _OPTIONS = {
     "--grid-step": dict(type=_finite,
                         help="G-max evaluation grid spacing; omit to use "
                              "design+probe points only"),
-    "--metric": dict(choices=_METRICS),
+    "--metric": dict(choices=tuple(_METRICS)),
     "--out": dict(help="file (generate) or directory (sweep, plot) to write; "
                        "verify accepts it and writes only to stdout"),
     "tables": dict(nargs="*", help="table ids, e.g. 1a 2b (default: all)"),
@@ -292,8 +277,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         dests = commands[p] = set()
+        # --alpha or --alphas, where a command takes both
+        alpha = p.add_mutually_exclusive_group() if "--alphas" in flags else p
         for flag in flags:
-            dest = p.add_argument(flag, **_OPTIONS[flag]).dest
+            target = alpha if flag in ("--alpha", "--alphas") else p
+            dest = target.add_argument(flag, **_OPTIONS[flag]).dest
             if flag.startswith("--"):  # positionals are not config keys
                 dests.add(dest)
     return parser, commands
@@ -321,6 +309,10 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"config error: {key} must be one of {list(choices)}, "
                       f"got {value!r}", file=sys.stderr)
                 return 1
+        # An explicit --alpha or --alphas (this parse saw no config) replaces both.
+        flags = vars(args)
+        if flags.get("alpha") is not None or flags.get("alphas") is not None:
+            config = {key: v for key, v in config.items() if key not in ("alpha", "alphas")}
         # Re-parse with config values as defaults; explicit flags win, and
         # argparse converts string defaults through each option's type.
         for p, dests in commands.items():

@@ -124,9 +124,11 @@ def probe_spv(design: Design) -> tuple[float, float, float]:
 
 
 # g_max: the largest grid (points in the region's bounding box) it accepts,
-# and the relative spread below which two SPVs tie (symmetric points of a
-# design agree to ~1e-15; distinct values differ by >= 1e-4).
+# the most grid points _grid_chunks yields at once, and the relative spread
+# below which two SPVs tie (symmetric points of a design agree to ~1e-15;
+# distinct values differ by >= 1e-4).
 _MAX_GRID_POINTS = 10 ** 8
+_GRID_CHUNK_ROWS = 200_000
 _G_TIE_RTOL = 1e-12
 
 # g_max's grid domains, kept for the life of the process: each domain's
@@ -186,13 +188,19 @@ def _symmetry(design: Design) -> _Symmetry:
 
 
 def _grid_half_width(region: Region, step: float, k: int) -> int:
-    """n1, the largest axis index of the k-dimensional G grid at this step,
-    whose axis values are -n1*step .. n1*step.  Raises ValueError, before
-    anything is allocated, for a step that is not finite and > 0 or a box of
-    more than _MAX_GRID_POINTS points."""
+    """n1, the largest index whose axis value n1*step Region.contains accepts:
+    the k-dimensional G grid at this step has the axis values -n1*step ..
+    n1*step, so a cube's grid lies in the cube by construction.  Raises
+    ValueError, before anything is allocated, for a step that is not finite
+    and > 0 or a box of more than _MAX_GRID_POINTS points."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError("grid_step must be finite and > 0")
-    n1 = int(min(region.size / step + 1e-9, _MAX_GRID_POINTS))  # no int(inf)
+    n1 = int(min(region.size / step, _MAX_GRID_POINTS))  # no int(inf)
+    while n1 > 0 and not region.contains(np.array([[n1 * step]]))[0]:
+        n1 -= 1
+    while ((2 * n1 + 3) ** k <= _MAX_GRID_POINTS  # else refused below
+           and region.contains(np.array([[(n1 + 1) * step]]))[0]):
+        n1 += 1
     if (2 * n1 + 1) ** k > _MAX_GRID_POINTS:
         raise ValueError(f"G grid at step {step:g} has more than "
                          f"{_MAX_GRID_POINTS:.0e} points; use a coarser grid step")
@@ -200,35 +208,28 @@ def _grid_half_width(region: Region, step: float, k: int) -> int:
 
 
 def _grid_chunks(region: Region, step: float,
-                 symmetry: _Symmetry,
-                 chunk_rows: int = 200_000) -> Iterator[np.ndarray]:
+                 symmetry: _Symmetry) -> Iterator[np.ndarray]:
     """Regular grid points at the given step in the region, in C order and
-    in chunks of at most chunk_rows points, over the fundamental domain of
-    a symmetry (flips, blocks) as _symmetry returns it: x_j >= 0 on each
-    flip-invariant axis, and non-decreasing coordinates within each block.
-    With no flips and one block per axis that is the whole bounding box.  A
-    box of more than _MAX_GRID_POINTS points raises ValueError before
-    anything is allocated, whatever the domain (_grid_half_width).  g_max
-    reads a domain through _grid_models, which expands it once per process.
+    in chunks of at most _GRID_CHUNK_ROWS points, over the fundamental
+    domain of a symmetry (flips, blocks) as _symmetry returns it: x_j >= 0
+    on each flip-invariant axis, and non-decreasing coordinates within each
+    block.  With no flips and one block per axis that is the whole bounding
+    box, whose edge and size check, whatever the domain, are
+    _grid_half_width's.  g_max reads a domain through _grid_models, which
+    expands it once per process.
 
     The domain is the product over the blocks of each block's
     non-decreasing index tuples.  It is built axis by axis, so that C order
     holds also when a block's axes are not adjacent: the prefixes of the
     first j axes are split into runs whose next axis adds at most
-    chunk_rows rows, and each run is extended by that axis in turn.
-
-    A point is in a cube exactly when each of its coordinates is, and every
-    coordinate is drawn from one axis vector.  So when both extreme axis
-    values +-n1*step pass Region.contains, every grid point is in the cube
-    and none is tested.  Otherwise (an extreme just past the cube's
-    tolerance), and always for a ball, each point is tested.
+    _GRID_CHUNK_ROWS rows, and each run is extended by that axis in turn.
+    A cube's grid lies in the cube and is never filtered; a ball's points
+    are each tested.
     """
     flips, blocks = symmetry
     k = sum(len(block) for block in blocks)
     n1 = _grid_half_width(region, step, k)
     axis = np.arange(-n1, n1 + 1, dtype=float) * step
-    all_inside = (region.shape is RegionShape.CUBOIDAL
-                  and bool(region.contains(axis[[0, -1], None]).all()))
     top = 2 * n1  # the largest axis index; index n1 is x = 0
     low = [n1 if j in flips else 0 for j in range(k)]
     prev = [-1] * k  # the previous axis of the same block
@@ -252,9 +253,9 @@ def _grid_chunks(region: Region, step: float,
 
     def chunks(P: np.ndarray) -> Iterator[np.ndarray]:
         if P.shape[1] == k:
-            for i in range(0, len(P), chunk_rows):
-                pts = axis[P[i:i + chunk_rows]]
-                if not all_inside:
+            for i in range(0, len(P), _GRID_CHUNK_ROWS):
+                pts = axis[P[i:i + _GRID_CHUNK_ROWS]]
+                if region.shape is RegionShape.SPHERICAL:
                     pts = pts[region.contains(pts)]
                 if pts.size:
                     yield pts
@@ -263,7 +264,7 @@ def _grid_chunks(region: Region, step: float,
         i = 0
         while i < len(P):
             stop = max(i + 1, int(np.searchsorted(
-                ends, (ends[i - 1] if i else 0) + chunk_rows, side="right")))
+                ends, (ends[i - 1] if i else 0) + _GRID_CHUNK_ROWS, side="right")))
             yield from chunks(extend(P[i:stop]))
             i = stop
 
@@ -343,10 +344,9 @@ def g_max(design: Design, region: Region,
 
     The result is kept in the (immutable) design's __dict__ per (region,
     grid_step), as information_inverse keeps the inverse, so each design
-    is searched once per region and step.
+    is searched once per region and step.  A bad step raises ValueError
+    where its grid is built (_grid_half_width), so nothing is kept for it.
     """
-    if grid_step is not None:
-        _grid_half_width(region, grid_step, design.k)
     memo = design.__dict__.setdefault("_g_max", {})
     if (region, grid_step) in memo:
         return memo[region, grid_step]
@@ -443,9 +443,14 @@ def sphere_points(k: int, radius: float, n: int) -> np.ndarray:
     """n deterministic, well-spread points on the sphere of the given
     radius: Halton sequence mapped through the Gaussian quantile and
     normalized (equal angular spacing for k = 2).  The Halton bases are
-    the first len(_PRIMES) primes, which bounds k."""
-    if k > len(_PRIMES):
-        raise ValueError(f"sphere_points supports k <= {len(_PRIMES)}, got {k}")
+    the first len(_PRIMES) primes, which bounds k.  Raises ValueError for
+    k < 2, n < 1, or a radius that is not finite and > 0."""
+    if not 2 <= k <= len(_PRIMES):
+        raise ValueError(f"sphere_points supports 2 <= k <= {len(_PRIMES)}, got {k}")
+    if n < 1:
+        raise ValueError(f"sphere_points needs n >= 1, got {n}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     return radius * _unit_sphere_points(k, n)
 
 
@@ -468,8 +473,6 @@ def _unit_sphere_points(k: int, n: int) -> np.ndarray:
 def rotatability_index(design: Design, radius: float) -> float:
     """Standard deviation of SPV over 200 points on the sphere of the given
     radius; ~0 iff the design is rotatable at that radius."""
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and > 0, got {radius}")
     vals = spv_many(design, sphere_points(design.k, radius, 200))
     return float(np.std(vals))
 

@@ -10,6 +10,7 @@ fixed order keeps serialized matrices comparable.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import combinations
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from .design import Design
 
 __all__ = [
     "num_params",
-    "interaction_pairs",
     "expand_point",
     "expand_points",
     "model_matrix",
@@ -27,11 +27,6 @@ __all__ = [
 def num_params(k: int) -> int:
     """Parameter count p = 1 + 2k + k(k-1)/2 = (k+1)(k+2)/2."""
     return (k + 1) * (k + 2) // 2
-
-
-def interaction_pairs(k: int) -> list[tuple[int, int]]:
-    """Zero-based factor index pairs (i, j), i < j, lexicographic."""
-    return [(i, j) for i in range(k) for j in range(i + 1, k)]
 
 
 def expand_point(x: Sequence[float]) -> np.ndarray:
@@ -51,7 +46,7 @@ def expand_points(pts: np.ndarray) -> np.ndarray:
     F[:, 0] = 1.0
     F[:, 1:1 + k] = pts
     np.multiply(pts, pts, out=F[:, 1 + k:1 + 2 * k])
-    for col, (i, j) in enumerate(interaction_pairs(k), start=1 + 2 * k):
+    for col, (i, j) in enumerate(combinations(range(k), 2), start=1 + 2 * k):
         np.multiply(pts[:, i], pts[:, j], out=F[:, col])
     return F
 

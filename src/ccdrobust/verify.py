@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .criteria import (Region, RegionShape, _v_from_moments, a_trace, probe_spv,
                        region_moments, v_avg)
 from .design import Design, PointClass, gen_ccd
-from .fixtures import ANNOTATIONS, LOSS_TABLES, SPV_TABLES, ulp_tolerance
+from .fixtures import LOSS_TABLES, SPV_TABLES, ulp_tolerance
 from .missing import delete_rows, loss_precision
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "verify_tables",
     "calibrate_v_region",
     "resolve_spv_scale",
-    "V_CANDIDATE_REGIONS",
 ]
 
 @dataclass
@@ -165,17 +164,12 @@ def verify_tables(tids: list[str] | None = None) -> list[CellCheck]:
     return checks
 
 
-V_CANDIDATE_REGIONS = ("cuboidal(1)", "cuboidal(alpha)",
-                       "spherical(1)", "spherical(alpha)")
-
-
 @dataclass
 class CalibrationResult:
     """Outcome of matching the k=2 V column against candidate regions."""
 
     matched: str | None               # convention name, or None if unreconciled
     max_rel_error: dict[str, float]   # per candidate, worst relative error
-    notes: list[str]
 
     @property
     def verdict(self) -> str:
@@ -184,28 +178,24 @@ class CalibrationResult:
 
 def calibrate_v_region() -> CalibrationResult:
     """Identify which region convention reproduces the k=2 full-design V
-    column, trying the unit/alpha-sized cube and sphere: the closest one,
-    if its worst relative error is at most 2%."""
+    column, trying each region shape at size 1 and at size alpha, named
+    "cuboidal(1)" .. "spherical(alpha)": the closest one, if its worst
+    relative error is at most 2%."""
     spec = SPV_TABLES["1b"]
     rows = [(float(a), float(v)) for a, miss, *_rest, v in spec["rows"]
             if miss == "none"]
-    errs = {name: 0.0 for name in V_CANDIDATE_REGIONS}
+    errs: dict[str, float] = {}
     for alpha, target in rows:
         full = _fixture_design(spec["k"], alpha, spec["n0"], "none")
-        cands = {
-            "cuboidal(1)": Region(RegionShape.CUBOIDAL, 1.0),
-            "cuboidal(alpha)": Region(RegionShape.CUBOIDAL, alpha),
-            "spherical(1)": Region(RegionShape.SPHERICAL, 1.0),
-            "spherical(alpha)": Region(RegionShape.SPHERICAL, alpha),
-        }
-        for name, region in cands.items():
-            rel = abs(v_avg(full, region) - target) / target
-            errs[name] = max(errs[name], rel)
+        for shape in RegionShape:
+            for label, size in (("1", 1.0), ("alpha", alpha)):
+                name = f"{shape.value}({label})"
+                rel = abs(v_avg(full, Region(shape, size)) - target) / target
+                errs[name] = max(errs.get(name, 0.0), rel)
     matched = min(errs, key=errs.get)
     if errs[matched] > 0.02:
         matched = None
-    notes = [f"{t}/{a}/{m}: {txt}" for t, a, m, txt in ANNOTATIONS]
-    return CalibrationResult(matched=matched, max_rel_error=errs, notes=notes)
+    return CalibrationResult(matched=matched, max_rel_error=errs)
 
 
 def resolve_spv_scale() -> tuple[str, dict[str, float]]:

@@ -17,7 +17,7 @@ from ccdrobust import cli, criteria, linalg, missing, verify
 from ccdrobust.cli import main
 from ccdrobust.criteria import a_trace
 from ccdrobust.design import PointClass, gen_ccd
-from ccdrobust.fixtures import LOSS_TABLES
+from ccdrobust.fixtures import ANNOTATIONS, LOSS_TABLES
 from ccdrobust.missing import delete_rows
 from ccdrobust.svgplot import line_chart
 from ccdrobust.verify import (
@@ -239,6 +239,12 @@ class TestVerify:
     def test_unknown_table(self, capsys):
         assert main(["verify", "bogus"]) == 1
 
+    def test_prints_each_annotation(self, capsys):
+        main(["verify", "1b"])
+        notes = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  note: ")]
+        assert notes == [f"  note: {t}/{a}/{m}: {text}" for t, a, m, text in ANNOTATIONS]
+
     def test_repeated_table_checked_once(self, capsys):
         assert main(["verify", "1b", "1b"]) == 2
         assert "gated cells: 78/80 pass" in capsys.readouterr().out.splitlines()
@@ -298,6 +304,8 @@ class TestCalibration:
     def test_verdict_is_unit_cube(self):
         cal = calibrate_v_region()
         assert cal.verdict == "cuboidal(1)"
+        assert list(cal.max_rel_error) == ["cuboidal(1)", "cuboidal(alpha)",
+                                           "spherical(1)", "spherical(alpha)"]
         assert cal.max_rel_error["cuboidal(1)"] < 0.02
         # every other candidate misses by far more
         assert all(err > 0.05 for name, err in cal.max_rel_error.items()
@@ -400,6 +408,47 @@ class TestConfigFile:
         cfg.write_text("alphas=1.0,nan\n")
         assert main(["--config", str(cfg), "sweep", "--out", str(tmp_path)]) == 1
         assert "argument --alphas" in capsys.readouterr().err
+
+
+def _swept_alphas(out):
+    """The alphas of the long CSV that `sweep` and `plot --metric loss` write."""
+    rows = csv.DictReader(io.StringIO((out / "loss_k2_long.csv").read_text()))
+    return sorted({float(r["alpha"]) for r in rows})
+
+
+_ALPHA_COMMANDS = {"sweep": ["sweep", "--k", "2"],
+                   "plot": ["plot", "--k", "2", "--metric", "loss"]}
+
+
+class TestAlphaPrecedence:
+    @pytest.mark.parametrize("command", list(_ALPHA_COMMANDS))
+    def test_both_flags_exit_1(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(_ALPHA_COMMANDS[command] + ["--alpha", "2", "--alphas", "1,1.5",
+                                                "--out", str(out)]) == 1
+        assert ("argument --alphas: not allowed with argument --alpha"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(_ALPHA_COMMANDS))
+    @pytest.mark.parametrize("config", ["alphas=1,2", "alpha=2", "alpha=2\nalphas=1,2"])
+    @pytest.mark.parametrize("flags,want", [(["--alpha", "3"], [3.0]),
+                                            (["--alphas", "1.5,3"], [1.5, 3.0])])
+    def test_explicit_flag_overrides_both_config_keys(self, command, config, flags,
+                                                      want, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        assert main(["--config", str(cfg)] + _ALPHA_COMMANDS[command] + flags
+                    + ["--out", str(tmp_path)]) == 0
+        assert _swept_alphas(tmp_path) == want
+
+    @pytest.mark.parametrize("command", list(_ALPHA_COMMANDS))
+    def test_config_with_both_keys_sweeps_its_alphas(self, command, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=3\nalphas=1,2\n")
+        assert main(["--config", str(cfg)] + _ALPHA_COMMANDS[command]
+                    + ["--out", str(tmp_path)]) == 0
+        assert _swept_alphas(tmp_path) == [1.0, 2.0]
 
 
 class TestSvgChart:

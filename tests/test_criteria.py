@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import threading
 
@@ -14,6 +15,7 @@ from ccdrobust.criteria import (
     Region,
     RegionShape,
     _grid_chunks,
+    _grid_half_width,
     _symmetry,
     _unit_sphere_points,
     criteria_report,
@@ -217,11 +219,16 @@ def _box_symmetry(k):
 
 
 def _box_grid(region, k, step):
-    """The grid points of the region's bounding box in the region, in C order."""
-    n1 = int(region.size / step + 1e-9)
+    """The grid points of the region's bounding box in the region, in C order:
+    the axis reaches one index past size / step, and Region.contains filters."""
+    n1 = int(region.size / step) + 1
     axis = np.arange(-n1, n1 + 1, dtype=float) * step
     grid = np.array(list(itertools.product(axis, repeat=k)))
     return grid[region.contains(grid)]
+
+
+# 5 * step = 1 + 1e-10 is just outside the cube and the ball of size 1
+EDGE_STEP = 1 / (5 - 5e-10)
 
 
 class TestReducedGSearch:
@@ -271,6 +278,14 @@ class TestReducedGSearch:
         }[runs]
         self.assert_matches_brute_force(_without(gen_ccd(k, alpha, 2), *deleted),
                                         region, step)
+
+    @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
+    @pytest.mark.parametrize("deleted", [None, *PointClass])
+    def test_edge_step_matches_brute_force(self, shape, deleted):
+        d = gen_ccd(3, 1.7, 2)
+        if deleted is not None:
+            d = _deleted(d, deleted)
+        self.assert_matches_brute_force(d, Region(shape, 1.0), EDGE_STEP)
 
     def test_tied_grid_maximum_in_fundamental_domain(self):
         val, loc = g_max(gen_ccd(5, 1.0, 4), CUBE1, grid_step=0.2)
@@ -344,9 +359,10 @@ def test_symmetry_truth_table(design, want):
 
 class TestGridChunks:
     @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
-    def test_bounded_chunks_in_c_order(self, shape):
+    def test_bounded_chunks_in_c_order(self, shape, monkeypatch):
+        monkeypatch.setattr(criteria, "_GRID_CHUNK_ROWS", 100)
         region = Region(shape, 1.0)
-        chunks = list(_grid_chunks(region, 0.25, _box_symmetry(3), chunk_rows=100))
+        chunks = list(_grid_chunks(region, 0.25, _box_symmetry(3)))
         assert max(len(c) for c in chunks) <= 100
         assert np.array_equal(np.vstack(chunks), _box_grid(region, 3, 0.25))
 
@@ -361,9 +377,11 @@ class TestGridChunks:
     ], ids=["full-k2", "full-k3", "factorial-k5", "axial-k5",
             "non-adjacent-blocks-k5", "mixed-k4"])
     @pytest.mark.parametrize("chunk_rows", [1, 100])
-    def test_fundamental_domain_in_c_order(self, shape, symmetry, chunk_rows):
+    def test_fundamental_domain_in_c_order(self, shape, symmetry, chunk_rows,
+                                           monkeypatch):
+        monkeypatch.setattr(criteria, "_GRID_CHUNK_ROWS", chunk_rows)
         region = Region(shape, 1.0)
-        chunks = list(_grid_chunks(region, 0.25, symmetry, chunk_rows=chunk_rows))
+        chunks = list(_grid_chunks(region, 0.25, symmetry))
         assert max(len(c) for c in chunks) <= chunk_rows
         flips, blocks = symmetry
         box = _box_grid(region, sum(map(len, blocks)), 0.25)
@@ -373,27 +391,51 @@ class TestGridChunks:
         assert np.array_equal(np.vstack(chunks), box[keep])
 
     def test_cube_inside_grid_is_not_filtered(self, monkeypatch):
-        # only the two extreme axis values are tested against the cube
+        # Region.contains sees the axis values at n1 = 4 and n1 + 1 only,
+        # never a grid point of the cube
         tested = []
         real = Region.contains
 
-        def counting(self, pts):
-            tested.append(len(pts))
+        def recording(self, pts):
+            tested.append(np.asarray(pts).tolist())
             return real(self, pts)
 
-        monkeypatch.setattr(Region, "contains", counting)
-        chunks = list(_grid_chunks(CUBE1, 0.25, _box_symmetry(3), chunk_rows=100))
-        assert tested == [2]
+        monkeypatch.setattr(Region, "contains", recording)
+        monkeypatch.setattr(criteria, "_GRID_CHUNK_ROWS", 100)
+        chunks = list(_grid_chunks(CUBE1, 0.25, _box_symmetry(3)))
+        assert tested == [[[1.0]], [[1.25]]]
         monkeypatch.undo()
         assert np.array_equal(np.vstack(chunks), _box_grid(CUBE1, 3, 0.25))
 
     def test_cube_edge_past_the_tolerance_is_dropped(self):
-        # the extreme coordinate 5 * step = 1 + 1e-10 is outside the cube
-        step = 1 / (5 - 5e-10)
-        pts = np.vstack(list(_grid_chunks(CUBE1, step, _box_symmetry(3))))
+        assert _grid_half_width(CUBE1, EDGE_STEP, 3) == 4
+        pts = np.vstack(list(_grid_chunks(CUBE1, EDGE_STEP, _box_symmetry(3))))
         assert len(pts) == 9 ** 3
-        assert np.array_equal(pts, _box_grid(CUBE1, 3, step))
-        assert np.max(np.abs(pts)) == 4 * step
+        assert np.array_equal(pts, _box_grid(CUBE1, 3, EDGE_STEP))
+        assert np.max(np.abs(pts)) == 4 * EDGE_STEP
+
+    def test_ball_edge_past_the_tolerance_is_dropped(self):
+        ball = Region(RegionShape.SPHERICAL, 1.0)
+        assert _grid_half_width(ball, EDGE_STEP, 3) == 4
+        pts = np.vstack(list(_grid_chunks(ball, EDGE_STEP, _box_symmetry(3))))
+        assert np.array_equal(pts, _box_grid(ball, 3, EDGE_STEP))
+        assert np.max(np.abs(pts)) == 4 * EDGE_STEP
+
+    @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
+    @pytest.mark.parametrize("size,step", [
+        *itertools.product([1.0, math.sqrt(3), 0.9], [0.25, 0.1, 1 / 3, 0.3, EDGE_STEP]),
+        (1e-6, 1e-7)])
+    def test_half_width_is_the_last_axis_value_inside(self, shape, size, step):
+        region = Region(shape, size)
+        n1 = _grid_half_width(region, step, 2)
+        assert region.contains(np.array([[n1 * step]]))[0]
+        assert not region.contains(np.array([[(n1 + 1) * step]]))[0]
+
+    def test_size_guard_counts_the_searched_grid(self):
+        # 9^8 points are searched; the 11^8 box past the cube's edge is not
+        assert _grid_half_width(CUBE1, EDGE_STEP, 8) == 4
+        with pytest.raises(ValueError, match="coarser grid step"):
+            _grid_half_width(CUBE1, 0.2, 8)
 
     def test_fundamental_domain_keeps_the_size_guard(self):
         with pytest.raises(ValueError, match="coarser grid step"):
@@ -715,6 +757,21 @@ class TestRotatability:
         assert np.allclose(np.linalg.norm(pts, axis=1), 2.0)
         with pytest.raises(ValueError, match="k <= 12"):
             sphere_points(13, 1.0, 50)
+
+    @pytest.mark.parametrize("args,message", [
+        ((1, 1.0, 3), "2 <= k <= 12, got 1"),
+        ((0, 1.0, 3), "2 <= k <= 12, got 0"),
+        ((2, 1.0, 0), "n >= 1, got 0"),
+        ((3, 1.0, 0), "n >= 1, got 0"),
+        ((3, 1.0, -2), "n >= 1, got -2"),
+        ((3, -1.0, 5), "radius must be finite and > 0, got -1.0"),
+        ((3, 0.0, 5), "radius must be finite and > 0, got 0.0"),
+        ((3, math.nan, 2), "radius must be finite and > 0, got nan"),
+        ((3, math.inf, 2), "radius must be finite and > 0, got inf"),
+    ])
+    def test_sphere_points_rejects_bad_args(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sphere_points(*args)
 
 
 class TestCriteriaReport:
