@@ -16,11 +16,9 @@ from .criteria import (
     RegionShape,
     a_trace,
     criteria_report,
-    g_efficiency,
     g_max,
     region_moments,
     rotatability_index,
-    spv,
     v_avg,
 )
 from .missing import (
@@ -41,8 +39,7 @@ __all__ = [
     "expand_point", "model_matrix", "num_params",
     "SingularMatrixError",
     "CriteriaReport", "Region", "RegionShape", "a_trace", "criteria_report",
-    "g_efficiency", "g_max", "region_moments", "rotatability_index",
-    "spv", "v_avg",
+    "g_max", "region_moments", "rotatability_index", "v_avg",
     "LossReport", "delete_rows", "increase_in_variance",
     "loss_precision", "relative_g_efficiency", "relative_v_efficiency",
     "scenario_sweep",

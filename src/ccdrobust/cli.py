@@ -29,13 +29,10 @@ from .verify import calibrate_v_region, resolve_spv_scale, verify_tables
 
 __all__ = ["main"]
 
-# Axial-distance grids used in the reference tables, by factor count.
-DEFAULT_ALPHAS = {
-    2: [1.0, 1.21, 1.414, 1.5, 2.0],
-    3: [1.0, 1.21, 1.681, 1.732, 2.0, 2.25, 2.5, 3.0],
-    4: [1.0, 1.21, 2.0, 2.25, 2.5, 3.0],
-    5: [1.0, 1.5, 2.236, 2.378, 2.5, 2.75, 3.0],
-}
+# Axial-distance grids used in the reference tables, by factor count: the
+# alpha column of each loss table, in its (ascending) order.
+DEFAULT_ALPHAS = {spec["k"]: [float(row[0]) for row in spec["rows"]]
+                  for spec in LOSS_TABLES.values()}
 
 # Each LossReport metric, by the name --metric takes, with its plot label.
 _METRICS = {"loss": "loss in precision",

@@ -14,7 +14,7 @@ import functools
 import math
 import threading
 from collections import OrderedDict
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
@@ -31,11 +31,9 @@ __all__ = [
     "CriteriaReport",
     "information_inverse",
     "a_trace",
-    "spv",
     "spv_many",
     "probe_spv",
     "g_max",
-    "g_efficiency",
     "region_moments",
     "v_avg",
     "sphere_points",
@@ -54,7 +52,8 @@ class RegionShape(Enum):
 @dataclass(frozen=True)
 class Region:
     """Region of interest: a cube [-a, a]^k (size = half-width a) or a
-    ball of radius r (size = r), both centered at the origin."""
+    ball of radius r (size = r), both centered at the origin.  contains
+    admits points up to 1e-12 outside either, measured in distance."""
 
     shape: RegionShape
     size: float
@@ -67,7 +66,7 @@ class Region:
         pts = np.atleast_2d(pts)
         if self.shape is RegionShape.CUBOIDAL:
             return np.all(np.abs(pts) <= self.size + 1e-12, axis=1)
-        return np.einsum("ij,ij->i", pts, pts) <= self.size ** 2 + 1e-12
+        return np.einsum("ij,ij->i", pts, pts) <= (self.size + 1e-12) ** 2
 
 
 def information_inverse(design: Design) -> np.ndarray:
@@ -89,19 +88,11 @@ def a_trace(design: Design) -> float:
     return float(np.trace(information_inverse(design)))
 
 
-def spv(design: Design, x: Sequence[float]) -> float:
-    """Scaled prediction variance N f'(x)(X'X)^{-1} f(x) at one point:
-    spv_many on a single row.
-
-    N is the run count of the design being evaluated, so a residual
-    design is scaled by its own (reduced) size.
-    """
-    return float(spv_many(design, np.atleast_2d(x))[0])
-
-
 def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
-    """Vectorized SPV over the rows of an m x k point array:
-    N times the row sums of (F M^{-1}) * F for the model matrix F.
+    """Scaled prediction variance N f'(x)(X'X)^{-1} f(x) at each row x of
+    an m x k point array: N times the row sums of (F M^{-1}) * F for the
+    model matrix F.  N is the run count of the design being evaluated, so a
+    residual design is scaled by its own (reduced) size.
 
     Raises ValueError unless pts is m x k for the design's k.
     """
@@ -372,13 +363,6 @@ def g_max(design: Design, region: Region,
     return memo[region, grid_step]
 
 
-def g_efficiency(design: Design, region: Region,
-                 grid_step: float | None = None) -> float:
-    """p divided by the maximum SPV over the region."""
-    gmax, _ = g_max(design, region, grid_step)
-    return num_params(design.k) / gmax
-
-
 @functools.lru_cache(maxsize=64)
 def region_moments(region: Region, k: int) -> np.ndarray:
     """Analytic p x p region-moments matrix E[f(x) f(x)'] under the
@@ -477,19 +461,19 @@ def rotatability_index(design: Design, radius: float) -> float:
     return float(np.std(vals))
 
 
-def _sample_region_rng(region: Region, k: int, n: int,
-                       rng: np.random.Generator) -> np.ndarray:
+def sample_region(region: Region, k: int, n: int,
+                  seed: int | np.random.Generator) -> np.ndarray:
+    """n uniform samples from the region, drawn from
+    np.random.default_rng(seed): seeded and reproducible for an int seed,
+    and the next draws of the stream for a Generator, which default_rng
+    returns unchanged."""
+    rng = np.random.default_rng(seed)
     if region.shape is RegionShape.CUBOIDAL:
         return rng.uniform(-region.size, region.size, size=(n, k))
     g = rng.standard_normal((n, k))
     g /= np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
     g *= (region.size * rng.random(n) ** (1.0 / k))[:, None]
     return g
-
-
-def sample_region(region: Region, k: int, n: int, seed: int) -> np.ndarray:
-    """n uniform samples from the region (seeded, reproducible)."""
-    return _sample_region_rng(region, k, n, np.random.default_rng(seed))
 
 
 # monte_carlo_moments' samples per draw: the ball sampler draws directions
@@ -531,7 +515,7 @@ def monte_carlo_moments(region: Region, k: int, n: int,
     done = 0
     while done < n:
         m = min(_MC_CHUNK, n - done)
-        pts = _sample_region_rng(region, k, m, rng)
+        pts = sample_region(region, k, m, rng)
         for start in range(0, m, _MC_TILE):
             F = expand_points(pts[start:start + _MC_TILE])
             F2 = F * F
@@ -591,7 +575,7 @@ def criteria_report(design: Design, region: Region | None = None,
         spv_center=c,
         g_max=gmax,
         g_max_location=loc,
-        g_eff=g_efficiency(design, region, grid_step),
+        g_eff=num_params(design.k) / gmax,
         v_avg_cuboidal=v_avg(design, Region(RegionShape.CUBOIDAL, 1.0)),
         v_avg_spherical=v_avg(design, Region(RegionShape.SPHERICAL, math.sqrt(design.k))),
         rotatability_index=rotatability_index(design, 1.0),

@@ -71,9 +71,6 @@ class Design:
     def k(self) -> int:
         return self.coords.shape[1]
 
-    def class_count(self, point_class: PointClass) -> int:
-        return int(np.count_nonzero(self.classes == point_class))
-
     def rows_of_class(self, point_class: PointClass) -> np.ndarray:
         return np.flatnonzero(self.classes == point_class)
 

@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import csv
+import importlib
 import io
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -449,6 +452,29 @@ class TestAlphaPrecedence:
         assert main(["--config", str(cfg)] + _ALPHA_COMMANDS[command]
                     + ["--out", str(tmp_path)]) == 0
         assert _swept_alphas(tmp_path) == [1.0, 2.0]
+
+
+class TestDefaultAlphas:
+    def test_one_ascending_grid_per_table_k(self):
+        assert sorted(cli.DEFAULT_ALPHAS) == [2, 3, 4, 5]
+        for alphas in cli.DEFAULT_ALPHAS.values():
+            assert alphas == sorted(alphas)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_ascending_is_the_one_order_accepted(self, k):
+        alphas = cli.DEFAULT_ALPHAS[k]
+        assert cli._alphas_from_args(argparse.Namespace(alphas=None, alpha=None, k=k)) \
+            == alphas
+        for order in (alphas[::-1], alphas[1:] + alphas[:1]):
+            with pytest.raises(ValueError, match="alphas must be ascending"):
+                cli._alphas_from_args(argparse.Namespace(alphas=order, alpha=None, k=k))
+
+
+@pytest.mark.parametrize("module", ["ccdrobust"] + [
+    f"ccdrobust.{info.name}" for info in pkgutil.iter_modules(ccdrobust.__path__)])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 class TestSvgChart:

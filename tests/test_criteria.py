@@ -19,7 +19,6 @@ from ccdrobust.criteria import (
     _symmetry,
     _unit_sphere_points,
     criteria_report,
-    g_efficiency,
     g_max,
     information_inverse,
     monte_carlo_moments,
@@ -28,7 +27,6 @@ from ccdrobust.criteria import (
     rotatability_index,
     sample_region,
     sphere_points,
-    spv,
     spv_many,
     v_avg,
 )
@@ -86,13 +84,16 @@ class TestInformationInverse:
 
 class TestSpv:
     def test_k2_factorial_vertex(self):
-        assert spv(gen_ccd(2, 1.0, 4), (1, 1)) == pytest.approx(9.500, abs=1e-3)
+        assert spv_many(gen_ccd(2, 1.0, 4), np.array([[1.0, 1.0]]))[0] == pytest.approx(
+            9.500, abs=1e-3)
 
     def test_k2_alpha2_mirror(self):
-        assert spv(gen_ccd(2, 2.0, 4), (1, 1)) == pytest.approx(6.000, abs=1e-3)
+        assert spv_many(gen_ccd(2, 2.0, 4), np.array([[1.0, 1.0]]))[0] == pytest.approx(
+            6.000, abs=1e-3)
 
     def test_k3_center(self):
-        assert spv(gen_ccd(3, 1.732, 4), (0, 0, 0)) == pytest.approx(4.499, abs=1e-3)
+        assert spv_many(gen_ccd(3, 1.732, 4), np.zeros((1, 3)))[0] == pytest.approx(
+            4.499, abs=1e-3)
 
     @pytest.mark.parametrize("k,alpha", [(2, 1.0), (3, 1.681), (4, 2.0)])
     def test_design_average_is_p(self, k, alpha):
@@ -107,12 +108,7 @@ class TestSpv:
         f = expand_points(np.array([x]))[0]
         X = model_matrix(d)
         direct = d.n * float(f @ np.linalg.solve(X.T @ X, f))
-        assert spv(d, x) == pytest.approx(direct, rel=1e-12)
-
-    def test_is_spv_many_on_one_row(self):
-        d = gen_ccd(3, 1.5, 4)
-        x = (0.4, -0.9, 1.2)
-        assert spv(d, x) == spv_many(d, np.array([x]))[0]
+        assert spv_many(d, np.array([x]))[0] == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(4, 2), (3,), (2, 3, 3)])
     def test_rejects_points_not_m_by_k(self, shape):
@@ -124,10 +120,10 @@ class TestSpv:
 
     def test_sign_flip_and_permutation_invariance(self):
         d = gen_ccd(3, 1.5, 4)
-        x = (0.4, -0.9, 1.2)
-        base = spv(d, x)
-        assert spv(d, (-0.4, -0.9, 1.2)) == pytest.approx(base, rel=1e-12)
-        assert spv(d, (1.2, 0.4, -0.9)) == pytest.approx(base, rel=1e-12)
+        base, flipped, permuted = spv_many(
+            d, np.array([(0.4, -0.9, 1.2), (-0.4, -0.9, 1.2), (1.2, 0.4, -0.9)]))
+        assert flipped == pytest.approx(base, rel=1e-12)
+        assert permuted == pytest.approx(base, rel=1e-12)
 
 
 class TestGMax:
@@ -155,7 +151,6 @@ class TestGMax:
 
         monkeypatch.setattr(criteria, "_spv_rows", no_search)
         assert g_max(d, Region(RegionShape.CUBOIDAL, 1.0), grid_step=0.5) is first
-        assert g_efficiency(d, CUBE1, grid_step=0.5) == num_params(3) / first[0]
         for design, step in ((d, 0.25), (gen_ccd(3, 1.5, 4), 0.5)):
             with pytest.raises(AssertionError, match="searched again"):
                 g_max(design, CUBE1, grid_step=step)
@@ -170,7 +165,6 @@ class TestGMax:
         # one default everywhere: design rows and probes only
         d = gen_ccd(3, 1.5, 4)
         assert g_max(d, CUBE1) is g_max(d, CUBE1, None)
-        assert g_efficiency(d, CUBE1) == g_efficiency(d, CUBE1, None)
         assert criteria_report(d) == criteria_report(d, CUBE1, None)
 
     def test_rejects_bad_step(self):
@@ -180,7 +174,7 @@ class TestGMax:
     @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
     def test_rejects_step_not_finite(self, step):
         d = gen_ccd(2, 1.0, 4)
-        for search in (g_max, g_efficiency):
+        for search in (g_max, criteria_report):
             with pytest.raises(ValueError, match="grid_step must be finite and > 0"):
                 search(d, CUBE1, step)
         with pytest.raises(ValueError, match="grid_step must be finite and > 0"):
@@ -244,7 +238,7 @@ class TestReducedGSearch:
         val, loc = g_max(design, region, grid_step=step)
         want, evaluated = self.brute_force(design, region, step)
         assert val == pytest.approx(want, rel=1e-12, abs=0)
-        assert spv(design, loc) == pytest.approx(val, rel=1e-12, abs=0)
+        assert spv_many(design, np.array([loc]))[0] == pytest.approx(val, rel=1e-12, abs=0)
         assert loc in evaluated
 
     @pytest.mark.parametrize("k,step", [(2, 0.1), (3, 0.25), (4, 0.5), (5, 0.5)])
@@ -290,7 +284,8 @@ class TestReducedGSearch:
     def test_tied_grid_maximum_in_fundamental_domain(self):
         val, loc = g_max(gen_ccd(5, 1.0, 4), CUBE1, grid_step=0.2)
         assert loc == (0.0, 0.0, 1.0, 1.0, 1.0)
-        assert spv(gen_ccd(5, 1.0, 4), (-1, -1, -1, 0, 0)) == pytest.approx(val, rel=1e-12)
+        mirror = np.array([[-1.0, -1.0, -1.0, 0.0, 0.0]])
+        assert spv_many(gen_ccd(5, 1.0, 4), mirror)[0] == pytest.approx(val, rel=1e-12)
 
     def test_domain_sizes(self, monkeypatch):
         # rows handed to the SPV kernel: the design rows, 3 probes, then the
@@ -431,6 +426,15 @@ class TestGridChunks:
         assert region.contains(np.array([[n1 * step]]))[0]
         assert not region.contains(np.array([[(n1 + 1) * step]]))[0]
 
+    @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
+    def test_tolerance_is_a_distance(self, shape):
+        # 1e-12 past the edge on either shape; a tolerance on a ball's squared
+        # radius would admit points 40% outside a ball of radius 1e-6
+        region = Region(shape, 1e-6)
+        on_axis = np.array([[1e-6 + 5e-13, 0.0], [1e-6 + 2e-12, 0.0], [1.4e-6, 0.0]])
+        assert region.contains(on_axis).tolist() == [True, False, False]
+        assert _grid_half_width(region, 1e-7, 2) == 10
+
     def test_size_guard_counts_the_searched_grid(self):
         # 9^8 points are searched; the 11^8 box past the cube's edge is not
         assert _grid_half_width(CUBE1, EDGE_STEP, 8) == 4
@@ -565,12 +569,17 @@ class TestGridCache:
 
 class TestGEfficiency:
     def test_k2(self):
-        eff = g_efficiency(gen_ccd(2, 1.0, 4), CUBE1, grid_step=None)
+        eff = criteria_report(gen_ccd(2, 1.0, 4), CUBE1, grid_step=None).g_eff
         assert eff == pytest.approx(6 / 9.5, abs=1e-3)
 
     def test_k3(self):
-        eff = g_efficiency(gen_ccd(3, 1.0, 4), CUBE1, grid_step=None)
+        eff = criteria_report(gen_ccd(3, 1.0, 4), CUBE1, grid_step=None).g_eff
         assert eff == pytest.approx(10 / 14.292, abs=1e-3)
+
+    def test_is_p_over_g_max(self):
+        d = gen_ccd(3, 1.5, 4)
+        rep = criteria_report(d, CUBE1, grid_step=0.5)
+        assert rep.g_eff == num_params(3) / g_max(d, CUBE1, grid_step=0.5)[0]
 
 
 class TestRegionMoments:
@@ -663,7 +672,7 @@ class TestMonteCarloMoments:
         region, k, seed = Region(shape, 1.7), 4, 9
         n = criteria._MC_CHUNK + criteria._MC_TILE + 1
         rng = np.random.default_rng(seed)
-        pts = np.vstack([criteria._sample_region_rng(region, k, m, rng)
+        pts = np.vstack([sample_region(region, k, m, rng)
                          for m in (criteria._MC_CHUNK, n - criteria._MC_CHUNK)])
         rows = []
 

@@ -28,15 +28,15 @@ class TestGenCcd:
 
     def test_k2_class_counts(self):
         d = gen_ccd(2, 1.0, 4)
-        assert d.class_count(PointClass.FACTORIAL) == 4
-        assert d.class_count(PointClass.AXIAL) == 4
-        assert d.class_count(PointClass.CENTER) == 4
+        assert len(d.rows_of_class(PointClass.FACTORIAL)) == 4
+        assert len(d.rows_of_class(PointClass.AXIAL)) == 4
+        assert len(d.rows_of_class(PointClass.CENTER)) == 4
 
     def test_k5_table_row(self):
         d = gen_ccd(5, 2.378, 4)
         assert d.n == 46
-        assert d.class_count(PointClass.FACTORIAL) == 32
-        assert d.class_count(PointClass.AXIAL) == 10
+        assert len(d.rows_of_class(PointClass.FACTORIAL)) == 32
+        assert len(d.rows_of_class(PointClass.AXIAL)) == 10
 
     def test_axial_rows_k2(self):
         d = gen_ccd(2, 1.414, 1)

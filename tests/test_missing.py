@@ -33,7 +33,7 @@ class TestDeleteRows:
         d = gen_ccd(2, 1.0, 4)
         r = delete_rows(d, [d.rows_of_class(PointClass.CENTER)[0]])
         assert r.n == 11
-        assert r.class_count(PointClass.CENTER) == 3
+        assert len(r.rows_of_class(PointClass.CENTER)) == 3
 
     def test_delete_nothing(self):
         d = gen_ccd(2, 1.0, 4)
