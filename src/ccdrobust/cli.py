@@ -96,8 +96,8 @@ def _alphas_from_args(args) -> list[float]:
         raise ValueError(f"no default alpha grid for k={args.k}; pass --alphas")
     if not vals:
         raise ValueError("empty alpha grid")
-    if sorted(vals) != vals:
-        raise ValueError("alphas must be ascending")
+    if any(b <= a for a, b in zip(vals, vals[1:])):
+        raise ValueError("alphas must be ascending, each given once")
     return vals
 
 

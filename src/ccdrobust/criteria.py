@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -96,6 +95,7 @@ def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
 
     Raises ValueError unless pts is m x k for the design's k.
     """
+    pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != design.k:
         raise ValueError(f"points must be an m x {design.k} array, "
                          f"got shape {pts.shape}")
@@ -124,12 +124,12 @@ _G_TIE_RTOL = 1e-12
 
 # g_max's grid domains, kept for the life of the process: each domain's
 # model matrix, as the read-only chunks _grid_models yields, keyed by
-# (region, step, symmetry) and least recently used first.  Their bytes stay
-# within _GRID_CACHE_BYTES; a larger domain is streamed and not kept.  The
-# largest domain of `sweep --k 3 --grid-step 0.02`, 176,851 points, is 13.5 MiB.
-# _grid_lock guards each lookup, and each insertion with its evictions.
+# (region, step, symmetry).  A domain is kept, for good, if it fits in the
+# bytes the kept ones leave of _GRID_CACHE_BYTES, else streamed every search.
+# The largest domain of `sweep --k 3 --grid-step 0.02`, 176,851 points, is
+# 13.5 MiB.  _grid_lock guards each lookup, and each check-and-insert.
 _GRID_CACHE_BYTES = 32 * 2 ** 20
-_grid_cache: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
+_grid_cache: dict[tuple, tuple[np.ndarray, ...]] = {}
 _grid_lock = threading.Lock()
 
 # (flips, blocks): the flip-invariant axes, and a partition of the axes into
@@ -267,13 +267,10 @@ def _grid_models(region: Region, step: float,
     """The model matrix of _grid_chunks' domain, one read-only chunk per
     chunk of points; the points are its columns 1..k.  Served from
     _grid_cache when the domain is there, else expanded as it is streamed
-    and kept when its bytes fit in _GRID_CACHE_BYTES, evicting the least
-    recently used domains until the cache fits again."""
+    and kept if it fits in the bytes the kept domains leave."""
     key = (region, step, symmetry)
     with _grid_lock:
         cached = _grid_cache.get(key)
-        if cached is not None:
-            _grid_cache.move_to_end(key)
     if cached is not None:
         yield from cached
         return
@@ -290,10 +287,9 @@ def _grid_models(region: Region, step: float,
         yield F
     if kept is not None:
         with _grid_lock:
-            _grid_cache[key] = tuple(kept)
-            while sum(F.nbytes for chunks in _grid_cache.values()
-                      for F in chunks) > _GRID_CACHE_BYTES:
-                _grid_cache.popitem(last=False)
+            if size <= _GRID_CACHE_BYTES - sum(F.nbytes for chunks in _grid_cache.values()
+                                               for F in chunks):
+                _grid_cache[key] = tuple(kept)
 
 
 def g_max(design: Design, region: Region,
@@ -327,9 +323,9 @@ def g_max(design: Design, region: Region,
 
     The domain depends only on (region, grid_step, symmetry), so every
     design with the same symmetry, at any alpha, shares it: its model matrix
-    is expanded once per process and kept in _grid_cache, within a budget
-    of _GRID_CACHE_BYTES (32 MiB) with the least recently used domain evicted
-    first; a larger domain is expanded chunk by chunk on every search.  Each
+    is expanded once per process and kept in _grid_cache while it fits in
+    what the domains kept before it leave of _GRID_CACHE_BYTES (32 MiB); a
+    domain that does not fit is expanded chunk by chunk on every search.  Each
     chunk then costs one product with (X'X)^{-1} and one row sum
     (_spv_rows, the kernel spv_many uses).
 

@@ -1,5 +1,3 @@
-from collections import OrderedDict
-
 import pytest
 
 from ccdrobust import criteria, linalg
@@ -23,5 +21,5 @@ def invert_calls(monkeypatch):
 def grid_cache(monkeypatch):
     """An empty G-grid domain cache for the test; the process's own cache is
     restored after it."""
-    monkeypatch.setattr(criteria, "_grid_cache", OrderedDict())
+    monkeypatch.setattr(criteria, "_grid_cache", {})
     return criteria._grid_cache

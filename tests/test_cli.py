@@ -86,6 +86,7 @@ _REJECTED_SWEEPS = [
     (["--k", "13", "--alphas", "1"], "k must be in [2, 12], got 13"),
     (["--k", "1", "--alphas", "1"], "k must be in [2, 12], got 1"),
     (["--alphas", "0,1"], "alpha must be finite and > 0, got 0.0"),
+    (["--alphas", "1,1"], "alphas must be ascending, each given once"),
 ]
 
 
@@ -434,6 +435,16 @@ class TestAlphaPrecedence:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", list(_ALPHA_COMMANDS))
+    def test_config_repeated_alpha_exits_1(self, command, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alphas=1,1\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg)] + _ALPHA_COMMANDS[command]
+                    + ["--out", str(out)]) == 1
+        assert "alphas must be ascending, each given once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(_ALPHA_COMMANDS))
     @pytest.mark.parametrize("config", ["alphas=1,2", "alpha=2", "alpha=2\nalphas=1,2"])
     @pytest.mark.parametrize("flags,want", [(["--alpha", "3"], [3.0]),
                                             (["--alphas", "1.5,3"], [1.5, 3.0])])
@@ -458,14 +469,14 @@ class TestDefaultAlphas:
     def test_one_ascending_grid_per_table_k(self):
         assert sorted(cli.DEFAULT_ALPHAS) == [2, 3, 4, 5]
         for alphas in cli.DEFAULT_ALPHAS.values():
-            assert alphas == sorted(alphas)
+            assert all(a < b for a, b in zip(alphas, alphas[1:]))
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_ascending_is_the_one_order_accepted(self, k):
         alphas = cli.DEFAULT_ALPHAS[k]
         assert cli._alphas_from_args(argparse.Namespace(alphas=None, alpha=None, k=k)) \
             == alphas
-        for order in (alphas[::-1], alphas[1:] + alphas[:1]):
+        for order in (alphas[::-1], alphas[1:] + alphas[:1], alphas[:1] + alphas):
             with pytest.raises(ValueError, match="alphas must be ascending"):
                 cli._alphas_from_args(argparse.Namespace(alphas=order, alpha=None, k=k))
 

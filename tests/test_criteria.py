@@ -115,6 +115,11 @@ class TestSpv:
         with pytest.raises(ValueError, match=rf"m x 3 array, got shape \({shape[0]},"):
             spv_many(gen_ccd(3, 1.5, 4), np.zeros(shape))
 
+    def test_accepts_a_list_of_points(self):
+        d = gen_ccd(2, 1.0, 4)
+        assert np.array_equal(spv_many(d, [(1.0, 1.0), (0.5, -0.2)]),
+                              spv_many(d, np.array([(1.0, 1.0), (0.5, -0.2)])))
+
     def test_no_points_no_values(self):
         assert spv_many(gen_ccd(3, 1.5, 4), np.empty((0, 3))).shape == (0,)
 
@@ -491,26 +496,55 @@ class TestGridCache:
         assert g_max(gen_ccd(3, 1.5, 4), CUBE1, grid_step=0.25) == first
         assert len(built) == 2 and not grid_cache
 
-    def test_least_recently_used_domain_is_evicted(self, grid_cache, monkeypatch):
-        # k=3 domains at step 0.5: full 10 points, axial 30, factorial 35,
-        # each 80 bytes a point; room for 62 points
+    def test_domains_are_kept_while_they_fit(self, grid_cache, monkeypatch):
+        # k=3 domains at step 0.5: full 10 points, factorial 35, axial 30, each
+        # 80 bytes a point; the full and factorial domains leave 2,200 bytes
         monkeypatch.setattr(criteria, "_GRID_CACHE_BYTES", 5000)
+        built = []
+        real = criteria._grid_chunks
+
+        def recording(region, step, symmetry):
+            built.append(symmetry)
+            return real(region, step, symmetry)
+
+        monkeypatch.setattr(criteria, "_grid_chunks", recording)
         full = gen_ccd(3, 1.5, 4)
         designs = [full] + [_deleted(full, cls)
-                            for cls in (PointClass.AXIAL, PointClass.FACTORIAL)]
+                            for cls in (PointClass.FACTORIAL, PointClass.AXIAL)]
         keys = [(CUBE1, 0.5, _symmetry(d)) for d in designs]
-        g_max(designs[0], CUBE1, grid_step=0.5)
-        g_max(designs[1], CUBE1, grid_step=0.5)
+        for d in designs:
+            g_max(d, CUBE1, grid_step=0.5)
         assert list(grid_cache) == keys[:2]
-        g_max(gen_ccd(3, 2.0, 4), CUBE1, grid_step=0.5)  # uses keys[0] again
-        assert list(grid_cache) == [keys[1], keys[0]]
-        g_max(designs[2], CUBE1, grid_step=0.5)
-        assert list(grid_cache) == [keys[0], keys[2]]
+        assert [sum(F.nbytes for F in grid_cache[key]) for key in keys[:2]] == [800, 2800]
+        g_max(_deleted(gen_ccd(3, 2.0, 4), PointClass.AXIAL), CUBE1, grid_step=0.5)
+        assert built == [key[2] for key in keys] + [keys[2][2]]
+        assert list(grid_cache) == keys[:2]
         assert sum(F.nbytes for chunks in grid_cache.values() for F in chunks) <= 5000
+
+    def test_cyclic_sweep_rebuilds_only_the_domain_that_does_not_fit(
+            self, grid_cache, monkeypatch):
+        # a sweep's order: per alpha the full design, then each class's
+        # residual; room for two of the three k=3 domains at step 0.5
+        monkeypatch.setattr(criteria, "_GRID_CACHE_BYTES", 5000)
+        built = []
+        real = criteria._grid_chunks
+
+        def counting(*args):
+            built.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(criteria, "_grid_chunks", counting)
+        for alpha in (1.5, 2.0, 2.5):
+            full = gen_ccd(3, alpha, 4)
+            for d in [full] + [_deleted(full, cls) for cls in PointClass]:
+                g_max(d, CUBE1, grid_step=0.5)
+        # full and factorial built once, axial once per alpha
+        assert len(built) == 5
 
     def test_threads_share_the_cache(self, grid_cache, monkeypatch):
         # more threads than cores and a short switch interval; room for two
-        # of the three k=3 domains, so lookups race with evictions
+        # of the three k=3 domains, so lookups race with check-and-inserts
+        # and the one left out streams on every search
         monkeypatch.setattr(criteria, "_GRID_CACHE_BYTES", 5000)
 
         def searches():
