@@ -11,6 +11,7 @@ sphere around the center.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from collections.abc import Iterator
@@ -70,21 +71,18 @@ class Region:
 
 def information_inverse(design: Design) -> np.ndarray:
     """(X'X)^{-1} for the design's full quadratic model matrix: the only
-    place a design is inverted.  Computed once per (immutable) Design, kept
-    in its __dict__ as functools.cached_property would, and read-only."""
-    Minv = design.__dict__.get("_information_inverse")
-    if Minv is None:
+    place a design is inverted.  Computed once per (immutable) Design and
+    read-only (Design._memo); a failed inversion is not kept."""
+    def invert() -> np.ndarray:
         X = model_matrix(design)
-        Minv = linalg.invert(X.T @ X)
-        Minv.flags.writeable = False
-        design.__dict__["_information_inverse"] = Minv
-    return Minv
+        return linalg.invert(X.T @ X)
+    return design._memo("information_inverse", invert)
 
 
 def a_trace(design: Design) -> float:
     """The A-criterion: trace((X'X)^{-1}), the summed variance of the
-    parameter estimates."""
-    return float(np.trace(information_inverse(design)))
+    parameter estimates.  Computed once per design."""
+    return design._memo("a_trace", lambda: float(np.trace(information_inverse(design))))
 
 
 def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
@@ -108,10 +106,16 @@ def _spv_rows(design: Design, F: np.ndarray) -> np.ndarray:
     return design.n * np.einsum("ij,ij->i", F @ information_inverse(design), F)
 
 
+def _probe_rows(design: Design) -> np.ndarray:
+    """The model rows of the canonical probe points, once per design; a
+    residual from missing.delete_rows shares its parent's."""
+    return design._memo("probe_rows", lambda: expand_points(canonical_probe_points(design)))
+
+
 def probe_spv(design: Design) -> tuple[float, float, float]:
     """SPV at the three canonical probe points (factorial vertex, axial
     point, center)."""
-    return tuple(float(v) for v in spv_many(design, canonical_probe_points(design)))
+    return tuple(float(v) for v in _spv_rows(design, _probe_rows(design)))
 
 
 # g_max: the largest grid (points in the region's bounding box) it accepts,
@@ -143,6 +147,11 @@ def _symmetry(design: Design) -> _Symmetry:
     multiset of rows unchanged, and the partition of the axes into blocks
     whose transpositions leave it unchanged, each block in axis order.
 
+    A row is keyed exactly in base b, the count of distinct values of X and
+    -X, by its value codes pos (and neg for -X) with weight w_j on axis j.
+    Flipping axis j shifts a key by (neg_j - pos_j) w_j and swapping axes a
+    and c by (pos_c - pos_a)(w_a - w_c), so one sort tests all k + k(k-1)/2.
+
     Transposition invariance is an equivalence relation, since
     (a c) = (a b)(b c)(a b), so each axis is compared with the first axis of
     each block found so far; and a block's axes are all flip-invariant or
@@ -153,24 +162,24 @@ def _symmetry(design: Design) -> _Symmetry:
     subgroup, so the search domain is larger than it could be, but correct.
     """
     X = design.coords
-    k = design.k
-
-    def rows_sorted(A: np.ndarray) -> np.ndarray:
-        return A[np.lexsort(A.T[::-1])]
-
-    base = rows_sorted(X)
-
-    def invariant(A: np.ndarray) -> bool:
-        return np.array_equal(base, rows_sorted(A))
-
-    flips = tuple(j for j in range(k)
-                  if invariant(np.where(np.arange(k) == j, -X, X)))
+    n, k = X.shape
+    values, codes = np.unique(np.concatenate([X, -X]), return_inverse=True)
+    b = len(values)
+    dtype = np.int64 if b ** k < 2 ** 62 else object
+    pos, neg = codes.reshape(2, n, k).astype(dtype)
+    w = b ** np.arange(k - 1, -1, -1).astype(dtype)
+    a, c = np.nonzero(np.arange(k)[:, None] < np.arange(k))  # pairs a < c
+    key = pos @ w
+    keys = np.column_stack([key, key[:, None] + (neg - pos) * w,
+                            key[:, None] + (pos[:, c] - pos[:, a]) * (w[a] - w[c])])
+    keys.sort(axis=0)
+    same = (keys == keys[:, :1]).all(axis=0).tolist()
+    flips = tuple(j for j in range(k) if same[1 + j])
+    swaps = dict(zip(zip(a.tolist(), c.tolist()), same[1 + k:]))
     blocks: list[list[int]] = []
     for j in range(k):
         for block in blocks:
-            swap = list(range(k))
-            swap[block[0]], swap[j] = j, block[0]
-            if invariant(X[:, swap]):
+            if swaps[block[0], j]:
                 block.append(j)
                 break
         else:
@@ -329,34 +338,22 @@ def g_max(design: Design, region: Region,
     chunk then costs one product with (X'X)^{-1} and one row sum
     (_spv_rows, the kernel spv_many uses).
 
-    The result is kept in the (immutable) design's __dict__ per (region,
-    grid_step), as information_inverse keeps the inverse, so each design
-    is searched once per region and step.  A bad step raises ValueError
-    where its grid is built (_grid_half_width), so nothing is kept for it.
+    Design._memo keeps the result per (region, grid_step), so each design is
+    searched once per region and step; a bad step raises ValueError where
+    its grid is built (_grid_half_width), so nothing is kept for it.
     """
-    memo = design.__dict__.setdefault("_g_max", {})
-    if (region, grid_step) in memo:
-        return memo[region, grid_step]
-    best_val = -math.inf
-    best_loc: tuple[float, ...] = ()
-
-    def consider(F: np.ndarray) -> None:
-        """Fold in the points whose model rows are the rows of F."""
-        nonlocal best_val, best_loc
-        vals = _spv_rows(design, F)
-        top = float(vals.max())
-        if top > best_val * (1 + _G_TIE_RTOL):
-            i = int(np.argmax(vals >= top * (1 - _G_TIE_RTOL)))
-            best_loc = tuple(float(c) for c in F[i, 1:1 + design.k])
-        best_val = max(best_val, top)
-
-    consider(model_matrix(design))
-    consider(expand_points(canonical_probe_points(design)))
-    if grid_step is not None:
-        for F in _grid_models(region, grid_step, _symmetry(design)):
-            consider(F)
-    memo[region, grid_step] = best_val, best_loc
-    return memo[region, grid_step]
+    def search() -> tuple[float, tuple[float, ...]]:
+        best_val, best_loc = -math.inf, ()
+        grid = () if grid_step is None else _grid_models(region, grid_step, _symmetry(design))
+        for F in itertools.chain([model_matrix(design), _probe_rows(design)], grid):
+            vals = _spv_rows(design, F)
+            top = float(vals.max())
+            if top > best_val * (1 + _G_TIE_RTOL):
+                i = int(np.argmax(vals >= top * (1 - _G_TIE_RTOL)))
+                best_loc = tuple(float(c) for c in F[i, 1:1 + design.k])
+            best_val = max(best_val, top)
+        return best_val, best_loc
+    return design._memo(("g_max", region, grid_step), search)
 
 
 @functools.lru_cache(maxsize=64)
@@ -397,8 +394,10 @@ def region_moments(region: Region, k: int) -> np.ndarray:
 
 def v_avg(design: Design, region: Region) -> float:
     """Average SPV over the region:
-    N * trace((X'X)^{-1} E[f f']) under the uniform measure on R."""
-    return _v_from_moments(design, region_moments(region, design.k))
+    N * trace((X'X)^{-1} E[f f']) under the uniform measure on R, computed
+    once per design and region."""
+    return design._memo(("v_avg", region),
+                        lambda: _v_from_moments(design, region_moments(region, design.k)))
 
 
 def _v_from_moments(design: Design, M: np.ndarray) -> float:

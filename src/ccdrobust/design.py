@@ -62,6 +62,7 @@ class Design:
         coords.flags.writeable = classes.flags.writeable = False
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "_memoized", {})  # see _memo
 
     @property
     def n(self) -> int:
@@ -73,6 +74,17 @@ class Design:
 
     def rows_of_class(self, point_class: PointClass) -> np.ndarray:
         return np.flatnonzero(self.classes == point_class)
+
+    def _memo(self, key, make):
+        """make(), computed once per design and kept under key, read-only if
+        an array; nothing is kept if make raises (make never returns None)."""
+        value = self._memoized.get(key)
+        if value is None:
+            value = make()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._memoized[key] = value
+        return value
 
 
 def _check_ccd_args(k: int, alpha: float, n0: int) -> None:

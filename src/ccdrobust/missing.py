@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import Region, a_trace, g_max, v_avg
+from .criteria import Region, _probe_rows, a_trace, g_max, v_avg
 from .design import Design, PointClass, gen_ccd
 from .linalg import SingularMatrixError
+from .model import model_matrix
 
 __all__ = [
     "LossReport",
@@ -35,8 +36,15 @@ __all__ = [
 
 
 def delete_rows(design: Design, indices: list[int]) -> Design:
-    """Residual design with the given rows removed; order of the
-    surviving rows is preserved."""
+    """Residual design with the given rows removed, in their order.  Raises
+    TypeError for an index that is a bool or not an integer, ValueError for
+    repeated ones, IndexError for one out of range.  The residual's model
+    matrix is the parent's kept rows, column-major as expand_points writes
+    it, so X'X is a fresh expansion's to the bit; its probe rows are the
+    parent's."""
+    for i in indices:
+        if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+            raise TypeError(f"row index {i!r} is not an integer")
     if len(set(indices)) != len(indices):
         raise ValueError("deleted indices must be distinct")
     for i in indices:
@@ -44,7 +52,10 @@ def delete_rows(design: Design, indices: list[int]) -> Design:
             raise IndexError(f"row index {i} out of range for n={design.n}")
     keep = np.ones(design.n, dtype=bool)
     keep[list(indices)] = False
-    return Design(design.alpha, design.coords[keep], design.classes[keep])
+    residual = Design(design.alpha, design.coords[keep], design.classes[keep])
+    residual._memo("model_matrix", lambda: np.asfortranarray(model_matrix(design)[keep]))
+    residual._memo("probe_rows", lambda: _probe_rows(design))
+    return residual
 
 
 def increase_in_variance(full: Design, residual: Design) -> float:

@@ -10,7 +10,6 @@ fixed order keeps serialized matrices comparable.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import combinations
 
 import numpy as np
 
@@ -37,20 +36,25 @@ def expand_point(x: Sequence[float]) -> np.ndarray:
 def expand_points(pts: np.ndarray) -> np.ndarray:
     """Row-wise model expansion of an m x k array of points.
 
-    The m x p result is preallocated column-major, so that each model
-    column is written in place and contiguously.
+    The p x m transpose is written in C order, one contiguous row per model
+    term: the squares in one np.multiply, and the interactions x_i x_j of
+    each i in one more, row i broadcast over rows i+1..k, which needs no
+    temporary array.  The m x p result is its transpose, so column-major.
     """
     pts = np.asarray(pts, dtype=float)
     m, k = pts.shape
-    F = np.empty((m, num_params(k)), order="F")
-    F[:, 0] = 1.0
-    F[:, 1:1 + k] = pts
-    np.multiply(pts, pts, out=F[:, 1 + k:1 + 2 * k])
-    for col, (i, j) in enumerate(combinations(range(k), 2), start=1 + 2 * k):
-        np.multiply(pts[:, i], pts[:, j], out=F[:, col])
-    return F
+    P = np.empty((num_params(k), m))
+    P[0] = 1.0
+    P[1:1 + k] = pts.T
+    np.multiply(P[1:1 + k], P[1:1 + k], out=P[1 + k:1 + 2 * k])
+    row = 1 + 2 * k
+    for i in range(1, k):
+        np.multiply(P[i], P[i + 1:1 + k], out=P[row:row + k - i])
+        row += k - i
+    return P.T
 
 
 def model_matrix(design: Design) -> np.ndarray:
-    """n x p model matrix; row order matches the design point order."""
-    return expand_points(design.coords)
+    """n x p model matrix, rows in design order; read-only and computed once
+    per design, or sliced from the parent's by missing.delete_rows."""
+    return design._memo("model_matrix", lambda: expand_points(design.coords))

@@ -18,6 +18,7 @@ from ccdrobust.criteria import (
     _grid_half_width,
     _symmetry,
     _unit_sphere_points,
+    a_trace,
     criteria_report,
     g_max,
     information_inverse,
@@ -66,6 +67,38 @@ class TestInformationInverse:
         # a center run is the only point of a one-center-run design that
         # some alpha (k=4, alpha=2) cannot lose
         assert checked >= 4 * len(DEFAULT_ALPHAS[k]) - 1
+
+    def test_failed_inversion_not_kept(self, invert_calls):
+        # 5 runs left of a k=2 design cannot estimate p=6 parameters
+        res = delete_rows(gen_ccd(2, 1.0, 4), list(range(7)))
+        for attempt in (1, 2):
+            with pytest.raises(SingularMatrixError):
+                a_trace(res)
+            assert invert_calls[0] == attempt
+        with pytest.raises(SingularMatrixError):
+            g_max(res, CUBE1, grid_step=0.5)
+        assert invert_calls[0] == 3
+        assert set(res._memoized) == {"model_matrix", "probe_rows"}
+
+    def test_sweep_expands_and_averages_each_design_once(self, monkeypatch):
+        # one alpha: the full design's model rows and probe rows are
+        # expanded; its three residuals slice theirs from it; V is
+        # computed once for each of the four designs
+        from ccdrobust import model
+        counts = {}
+
+        def counting(real):
+            def wrapper(*args):
+                counts[real.__name__] = counts.get(real.__name__, 0) + 1
+                return real(*args)
+            return wrapper
+
+        expand = counting(model.expand_points)
+        monkeypatch.setattr(model, "expand_points", expand)
+        monkeypatch.setattr(criteria, "expand_points", expand)
+        monkeypatch.setattr(criteria, "_v_from_moments", counting(criteria._v_from_moments))
+        scenario_sweep(3, 4, [1.5], CUBE1)
+        assert counts == {"expand_points": 2, "_v_from_moments": 4}
 
     def test_sweep_inverts_each_design_once(self, invert_calls):
         # 8 alphas x (full design + 3 single-deletion residuals)
@@ -355,6 +388,102 @@ def _symmetry_cases():
                          ids=[case[0] for case in _symmetry_cases()])
 def test_symmetry_truth_table(design, want):
     assert _symmetry(design) == want
+
+
+def _symmetry_oracle(design):
+    """_symmetry as it was first written: each candidate sign flip and axis
+    transposition applied to the rows, which are then sorted and compared."""
+    X = design.coords
+    k = design.k
+
+    def rows_sorted(A):
+        return A[np.lexsort(A.T[::-1])]
+
+    base = rows_sorted(X)
+
+    def invariant(A):
+        return np.array_equal(base, rows_sorted(A))
+
+    flips = tuple(j for j in range(k)
+                  if invariant(np.where(np.arange(k) == j, -X, X)))
+    blocks = []
+    for j in range(k):
+        for block in blocks:
+            swap = list(range(k))
+            swap[block[0]], swap[j] = j, block[0]
+            if invariant(X[:, swap]):
+                block.append(j)
+                break
+        else:
+            blocks.append([j])
+    return flips, tuple(tuple(block) for block in blocks)
+
+
+def _closed_under_random_symmetries(rng, X, ops):
+    """X joined with its images under a few random sign flips and axis
+    swaps, each an involution, so the rows are invariant under the last."""
+    k = X.shape[1]
+    for _ in range(ops):
+        Y = X.copy()
+        if k == 1 or rng.random() < 0.5:
+            Y[:, rng.integers(k)] *= -1
+        else:
+            a, b = rng.choice(k, 2, replace=False)
+            Y[:, [a, b]] = Y[:, [b, a]]
+        X = np.vstack([X, Y])
+    return X
+
+
+class TestSymmetryAgainstOracle:
+    """The one-sort _symmetry against the per-candidate oracle above."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+    def test_every_single_deletion(self, k):
+        for alpha in (0.5, 1.0, 1.3, math.sqrt(k), 2.0):
+            for n0 in (1, 4):
+                full = gen_ccd(k, alpha, n0)
+                assert _symmetry(full) == _symmetry_oracle(full)
+                for row in range(full.n):
+                    residual = delete_rows(full, [row])
+                    assert _symmetry(residual) == _symmetry_oracle(residual), (alpha, n0, row)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_seeded_triple_deletions(self, k):
+        rng = np.random.default_rng(100 + k)
+        for alpha in (1.0, math.sqrt(k)):
+            full = gen_ccd(k, alpha, 2)
+            for _ in range(40):
+                residual = delete_rows(full, rng.choice(full.n, 3, replace=False).tolist())
+                assert _symmetry(residual) == _symmetry_oracle(residual)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_integer_designs(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            k = int(rng.integers(1, 7))
+            X = rng.integers(-2, 3, (int(rng.integers(1, 9)), k)).astype(float)
+            d = _with_points(_closed_under_random_symmetries(rng, X, int(rng.integers(0, 4))))
+            assert _symmetry(d) == _symmetry_oracle(d)
+
+    def test_wide_keys_beyond_int64(self):
+        # k = 12 with the 64 values +-1 .. +-32: 64^12 >= 2^62, so the keys
+        # are Python ints.  In int64 arithmetic axis 0's weight, 64^11 = 2^66,
+        # would wrap to 0, and axis 0's flip would pass for a symmetry.
+        rng = np.random.default_rng(12)
+        X = rng.integers(1, 33, (40, 12)) * rng.choice([-1, 1], (40, 12))
+        X[:, 0] = np.abs(X[:, 0])
+        X[:32, 1] = np.arange(1, 33)
+        Y = X.copy()
+        Y[:, 5] *= -1
+        X = np.vstack([X, Y])
+        Y = X.copy()
+        Y[:, [8, 9]] = Y[:, [9, 8]]
+        X = np.vstack([X, Y])
+        assert len(np.unique(np.concatenate([X, -X]))) == 64
+        d = _with_points(X.astype(float))
+        want = _symmetry_oracle(d)
+        assert 0 not in want[0] and 5 in want[0] and (8, 9) in want[1]
+        assert _symmetry(d) == want
 
 
 class TestGridChunks:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ccdrobust.missing import (
     relative_v_efficiency,
     scenario_sweep,
 )
-from ccdrobust.model import expand_point, model_matrix
+from ccdrobust.model import expand_point, expand_points, model_matrix
 
 CUBE1 = Region(RegionShape.CUBOIDAL, 1.0)
 
@@ -57,6 +58,31 @@ class TestDeleteRows:
             delete_rows(d, [99])
         with pytest.raises(ValueError):
             delete_rows(d, [1, 1])
+
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.0, np.float64(1.0), "1", None])
+    def test_non_integer_index_refused(self, bad):
+        # a bool would otherwise be read as row 0 or 1, and [2, True] would
+        # silently delete rows 2 and 1
+        d = gen_ccd(2, 1.0, 2)
+        with pytest.raises(TypeError, match=re.escape(f"row index {bad!r} is not an integer")):
+            delete_rows(d, [2, bad])
+
+    def test_numpy_integer_indices(self):
+        d = gen_ccd(2, 1.0, 2)
+        r = delete_rows(d, [np.int64(2), np.intp(1), np.int32(0)])
+        assert np.array_equal(r.coords, d.coords[3:])
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_residual_rows_sliced_from_parent(self, k):
+        # the seeded model matrix is a fresh expansion's, bytes and layout
+        full = gen_ccd(k, 1.3, 2)
+        for rows in ([0], [full.n - 1], [1, 5, full.n - 2]):
+            r = delete_rows(full, rows)
+            X, fresh = model_matrix(r), expand_points(r.coords)
+            assert X.strides == fresh.strides and X.flags.f_contiguous
+            assert X.tobytes(order="A") == fresh.tobytes(order="A")
+            assert not X.flags.writeable
+            assert criteria._probe_rows(r) is criteria._probe_rows(full)
 
 
 class TestIncreaseInVariance:

@@ -44,6 +44,36 @@ class TestExpandPoints:
     def test_empty_input(self, k):
         assert expand_points(np.empty((0, k))).shape == (0, num_params(k))
 
+    @staticmethod
+    def per_column(pts):
+        """expand_points as it was first written: an m x p column-major
+        matrix filled one model column at a time."""
+        pts = np.asarray(pts, dtype=float)
+        m, k = pts.shape
+        F = np.empty((m, num_params(k)), order="F")
+        F[:, 0] = 1.0
+        F[:, 1:1 + k] = pts
+        np.multiply(pts, pts, out=F[:, 1 + k:1 + 2 * k])
+        for col, (i, j) in enumerate(itertools.combinations(range(k), 2), start=1 + 2 * k):
+            np.multiply(pts[:, i], pts[:, j], out=F[:, col])
+        return F
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("m", [0, 1, 3, 2048, 5000])
+    def test_matches_per_column_reference(self, k, m):
+        rng = np.random.default_rng(100 * k + m)
+        base = rng.uniform(-2, 2, (2 * m, 2 * k))
+        base[rng.random(base.shape) < 0.05] = -0.0
+        layouts = {"C": np.ascontiguousarray(base[:m, :k]),
+                   "F": np.asfortranarray(base[:m, :k]),
+                   "strided": base[::2, ::2]}
+        for name, pts in layouts.items():
+            got, want = expand_points(pts), self.per_column(pts)
+            assert got.dtype == want.dtype == np.float64, name
+            assert got.shape == want.shape and got.strides == want.strides, name
+            assert got.flags.f_contiguous, name
+            assert got.tobytes(order="A") == want.tobytes(order="A"), name
+
     def test_strided_view(self):
         base = np.random.default_rng(0).uniform(-2, 2, (40, 8))
         pts = base[::3, 1::2]  # 14 x 4, neither C- nor F-contiguous
@@ -62,6 +92,14 @@ class TestModelMatrix:
     def test_first_column_ones(self):
         X = model_matrix(gen_ccd(3, 1.681, 4))
         assert np.all(X[:, 0] == 1.0)
+
+    def test_computed_once_and_read_only(self):
+        d = gen_ccd(3, 1.681, 4)
+        X = model_matrix(d)
+        assert model_matrix(d) is X
+        assert not X.flags.writeable
+        with pytest.raises(ValueError):
+            X[0, 0] = 2.0
 
     def test_rows_match_expansion(self):
         d = gen_ccd(2, 1.414, 2)
