@@ -53,7 +53,11 @@ class RegionShape(Enum):
 class Region:
     """Region of interest: a cube [-a, a]^k (size = half-width a) or a
     ball of radius r (size = r), both centered at the origin.  contains
-    admits points up to 1e-12 outside either, measured in distance."""
+    admits points up to 1e-12 outside either, measured in distance.
+
+    A region keys the memos of g_max and v_avg and the cache of
+    region_moments, so its hash, the dataclass's hash((shape, size)), is
+    computed once, here; equality stays the dataclass's."""
 
     shape: RegionShape
     size: float
@@ -61,6 +65,10 @@ class Region:
     def __post_init__(self):
         if not (math.isfinite(self.size) and self.size > 0):
             raise ValueError(f"region size must be finite and > 0, got {self.size}")
+        object.__setattr__(self, "_hash", hash((self.shape, self.size)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -70,19 +78,27 @@ class Region:
 
 
 def information_inverse(design: Design) -> np.ndarray:
-    """(X'X)^{-1} for the design's full quadratic model matrix: the only
-    place a design is inverted.  Computed once per (immutable) Design and
-    read-only (Design._memo); a failed inversion is not kept."""
+    """(X'X)^{-1} for the design's full quadratic model matrix, inverted as a
+    stack of one by linalg.invert, as missing.scenario_sweep inverts the
+    four designs of an alpha.  Computed once per (immutable) Design and
+    read-only (Design._memo); a failed inversion is not kept, and a design
+    scenario_sweep scored already holds the inverse from its stack."""
     def invert() -> np.ndarray:
         X = model_matrix(design)
-        return linalg.invert(X.T @ X)
+        return linalg.invert((X.T @ X)[None])[0]
     return design._memo("information_inverse", invert)
+
+
+def _a_traces(Minv: np.ndarray) -> np.ndarray:
+    """trace(M^{-1}) of one inverse, or of each in a stack: the A-criterion
+    kernel of a_trace and scenario_sweep."""
+    return np.trace(Minv, axis1=-2, axis2=-1)
 
 
 def a_trace(design: Design) -> float:
     """The A-criterion: trace((X'X)^{-1}), the summed variance of the
     parameter estimates.  Computed once per design."""
-    return design._memo("a_trace", lambda: float(np.trace(information_inverse(design))))
+    return design._memo("a_trace", lambda: float(_a_traces(information_inverse(design))))
 
 
 def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
@@ -101,9 +117,17 @@ def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
 
 
 def _spv_rows(design: Design, F: np.ndarray) -> np.ndarray:
-    """The SPV kernel, shared by spv_many and g_max: N times the row sums of
-    (F M^{-1}) * F, the SPV at each point whose model row is a row of F."""
-    return design.n * np.einsum("ij,ij->i", F @ information_inverse(design), F)
+    """The design's SPV at each point whose model row is a row of F, for
+    spv_many, g_max and criteria_report."""
+    return _spv(design.n, information_inverse(design), F)
+
+
+def _spv(n: int | np.ndarray, Minv: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The SPV kernel: n times the row sums of (F M^{-1}) * F.  For one
+    inverse and run count the SPV at each row of F; for a stack of d
+    inverses and d run counts, a d x m stack of them, each row of which is
+    the one inverse's to the bit."""
+    return np.asarray(n)[..., None] * np.einsum("...ij,ij->...i", F @ Minv, F)
 
 
 def _probe_rows(design: Design) -> np.ndarray:
@@ -343,17 +367,39 @@ def g_max(design: Design, region: Region,
     its grid is built (_grid_half_width), so nothing is kept for it.
     """
     def search() -> tuple[float, tuple[float, ...]]:
-        best_val, best_loc = -math.inf, ()
+        best, loc = -math.inf, ()
         grid = () if grid_step is None else _grid_models(region, grid_step, _symmetry(design))
         for F in itertools.chain([model_matrix(design), _probe_rows(design)], grid):
-            vals = _spv_rows(design, F)
-            top = float(vals.max())
-            if top > best_val * (1 + _G_TIE_RTOL):
-                i = int(np.argmax(vals >= top * (1 - _G_TIE_RTOL)))
-                best_loc = tuple(float(c) for c in F[i, 1:1 + design.k])
-            best_val = max(best_val, top)
-        return best_val, best_loc
+            best, i = _g_step(best, _spv_rows(design, F))
+            if i >= 0:
+                loc = _location(F, i, design.k)
+        return best, loc
     return design._memo(("g_max", region, grid_step), search)
+
+
+def _g_step(best: float, vals: np.ndarray) -> tuple[float, int]:
+    """One chunk of g_max's scan: the running maximum after the chunk's SPVs
+    vals, and the index in vals of its new location, or -1 if it stays.  It
+    moves to the chunk's first value within _G_TIE_RTOL of the chunk's
+    maximum when that exceeds the running maximum by more than _G_TIE_RTOL."""
+    top = float(vals.max())
+    if top > best * (1 + _G_TIE_RTOL):
+        return top, int(np.argmax(vals >= top * (1 - _G_TIE_RTOL)))
+    return max(best, top), -1
+
+
+def _g_rows(S: np.ndarray, n: int) -> tuple[float, int]:
+    """g_max without a grid, from S, one design's SPVs over [design rows;
+    probes]: the maximum and the index in S of its location, scanned as
+    g_max scans the two."""
+    best, i = _g_step(-math.inf, S[:n])
+    best, j = _g_step(best, S[n:n + 3])
+    return best, (n + j if j >= 0 else i)
+
+
+def _location(F: np.ndarray, i: int, k: int) -> tuple[float, ...]:
+    """The point whose model row is row i of F: columns 1..k."""
+    return tuple(F[i, 1:1 + k].tolist())
 
 
 @functools.lru_cache(maxsize=64)
@@ -396,14 +442,15 @@ def v_avg(design: Design, region: Region) -> float:
     """Average SPV over the region:
     N * trace((X'X)^{-1} E[f f']) under the uniform measure on R, computed
     once per design and region."""
-    return design._memo(("v_avg", region),
-                        lambda: _v_from_moments(design, region_moments(region, design.k)))
+    return design._memo(("v_avg", region), lambda: float(_v_from_moments(
+        design.n, information_inverse(design), region_moments(region, design.k))))
 
 
-def _v_from_moments(design: Design, M: np.ndarray) -> float:
-    """N * trace((X'X)^{-1} M) for a p x p moments matrix M: the V-average
-    formula, shared by v_avg and verify's printed-convention cells."""
-    return design.n * float(np.trace(information_inverse(design) @ M))
+def _v_from_moments(n: int | np.ndarray, Minv: np.ndarray, M: np.ndarray):
+    """n * trace(M^{-1} M_R) for a p x p moments matrix M_R: the V-average
+    formula, shared by v_avg, scenario_sweep (a stack of d inverses and d
+    run counts) and verify's printed-convention cells."""
+    return n * np.trace(Minv @ M, axis1=-2, axis2=-1)
 
 
 def _radical_inverse(i: int, base: int) -> float:
@@ -449,10 +496,14 @@ def _unit_sphere_points(k: int, n: int) -> np.ndarray:
     return g
 
 
+# rotatability_index's points on the sphere.
+_ROT_POINTS = 200
+
+
 def rotatability_index(design: Design, radius: float) -> float:
-    """Standard deviation of SPV over 200 points on the sphere of the given
-    radius; ~0 iff the design is rotatable at that radius."""
-    vals = spv_many(design, sphere_points(design.k, radius, 200))
+    """Standard deviation of SPV over _ROT_POINTS (200) points on the sphere
+    of the given radius; ~0 iff the design is rotatable at that radius."""
+    vals = spv_many(design, sphere_points(design.k, radius, _ROT_POINTS))
     return float(np.std(vals))
 
 
@@ -557,11 +608,27 @@ def criteria_report(design: Design, region: Region | None = None,
     cube and the sphere of radius sqrt(k); g_max uses the given region
     (unit cube when omitted) plus the design points and probes; the
     rotatability index is taken on the unit sphere.
+
+    One SPV pass, over [design rows; probes; the unit sphere's points],
+    gives the probe SPVs, the rotatability index and, when grid_step is
+    None, G, each equal to the bit to what probe_spv, rotatability_index
+    and g_max return; a G already kept for the design (as scenario_sweep
+    keeps the full design's) is read, not derived again.
     """
     if region is None:
         region = Region(RegionShape.CUBOIDAL, 1.0)
-    f, a, c = probe_spv(design)
-    gmax, loc = g_max(design, region, grid_step)
+    n, k = design.n, design.k
+    sphere = sphere_points(k, 1.0, _ROT_POINTS)
+    F = np.vstack([model_matrix(design), _probe_rows(design), expand_points(sphere)])
+    S = _spv_rows(design, F)
+    if grid_step is None:
+        def search() -> tuple[float, tuple[float, ...]]:
+            best, i = _g_rows(S, n)
+            return best, _location(F, i, k)
+        gmax, loc = design._memo(("g_max", region, None), search)
+    else:
+        gmax, loc = g_max(design, region, grid_step)
+    f, a, c = S[n:n + 3].tolist()
     return CriteriaReport(
         alpha=design.alpha,
         a_trace=a_trace(design),
@@ -570,8 +637,8 @@ def criteria_report(design: Design, region: Region | None = None,
         spv_center=c,
         g_max=gmax,
         g_max_location=loc,
-        g_eff=num_params(design.k) / gmax,
+        g_eff=num_params(k) / gmax,
         v_avg_cuboidal=v_avg(design, Region(RegionShape.CUBOIDAL, 1.0)),
-        v_avg_spherical=v_avg(design, Region(RegionShape.SPHERICAL, math.sqrt(design.k))),
-        rotatability_index=rotatability_index(design, 1.0),
+        v_avg_spherical=v_avg(design, Region(RegionShape.SPHERICAL, math.sqrt(k))),
+        rotatability_index=float(np.std(S[n + 3:])),
     )

@@ -1,11 +1,16 @@
 """Dense symmetric-matrix kernel for the design criteria.
 
-`invert` is the one factorization in the package: criteria.information_inverse
-forms a design's p x p information matrix X'X and inverts it here, once
-per design.  Inversion goes through a Cholesky factorization so that a
-residual design that can no longer estimate all p parameters fails
-loudly (SingularMatrixError) instead of returning garbage, and a matrix
-holding NaN or inf is rejected (ValueError) before it is factorized.
+`invert` is the one factorization in the package.  It takes a stack of
+p x p information matrices X'X: criteria.information_inverse passes a
+stack of one design, and missing.scenario_sweep the four designs of an
+alpha (the full CCD and its three single-deletion residuals), so a lone
+design and a sweep take one code path.  Inversion goes through a
+Cholesky factorization so that a residual design that can no longer
+estimate all p parameters fails loudly (SingularMatrixError) instead of
+returning garbage, and a stack holding NaN or inf is rejected
+(ValueError) before it is factorized.  numpy factorizes a stack one
+matrix at a time, so each inverse is bit-identical to that of its matrix
+inverted alone.
 
 All arithmetic is 64-bit; the error variance is taken as 1 throughout,
 so variances are reported per unit sigma^2.
@@ -27,29 +32,34 @@ class SingularMatrixError(Exception):
 
 
 def invert(M: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via Cholesky:
-    M = LL' gives M^{-1} = L^{-T} L^{-1}.
+    """Inverses of a (d, p, p) stack of symmetric positive-definite
+    matrices via Cholesky: M = LL' gives M^{-1} = L^{-T} L^{-1}.  One
+    cholesky, one inv and one product serve the whole stack, and the
+    checks below are made per matrix.  A lone p x p matrix is inverted
+    the same way.
 
     numpy forms both X'X and L^{-T} L^{-1} as symmetric rank-k updates, so
     M = X'X and its inverse come out exactly symmetric.
 
-    Raises ValueError when M holds NaN or inf, and SingularMatrixError
-    when a pivot falls below SINGULARITY_RTOL of the working scale (the
-    largest diagonal entry).
+    Raises ValueError when the stack holds NaN or inf, and
+    SingularMatrixError when any matrix has a pivot below SINGULARITY_RTOL
+    of its own working scale (its largest diagonal entry); the error does
+    not say which, so a caller that must know inverts each alone.
     """
     M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError("matrix contains NaN or inf")
-    scale = float(np.max(np.abs(np.diag(M)))) if M.size else 0.0
-    if scale == 0.0:
+    scale = np.abs(M.diagonal(0, -2, -1)).max(-1, initial=0.0)
+    if (scale == 0.0).any():
         raise SingularMatrixError("zero matrix")
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
     # Pivots of the factorization are diag(L)^2.
-    if float(np.min(np.diag(L)) ** 2) < SINGULARITY_RTOL * scale:
+    pivots = L.diagonal(0, -2, -1).min(-1, initial=np.inf) ** 2
+    if (pivots < SINGULARITY_RTOL * scale).any():
         raise SingularMatrixError(
             f"pivot below {SINGULARITY_RTOL:g} of working scale")
     Linv = np.linalg.inv(L)
-    return Linv.T @ Linv
+    return Linv.swapaxes(-1, -2) @ Linv

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import Region, _probe_rows, a_trace, g_max, v_avg
+from . import linalg
+from .criteria import (Region, _a_traces, _g_rows, _location, _probe_rows, _spv,
+                       _v_from_moments, a_trace, g_max, region_moments, v_avg)
 from .design import Design, PointClass, gen_ccd
 from .linalg import SingularMatrixError
 from .model import model_matrix
@@ -120,27 +122,85 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
     """For each alpha: build the full CCD, delete one representative
     point of each class in turn, and collect loss and relative G/V
     efficiency.  Inestimable cells are flagged, not raised; an inestimable
-    full design raises SingularMatrixError naming its alpha."""
+    full design raises SingularMatrixError naming its alpha.
+
+    The four designs of an alpha are scored as one stack, each value equal
+    to the bit to what the per-design functions (loss_precision,
+    relative_g_efficiency, relative_v_efficiency) give:
+    - each residual's model matrix is the full one without the class's
+      first canonical row (0, 2^k, 2^k + 2k), column-major as delete_rows
+      slices it, and each X'X is formed alone;
+    - the four X'X are inverted in one linalg.invert call, or, if one is
+      singular, each alone, so that only a singular residual is flagged;
+    - the A-traces and the V values take one stacked call each, and so
+      does G without a grid: the SPV over [full rows; probes], with each
+      residual's deleted row masked;
+    - with a grid, each residual is built by delete_rows, holding its
+      inverse from the stack, and searched by g_max.
+    The full design (LossReport.full) keeps its inverse, A-trace, V and G,
+    so a criteria_report of it inverts and searches nothing again.
+    """
+    nf = 2 ** k
+    tags = [cls.value for cls in PointClass]
+    deleted = (0, nf, nf + 2 * k)  # the first row of each class
     reports = []
     for alpha in alphas:
         full = gen_ccd(k, alpha, n0)
-        try:
-            a_full = a_trace(full)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"the full design at alpha={alpha:g} is inestimable ({exc})") from exc
-        rep = LossReport(alpha=alpha, a_full=a_full, full=full)
-        for cls in PointClass:
-            row = full.rows_of_class(cls)[0]
-            residual = delete_rows(full, [row])
-            tag = cls.value
-            try:
-                setattr(rep, f"loss_{tag}", loss_precision(full, residual))
-                setattr(rep, f"re_g_{tag}",
-                        relative_g_efficiency(full, residual, region, grid_step))
-                setattr(rep, f"re_v_{tag}",
-                        relative_v_efficiency(full, residual, region))
-            except SingularMatrixError:
-                rep.inestimable.append(tag)
+        n = full.n
+        X = model_matrix(full)
+        if grid_step is None:
+            models = [X] + [np.asfortranarray(np.delete(X, row, axis=0)) for row in deleted]
+        else:
+            designs = [full] + [delete_rows(full, [row]) for row in deleted]
+            models = [model_matrix(d) for d in designs]
+        Minv, live = _invert_stack(alpha, np.stack([Xd.T @ Xd for Xd in models]))
+        ns = np.array([n, n - 1, n - 1, n - 1])[live]
+        a = _a_traces(Minv).tolist()
+        v = _v_from_moments(ns, Minv, region_moments(region, k)).tolist()
+        full._memo("information_inverse", lambda: Minv[0])
+        full._memo("a_trace", lambda: a[0])
+        full._memo(("v_avg", region), lambda: v[0])
+        if grid_step is None:
+            F = np.vstack([X, _probe_rows(full)])
+            S = _spv(ns, Minv, F)
+            for j, i in enumerate(live[1:], 1):
+                S[j, deleted[i - 1]] = -np.inf
+            g = S.max(axis=1).tolist()
+            g_full, where = _g_rows(S[0], n)
+            full._memo(("g_max", region, None), lambda: (g_full, _location(F, where, k)))
+        else:
+            for j, i in enumerate(live):
+                designs[i]._memo("information_inverse", lambda: Minv[j])
+            g = [g_max(designs[i], region, grid_step)[0] for i in live]
+        rep = LossReport(alpha=alpha, a_full=a[0], full=full)
+        for j, i in enumerate(live[1:], 1):
+            tag = tags[i - 1]
+            setattr(rep, f"loss_{tag}", a[j] / a[0] - 1.0)
+            setattr(rep, f"re_g_{tag}", g[0] / g[j])
+            setattr(rep, f"re_v_{tag}", v[0] / v[j])
+        rep.inestimable = [tags[i - 1] for i in (1, 2, 3) if i not in live]
         reports.append(rep)
     return reports
+
+
+def _invert_stack(alpha: float, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The inverses of the estimable matrices of the stack M (the full
+    design's first) and their indices in it: all of M, inverted in one
+    call, or, when that call finds a singular matrix, each inverted alone.
+    Raises SingularMatrixError naming alpha when the full design is the
+    singular one."""
+    try:
+        return linalg.invert(M), list(range(len(M)))
+    except SingularMatrixError:
+        pass
+    inverses, live = [], []
+    for i in range(len(M)):
+        try:
+            inverses.append(linalg.invert(M[i:i + 1])[0])
+        except SingularMatrixError as exc:
+            if i == 0:
+                raise SingularMatrixError(
+                    f"the full design at alpha={alpha:g} is inestimable ({exc})") from exc
+            continue
+        live.append(i)
+    return np.stack(inverses), live

@@ -23,8 +23,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .criteria import (Region, RegionShape, _v_from_moments, a_trace, probe_spv,
-                       region_moments, v_avg)
+from .criteria import (Region, RegionShape, _v_from_moments, a_trace,
+                       information_inverse, probe_spv, region_moments, v_avg)
 from .design import Design, PointClass, gen_ccd
 from .fixtures import LOSS_TABLES, SPV_TABLES, ulp_tolerance
 from .missing import delete_rows, loss_precision
@@ -120,7 +120,7 @@ def _paper_v_average(design: Design, k: int) -> float:
         M = M.copy()
         M[-ni:, :] = 0.0
         M[:, -ni:] = 0.0
-    return _v_from_moments(design, M)
+    return float(_v_from_moments(design.n, information_inverse(design), M))
 
 
 def _verify_spv_table(tid: str) -> list[CellCheck]:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -82,9 +83,9 @@ class TestInformationInverse:
 
     def test_sweep_expands_and_averages_each_design_once(self, monkeypatch):
         # one alpha: the full design's model rows and probe rows are
-        # expanded; its three residuals slice theirs from it; V is
-        # computed once for each of the four designs
-        from ccdrobust import model
+        # expanded; its three residuals slice theirs from it; V of the
+        # four designs is one stacked call
+        from ccdrobust import missing, model
         counts = {}
 
         def counting(real):
@@ -96,9 +97,11 @@ class TestInformationInverse:
         expand = counting(model.expand_points)
         monkeypatch.setattr(model, "expand_points", expand)
         monkeypatch.setattr(criteria, "expand_points", expand)
-        monkeypatch.setattr(criteria, "_v_from_moments", counting(criteria._v_from_moments))
+        v = counting(criteria._v_from_moments)
+        monkeypatch.setattr(criteria, "_v_from_moments", v)
+        monkeypatch.setattr(missing, "_v_from_moments", v)
         scenario_sweep(3, 4, [1.5], CUBE1)
-        assert counts == {"expand_points": 2, "_v_from_moments": 4}
+        assert counts == {"expand_points": 2, "_v_from_moments": 1}
 
     def test_sweep_inverts_each_design_once(self, invert_calls):
         # 8 alphas x (full design + 3 single-deletion residuals)
@@ -972,3 +975,44 @@ def test_region_validation():
 def test_region_rejects_size_not_finite_and_positive(shape, size):
     with pytest.raises(ValueError, match="region size"):
         Region(shape, size)
+
+
+class TestRegionHash:
+    def test_equal_regions_hash_equal(self):
+        for shape in RegionShape:
+            a, b = Region(shape, 1.5), Region(shape, 1.5)
+            assert a == b and a is not b
+            assert hash(a) == hash(b) == hash((shape, 1.5))
+        assert Region(RegionShape.CUBOIDAL, 1.0) != Region(RegionShape.CUBOIDAL, 2.0)
+        assert Region(RegionShape.CUBOIDAL, 1.0) != Region(RegionShape.SPHERICAL, 1.0)
+        assert [f.name for f in dataclasses.fields(Region)] == ["shape", "size"]
+        assert repr(CUBE1) == "Region(shape=<RegionShape.CUBOIDAL: 'cuboidal'>, size=1.0)"
+
+    def test_hashed_once(self, monkeypatch):
+        region = Region(RegionShape.SPHERICAL, 2.0)
+
+        def no_hash(self):
+            raise AssertionError("hashed again")
+
+        monkeypatch.setattr(RegionShape, "__hash__", no_hash)
+        with pytest.raises(AssertionError, match="hashed again"):
+            hash(RegionShape.SPHERICAL)
+        assert {region: 1}[region] == 1
+        assert hash(region) == hash(region)
+
+    def test_equal_region_hits_the_memos(self, monkeypatch):
+        d = gen_ccd(3, 1.5, 4)
+        g = g_max(d, Region(RegionShape.CUBOIDAL, 1.0))
+        v = v_avg(d, Region(RegionShape.SPHERICAL, math.sqrt(3)))
+        moments = region_moments(Region(RegionShape.CUBOIDAL, 0.75), 3)
+        hits = region_moments.cache_info().hits
+
+        def recomputed(*args):
+            raise AssertionError("recomputed")
+
+        monkeypatch.setattr(criteria, "_spv_rows", recomputed)
+        monkeypatch.setattr(criteria, "_v_from_moments", recomputed)
+        assert g_max(d, Region(RegionShape.CUBOIDAL, 1.0)) is g
+        assert v_avg(d, Region(RegionShape.SPHERICAL, math.sqrt(3))) == v
+        assert region_moments(Region(RegionShape.CUBOIDAL, 0.75), 3) is moments
+        assert region_moments.cache_info().hits == hits + 1

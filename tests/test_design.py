@@ -38,6 +38,29 @@ class TestGenCcd:
         assert len(d.rows_of_class(PointClass.FACTORIAL)) == 32
         assert len(d.rows_of_class(PointClass.AXIAL)) == 10
 
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_rows_of_class_canonical(self, k):
+        # the layout scenario_sweep reads each class's first row from
+        nf, n0 = 2 ** k, 3
+        d = gen_ccd(k, 1.5, n0)
+        layout = {PointClass.FACTORIAL: range(0, nf),
+                  PointClass.AXIAL: range(nf, nf + 2 * k),
+                  PointClass.CENTER: range(nf + 2 * k, nf + 2 * k + n0)}
+        for cls, rows in layout.items():
+            got = d.rows_of_class(cls)
+            assert got.tolist() == list(rows)
+            assert got.tolist() == [i for i, c in enumerate(d.classes) if c == cls]
+            assert got.dtype == np.intp
+
+    def test_rows_of_class_of_any_design(self):
+        classes = [PointClass.CENTER, "center", PointClass.AXIAL, None, PointClass.CENTER]
+        d = Design(1.0, np.zeros((5, 2)), classes)
+        assert d.rows_of_class(PointClass.CENTER).tolist() == [0, 4]
+        assert d.rows_of_class(PointClass.AXIAL).tolist() == [2]
+        assert d.rows_of_class(PointClass.FACTORIAL).tolist() == []
+        assert d.rows_of_class("center").tolist() == [1]
+        assert Design(1.0, np.zeros((0, 2)), []).rows_of_class(PointClass.AXIAL).size == 0
+
     def test_axial_rows_k2(self):
         d = gen_ccd(2, 1.414, 1)
         assert d.n == 9

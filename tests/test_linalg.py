@@ -75,6 +75,58 @@ class TestInvert:
             linalg.invert(X.T @ X)
 
 
+def _residual_stacks():
+    """(k, alpha, n0, stack of the full CCD's X'X and its three residuals')."""
+    for k in (2, 3, 4, 5):
+        for alpha in (0.7, 1.0, 1.5, math.sqrt(k), 2.2):
+            for n0 in (2, 4):
+                X = model_matrix(gen_ccd(k, alpha, n0))
+                Xs = [X] + [np.asfortranarray(np.delete(X, r, axis=0))
+                            for r in (0, 2 ** k, 2 ** k + 2 * k)]
+                yield k, alpha, n0, np.stack([Xd.T @ Xd for Xd in Xs])
+
+
+class TestInvertStack:
+    def test_each_inverse_is_the_one_alone(self):
+        for k, alpha, n0, stack in _residual_stacks():
+            inverses = linalg.invert(stack)
+            assert inverses.shape == stack.shape
+            for M, Minv in zip(stack, inverses):
+                alone = linalg.invert(M)
+                assert alone.tobytes() == Minv.tobytes(), (k, alpha, n0)
+                assert np.array_equal(Minv, Minv.T)
+
+    def test_stack_of_one(self):
+        M = info_matrix(3, 1.681)
+        assert linalg.invert(M[None]).tobytes() == linalg.invert(M).tobytes()
+
+    def test_scale_checked_per_matrix(self):
+        # 2^-70 I is well conditioned on its own scale; judged against the
+        # other matrix's scale its pivots would fall below SINGULARITY_RTOL
+        inverses = linalg.invert(np.stack([2.0 ** -70 * np.eye(3), np.eye(3)]))
+        assert np.array_equal(inverses[0], 2.0 ** 70 * np.eye(3))
+        assert np.array_equal(inverses[1], np.eye(3))
+
+    @pytest.mark.parametrize("bad", [0, 1, 3])
+    def test_one_singular_matrix_fails_the_stack(self, bad):
+        stack = next(_residual_stacks())[3].copy()
+        stack[bad] = np.ones_like(stack[bad])
+        with pytest.raises(SingularMatrixError):
+            linalg.invert(stack)
+
+    def test_zero_matrix_in_stack(self):
+        stack = np.stack([np.eye(3), np.zeros((3, 3))])
+        with pytest.raises(SingularMatrixError, match="zero matrix"):
+            linalg.invert(stack)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_stack_raises_value_error(self, bad):
+        stack = next(_residual_stacks())[3].copy()
+        stack[2, 1, 4] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            linalg.invert(stack)
+
+
 class TestATrace:
     def test_k3_alpha1(self):
         assert a_trace(gen_ccd(3, 1.0, 4)) == pytest.approx(1.9369, abs=2e-4)

@@ -7,16 +7,21 @@ import pytest
 from ccdrobust import criteria
 from ccdrobust.cli import DEFAULT_ALPHAS
 from ccdrobust.criteria import (
+    CriteriaReport,
     Region,
     RegionShape,
     a_trace,
+    criteria_report,
     information_inverse,
     probe_spv,
+    region_moments,
+    sphere_points,
     spv_many,
 )
-from ccdrobust.design import PointClass, gen_ccd
+from ccdrobust.design import PointClass, canonical_probe_points, gen_ccd
 from ccdrobust.linalg import SingularMatrixError
 from ccdrobust.missing import (
+    LossReport,
     delete_rows,
     increase_in_variance,
     loss_precision,
@@ -24,7 +29,7 @@ from ccdrobust.missing import (
     relative_v_efficiency,
     scenario_sweep,
 )
-from ccdrobust.model import expand_point, expand_points, model_matrix
+from ccdrobust.model import expand_point, expand_points, model_matrix, num_params
 
 CUBE1 = Region(RegionShape.CUBOIDAL, 1.0)
 
@@ -257,3 +262,174 @@ class TestScenarioSweep:
                 res = delete_rows(full, [full.rows_of_class(cls)[0]])
                 assert getattr(rep, f"re_g_{cls.value}") == relative_g_efficiency(
                     full, res, CUBE1, grid_step=0.5)
+
+
+# -- the stacked sweep against the per-design computation it replaced ------
+
+SPHERE = {k: Region(RegionShape.SPHERICAL, math.sqrt(k)) for k in range(2, 6)}
+
+
+def _invert_alone(M):
+    """linalg.invert of one matrix, as it was before it took stacks."""
+    scale = float(np.max(np.abs(np.diag(M))))
+    if scale == 0.0:
+        raise SingularMatrixError("zero matrix")
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from exc
+    if float(np.min(np.diag(L)) ** 2) < 1e-12 * scale:
+        raise SingularMatrixError("pivot")
+    Linv = np.linalg.inv(L)
+    return Linv.T @ Linv
+
+
+class _Alone:
+    """One design scored on its own, each criterion by its own calls, as
+    scenario_sweep and criteria_report scored designs before stacking."""
+
+    def __init__(self, design):
+        self.design, self.k = design, design.k
+        self.X = expand_points(design.coords)
+        self.P = expand_points(canonical_probe_points(design))
+        self.Minv = _invert_alone(self.X.T @ self.X)
+
+    def spv(self, F):
+        return self.design.n * np.einsum("ij,ij->i", F @ self.Minv, F)
+
+    def a(self):
+        return float(np.trace(self.Minv))
+
+    def v(self, region):
+        return self.design.n * float(np.trace(self.Minv @ region_moments(region, self.k)))
+
+    def g(self):
+        best, loc = -math.inf, ()
+        for F in (self.X, self.P):
+            vals = self.spv(F)
+            top = float(vals.max())
+            if top > best * (1 + 1e-12):
+                i = int(np.argmax(vals >= top * (1 - 1e-12)))
+                loc = tuple(float(c) for c in F[i, 1:1 + self.k])
+            best = max(best, top)
+        return best, loc
+
+    def report(self):
+        f, a, c = (float(s) for s in self.spv(self.P))
+        gmax, loc = self.g()
+        sphere = expand_points(sphere_points(self.k, 1.0, 200))
+        return CriteriaReport(self.design.alpha, self.a(), f, a, c, gmax, loc,
+                              num_params(self.k) / gmax, self.v(CUBE1),
+                              self.v(SPHERE[self.k]), float(np.std(self.spv(sphere))))
+
+
+def _sweep_alone(k, n0, alphas, region):
+    reports = []
+    for alpha in alphas:
+        full = gen_ccd(k, alpha, n0)
+        f = _Alone(full)
+        rep = LossReport(alpha=alpha, a_full=f.a())
+        for cls in PointClass:
+            try:
+                r = _Alone(delete_rows(full, [full.rows_of_class(cls)[0]]))
+            except SingularMatrixError:
+                rep.inestimable.append(cls.value)
+                continue
+            setattr(rep, f"loss_{cls.value}", r.a() / f.a() - 1.0)
+            setattr(rep, f"re_g_{cls.value}", f.g()[0] / r.g()[0])
+            setattr(rep, f"re_v_{cls.value}", f.v(region) / r.v(region))
+        reports.append(rep)
+    return reports
+
+
+def _bits(report, fields):
+    """The fields as their reprs: bit for bit, -0.0 and the type included."""
+    return [repr(getattr(report, f)) for f in fields]
+
+
+class TestStackedSweep:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n0", [1, 2, 4])
+    def test_bit_identical_to_each_design_alone(self, k, n0):
+        alphas = [round(0.5 + 0.1 * i, 1) for i in range(31)]
+        alphas += [math.sqrt(k), round(math.sqrt(k), 3)]
+        fields = LossReport.FIELDS + ("inestimable",)
+        for rep, want in zip(scenario_sweep(k, n0, alphas, CUBE1),
+                             _sweep_alone(k, n0, alphas, CUBE1), strict=True):
+            assert _bits(rep, fields) == _bits(want, fields), rep.alpha
+            report = _Alone(rep.full).report()
+            for design in (rep.full, gen_ccd(k, rep.alpha, n0)):
+                assert (_bits(criteria_report(design, CUBE1), CriteriaReport.FIELDS)
+                        == _bits(report, CriteriaReport.FIELDS)), rep.alpha
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_report_of_residual_whose_g_is_at_a_probe(self, k):
+        # without its one center run a design's G is at the center probe,
+        # which is none of its rows, from alpha = 1.3 on
+        for alpha in (0.8, 1.3, 1.6, 2.0):
+            full = gen_ccd(k, alpha, 1)
+            res = delete_rows(full, [full.rows_of_class(PointClass.CENTER)[0]])
+            report = criteria_report(res, CUBE1)
+            assert (_bits(report, CriteriaReport.FIELDS)
+                    == _bits(_Alone(res).report(), CriteriaReport.FIELDS))
+            assert (report.g_max_location == (0.0,) * k) == (alpha > 1)
+
+    @pytest.mark.parametrize("n0", [1, 4])
+    def test_grid_path_matches_per_design_functions(self, n0):
+        alphas = [0.8, 1.3, math.sqrt(3), 2.4]
+        for region in (CUBE1, SPHERE[3]):
+            for rep in scenario_sweep(3, n0, alphas, region, grid_step=0.25):
+                full = gen_ccd(3, rep.alpha, n0)
+                assert rep.a_full == a_trace(full)
+                for cls in PointClass:
+                    res = delete_rows(full, [full.rows_of_class(cls)[0]])
+                    try:
+                        want = (loss_precision(full, res),
+                                relative_g_efficiency(full, res, region, 0.25),
+                                relative_v_efficiency(full, res, region))
+                    except SingularMatrixError:
+                        assert cls.value in rep.inestimable
+                        continue
+                    got = tuple(getattr(rep, f"{m}_{cls.value}")
+                                for m in ("loss", "re_g", "re_v"))
+                    assert repr(got) == repr(want)
+
+    def test_grid_path_factorizes_each_design_once(self, invert_calls):
+        # the residuals searched on the grid hold their inverses from the stack
+        scenario_sweep(3, 4, [1.0, 1.681], CUBE1, grid_step=0.5)
+        assert invert_calls[0] == 2 * 4
+
+    def test_full_design_memo_seeded_from_stack(self, invert_calls):
+        rep, = scenario_sweep(3, 4, [1.5], CUBE1)
+        assert invert_calls[0] == 4
+        assert {"information_inverse", "a_trace", ("v_avg", CUBE1),
+                ("g_max", CUBE1, None)} <= set(rep.full._memoized)
+        want = _Alone(rep.full)
+        assert np.array_equal(information_inverse(rep.full), want.Minv)
+        assert not information_inverse(rep.full).flags.writeable
+        assert repr(criteria.g_max(rep.full, CUBE1)) == repr(want.g())
+        criteria_report(rep.full, CUBE1)
+        assert invert_calls[0] == 4
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_one_singular_residual_flagged_rest_bit_identical(self, k, invert_calls):
+        # n0 = 1 at alpha = sqrt(k): the stack fails on the center deletion,
+        # and each matrix is then factorized alone
+        alpha = math.sqrt(k)
+        rep, = scenario_sweep(k, 1, [alpha], CUBE1)
+        want, = _sweep_alone(k, 1, [alpha], CUBE1)
+        assert rep.inestimable == ["center"]
+        assert rep.loss_center is rep.re_g_center is rep.re_v_center is None
+        fields = LossReport.FIELDS + ("inestimable",)
+        assert _bits(rep, fields) == _bits(want, fields)
+        assert invert_calls[0] == 4 + 4
+
+    def test_singular_full_design_raises(self):
+        with pytest.raises(SingularMatrixError,
+                           match=r"the full design at alpha=1e-06 is inestimable"):
+            scenario_sweep(2, 4, [1.0, 1e-6], CUBE1)
+
+    def test_singular_full_design_raises_on_grid_path(self):
+        with pytest.raises(SingularMatrixError,
+                           match=r"the full design at alpha=1e-06 is inestimable"):
+            scenario_sweep(2, 4, [1e-6], CUBE1, grid_step=0.5)
