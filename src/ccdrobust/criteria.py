@@ -78,14 +78,13 @@ class Region:
 
 
 def information_inverse(design: Design) -> np.ndarray:
-    """(X'X)^{-1} for the design's full quadratic model matrix, inverted as a
-    stack of one by linalg.invert, as missing.scenario_sweep inverts the
-    four designs of an alpha.  Computed once per (immutable) Design and
-    read-only (Design._memo); a failed inversion is not kept, and a design
-    scenario_sweep scored already holds the inverse from its stack."""
+    """(X'X)^{-1} for the design's full quadratic model matrix.  Computed
+    once per (immutable) Design and read-only (Design._memo); a failed
+    inversion is not kept, and a design scenario_sweep scored already holds
+    the inverse from its stack (_seed_scores)."""
     def invert() -> np.ndarray:
         X = model_matrix(design)
-        return linalg.invert((X.T @ X)[None])[0]
+        return linalg.invert(X.T @ X)
     return design._memo("information_inverse", invert)
 
 
@@ -453,6 +452,20 @@ def _v_from_moments(n: int | np.ndarray, Minv: np.ndarray, M: np.ndarray):
     return n * np.trace(Minv @ M, axis1=-2, axis2=-1)
 
 
+def _seed_scores(design: Design, Minv: np.ndarray, a: float, region: Region,
+                 v: float, g: tuple[float, tuple[float, ...]] | None = None) -> None:
+    """Keep scores computed elsewhere (missing.scenario_sweep's stack) on the
+    design, under the memo keys information_inverse, a_trace, v_avg and,
+    when g is given, g_max without a grid read, so that none of them
+    computes its value again.  Each value must be the bit-identical one
+    that function would compute."""
+    design._memo("information_inverse", lambda: Minv)
+    design._memo("a_trace", lambda: a)
+    design._memo(("v_avg", region), lambda: v)
+    if g is not None:
+        design._memo(("g_max", region, None), lambda: g)
+
+
 def _radical_inverse(i: int, base: int) -> float:
     inv, f = 0.0, 1.0 / base
     while i > 0:
@@ -609,26 +622,17 @@ def criteria_report(design: Design, region: Region | None = None,
     (unit cube when omitted) plus the design points and probes; the
     rotatability index is taken on the unit sphere.
 
-    One SPV pass, over [design rows; probes; the unit sphere's points],
-    gives the probe SPVs, the rotatability index and, when grid_step is
-    None, G, each equal to the bit to what probe_spv, rotatability_index
-    and g_max return; a G already kept for the design (as scenario_sweep
-    keeps the full design's) is read, not derived again.
+    One SPV pass, over [probes; the unit sphere's points], gives the probe
+    SPVs and the rotatability index, each equal to the bit to what
+    probe_spv and rotatability_index return.
     """
     if region is None:
         region = Region(RegionShape.CUBOIDAL, 1.0)
-    n, k = design.n, design.k
+    k = design.k
     sphere = sphere_points(k, 1.0, _ROT_POINTS)
-    F = np.vstack([model_matrix(design), _probe_rows(design), expand_points(sphere)])
-    S = _spv_rows(design, F)
-    if grid_step is None:
-        def search() -> tuple[float, tuple[float, ...]]:
-            best, i = _g_rows(S, n)
-            return best, _location(F, i, k)
-        gmax, loc = design._memo(("g_max", region, None), search)
-    else:
-        gmax, loc = g_max(design, region, grid_step)
-    f, a, c = S[n:n + 3].tolist()
+    S = _spv_rows(design, np.vstack([_probe_rows(design), expand_points(sphere)]))
+    gmax, loc = g_max(design, region, grid_step)
+    f, a, c = S[:3].tolist()
     return CriteriaReport(
         alpha=design.alpha,
         a_trace=a_trace(design),
@@ -640,5 +644,5 @@ def criteria_report(design: Design, region: Region | None = None,
         g_eff=num_params(k) / gmax,
         v_avg_cuboidal=v_avg(design, Region(RegionShape.CUBOIDAL, 1.0)),
         v_avg_spherical=v_avg(design, Region(RegionShape.SPHERICAL, math.sqrt(k))),
-        rotatability_index=float(np.std(S[n + 3:])),
+        rotatability_index=float(np.std(S[3:])),
     )

@@ -37,10 +37,6 @@ class PointClass(Enum):
     CENTER = "center"
 
 
-# Each class's code in Design.rows_of_class: its position in PointClass.
-_CLASS_CODES = {member: code for code, member in enumerate(PointClass)}
-
-
 @dataclass(frozen=True, eq=False)
 class Design:
     """An immutable design with axial distance alpha: an n x k array of
@@ -77,19 +73,7 @@ class Design:
         return self.coords.shape[1]
 
     def rows_of_class(self, point_class: PointClass) -> np.ndarray:
-        """Indices of the rows of point_class, in order.  Each row's class is
-        read once per design as its code in _CLASS_CODES (-1 for an object
-        that is not a member), so a call compares small integers; an object
-        that is not a member is compared with each row's."""
-        def codes() -> np.ndarray:
-            out = np.full(self.n, -1)
-            for member, code in _CLASS_CODES.items():
-                out[self.classes == member] = code
-            return out
-        code = _CLASS_CODES.get(point_class)
-        if code is None:
-            return np.flatnonzero(self.classes == point_class)
-        return np.flatnonzero(self._memo("class_codes", codes) == code)
+        return np.flatnonzero(self.classes == point_class)
 
     def _memo(self, key, make):
         """make(), computed once per design and kept under key, read-only if

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .criteria import (Region, _a_traces, _g_rows, _location, _probe_rows, _spv,
-                       _v_from_moments, a_trace, g_max, region_moments, v_avg)
+from .criteria import (Region, _a_traces, _g_rows, _location, _probe_rows, _seed_scores,
+                       _spv, _v_from_moments, a_trace, g_max, region_moments, v_avg)
 from .design import Design, PointClass, gen_ccd
 from .linalg import SingularMatrixError
 from .model import model_matrix
@@ -69,7 +69,7 @@ def increase_in_variance(full: Design, residual: Design) -> float:
 def loss_precision(full: Design, residual: Design) -> float:
     """Relative loss in precision of the parameter estimates:
     trace((X'_r X_r)^{-1}) / trace((X'X)^{-1}) - 1."""
-    return a_trace(residual) / a_trace(full) - 1.0
+    return _loss(a_trace(full), a_trace(residual))
 
 
 def relative_g_efficiency(full: Design, residual: Design, region: Region,
@@ -79,13 +79,26 @@ def relative_g_efficiency(full: Design, residual: Design, region: Region,
     harm."""
     g_full, _ = g_max(full, region, grid_step)
     g_res, _ = g_max(residual, region, grid_step)
-    return g_full / g_res
+    return _efficiency(g_full, g_res)
 
 
 def relative_v_efficiency(full: Design, residual: Design, region: Region) -> float:
     """Ratio of the full design's average SPV over the region to the
     residual design's."""
-    return v_avg(full, region) / v_avg(residual, region)
+    return _efficiency(v_avg(full, region), v_avg(residual, region))
+
+
+def _loss(a_full: float, a_res: float) -> float:
+    """The loss in precision from the two A-traces, for loss_precision and
+    scenario_sweep."""
+    return a_res / a_full - 1.0
+
+
+def _efficiency(full: float, res: float) -> float:
+    """A relative efficiency from the full design's G or V and the
+    residual's, for relative_g_efficiency, relative_v_efficiency and
+    scenario_sweep."""
+    return full / res
 
 
 @dataclass
@@ -137,8 +150,10 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
       residual's deleted row masked;
     - with a grid, each residual is built by delete_rows, holding its
       inverse from the stack, and searched by g_max.
-    The full design (LossReport.full) keeps its inverse, A-trace, V and G,
-    so a criteria_report of it inverts and searches nothing again.
+    The loss and the efficiencies are the per-design functions' _loss and
+    _efficiency.  The full design (LossReport.full) keeps its inverse,
+    A-trace, V and G (criteria._seed_scores), so a criteria_report of it
+    inverts and searches nothing again.
     """
     nf = 2 ** k
     tags = [cls.value for cls in PointClass]
@@ -157,9 +172,6 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
         ns = np.array([n, n - 1, n - 1, n - 1])[live]
         a = _a_traces(Minv).tolist()
         v = _v_from_moments(ns, Minv, region_moments(region, k)).tolist()
-        full._memo("information_inverse", lambda: Minv[0])
-        full._memo("a_trace", lambda: a[0])
-        full._memo(("v_avg", region), lambda: v[0])
         if grid_step is None:
             F = np.vstack([X, _probe_rows(full)])
             S = _spv(ns, Minv, F)
@@ -167,17 +179,17 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
                 S[j, deleted[i - 1]] = -np.inf
             g = S.max(axis=1).tolist()
             g_full, where = _g_rows(S[0], n)
-            full._memo(("g_max", region, None), lambda: (g_full, _location(F, where, k)))
+            _seed_scores(full, Minv[0], a[0], region, v[0], (g_full, _location(F, where, k)))
         else:
             for j, i in enumerate(live):
-                designs[i]._memo("information_inverse", lambda: Minv[j])
+                _seed_scores(designs[i], Minv[j], a[j], region, v[j])
             g = [g_max(designs[i], region, grid_step)[0] for i in live]
         rep = LossReport(alpha=alpha, a_full=a[0], full=full)
         for j, i in enumerate(live[1:], 1):
             tag = tags[i - 1]
-            setattr(rep, f"loss_{tag}", a[j] / a[0] - 1.0)
-            setattr(rep, f"re_g_{tag}", g[0] / g[j])
-            setattr(rep, f"re_v_{tag}", v[0] / v[j])
+            setattr(rep, f"loss_{tag}", _loss(a[0], a[j]))
+            setattr(rep, f"re_g_{tag}", _efficiency(g[0], g[j]))
+            setattr(rep, f"re_v_{tag}", _efficiency(v[0], v[j]))
         rep.inestimable = [tags[i - 1] for i in (1, 2, 3) if i not in live]
         reports.append(rep)
     return reports
@@ -196,7 +208,7 @@ def _invert_stack(alpha: float, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     inverses, live = [], []
     for i in range(len(M)):
         try:
-            inverses.append(linalg.invert(M[i:i + 1])[0])
+            inverses.append(linalg.invert(M[i]))
         except SingularMatrixError as exc:
             if i == 0:
                 raise SingularMatrixError(

@@ -103,6 +103,21 @@ class TestInformationInverse:
         scenario_sweep(3, 4, [1.5], CUBE1)
         assert counts == {"expand_points": 2, "_v_from_moments": 1}
 
+    def test_seeded_scores_are_what_the_criteria_read(self, invert_calls):
+        # each seeded value is returned as kept, and nothing is computed
+        d = gen_ccd(3, 1.681, 4)
+        Minv, g = np.eye(num_params(3)), (7.0, (0.5, 0.5, 0.5))
+        criteria._seed_scores(d, Minv, 2.0, CUBE1, 3.0, g)
+        assert information_inverse(d) is Minv
+        assert (a_trace(d), v_avg(d, CUBE1), g_max(d, CUBE1)) == (2.0, 3.0, g)
+        assert invert_calls[0] == 0
+        # without g, G is searched with the seeded inverse
+        ref, e = gen_ccd(3, 1.681, 4), gen_ccd(3, 1.681, 4)
+        criteria._seed_scores(e, information_inverse(ref), a_trace(ref), CUBE1,
+                              v_avg(ref, CUBE1))
+        assert g_max(e, CUBE1) == g_max(ref, CUBE1)
+        assert invert_calls[0] == 1
+
     def test_sweep_inverts_each_design_once(self, invert_calls):
         # 8 alphas x (full design + 3 single-deletion residuals)
         scenario_sweep(3, 4, DEFAULT_ALPHAS[3], CUBE1)
