@@ -1,10 +1,10 @@
 """Dense symmetric-matrix kernel for the design criteria.
 
-`invert` is the one factorization in the package.  It takes a stack of
-p x p information matrices X'X: criteria.information_inverse passes a
-stack of one design, and missing.scenario_sweep the four designs of an
-alpha (the full CCD and its three single-deletion residuals), so a lone
-design and a sweep take one code path.  Inversion goes through a
+`invert` is the one factorization in the package.  It takes a p x p
+information matrix X'X, as criteria.information_inverse passes it, or a
+stack of them, as missing.scenario_sweep passes the four designs of an
+alpha (the full CCD and its three single-deletion residuals); both go
+through the same calls.  Inversion goes through a
 Cholesky factorization so that a residual design that can no longer
 estimate all p parameters fails loudly (SingularMatrixError) instead of
 returning garbage, and a stack holding NaN or inf is rejected
