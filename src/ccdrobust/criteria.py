@@ -130,9 +130,15 @@ def _spv(n: int | np.ndarray, Minv: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def _probe_rows(design: Design) -> np.ndarray:
-    """The model rows of the canonical probe points, once per design; a
-    residual from missing.delete_rows shares its parent's."""
-    return design._memo("probe_rows", lambda: expand_points(canonical_probe_points(design)))
+    """The model rows of the canonical probe points, once per design: filled
+    in from the template of a design from gen_ccd, as model_matrix is, and
+    expanded for any other; a residual from missing.delete_rows shares its
+    parent's."""
+    def make() -> np.ndarray:
+        if design._ccd is None:
+            return expand_points(canonical_probe_points(design))
+        return design._ccd.probe_rows(design.alpha)
+    return design._memo("probe_rows", make)
 
 
 def probe_spv(design: Design) -> tuple[float, float, float]:
@@ -513,6 +519,16 @@ def _unit_sphere_points(k: int, n: int) -> np.ndarray:
 _ROT_POINTS = 200
 
 
+@functools.lru_cache(maxsize=len(_PRIMES))
+def _unit_sphere_rows(k: int) -> np.ndarray:
+    """The model rows of the _ROT_POINTS points on the unit sphere that
+    criteria_report's rotatability index is taken at, expanded once per k
+    and returned read-only, since every caller shares them."""
+    F = expand_points(sphere_points(k, 1.0, _ROT_POINTS))
+    F.flags.writeable = False
+    return F
+
+
 def rotatability_index(design: Design, radius: float) -> float:
     """Standard deviation of SPV over _ROT_POINTS (200) points on the sphere
     of the given radius; ~0 iff the design is rotatable at that radius."""
@@ -624,13 +640,14 @@ def criteria_report(design: Design, region: Region | None = None,
 
     One SPV pass, over [probes; the unit sphere's points], gives the probe
     SPVs and the rotatability index, each equal to the bit to what
-    probe_spv and rotatability_index return.
+    probe_spv and rotatability_index return.  The sphere's model rows are
+    expanded once per k (_unit_sphere_rows), and the probe rows of a design
+    from gen_ccd are filled in from its template.
     """
     if region is None:
         region = Region(RegionShape.CUBOIDAL, 1.0)
     k = design.k
-    sphere = sphere_points(k, 1.0, _ROT_POINTS)
-    S = _spv_rows(design, np.vstack([_probe_rows(design), expand_points(sphere)]))
+    S = _spv_rows(design, np.vstack([_probe_rows(design), _unit_sphere_rows(k)]))
     gmax, loc = g_max(design, region, grid_step)
     f, a, c = S[:3].tolist()
     return CriteriaReport(

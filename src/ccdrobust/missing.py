@@ -140,9 +140,11 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
     The four designs of an alpha are scored as one stack, each value equal
     to the bit to what the per-design functions (loss_precision,
     relative_g_efficiency, relative_v_efficiency) give:
-    - each residual's model matrix is the full one without the class's
-      first canonical row (0, 2^k, 2^k + 2k), column-major as delete_rows
-      slices it, and each X'X is formed alone;
+    - the full model matrix is gen_ccd's (k, n0) template filled in with
+      alpha, and each residual's is its rows without the class's first
+      canonical row (0, 2^k, 2^k + 2k), taken by the rows the template
+      keeps for that deletion, column-major as delete_rows slices it;
+      each X'X is formed alone;
     - the four X'X are inverted in one linalg.invert call, or, if one is
       singular, each alone, so that only a singular residual is flagged;
     - the A-traces and the V values take one stacked call each, and so
@@ -155,16 +157,14 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
     A-trace, V and G (criteria._seed_scores), so a criteria_report of it
     inverts and searches nothing again.
     """
-    nf = 2 ** k
     tags = [cls.value for cls in PointClass]
-    deleted = (0, nf, nf + 2 * k)  # the first row of each class
     reports = []
     for alpha in alphas:
         full = gen_ccd(k, alpha, n0)
-        n = full.n
+        n, deleted = full.n, full._ccd.first_rows
         X = model_matrix(full)
         if grid_step is None:
-            models = [X] + [np.asfortranarray(np.delete(X, row, axis=0)) for row in deleted]
+            models = [X] + _residual_models(full)
         else:
             designs = [full] + [delete_rows(full, [row]) for row in deleted]
             models = [model_matrix(d) for d in designs]
@@ -193,6 +193,14 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
         rep.inestimable = [tags[i - 1] for i in (1, 2, 3) if i not in live]
         reports.append(rep)
     return reports
+
+
+def _residual_models(full: Design) -> list[np.ndarray]:
+    """The model matrices of the three residuals scenario_sweep scores, the
+    full CCD less each class's first row, as delete_rows slices them: the
+    rows gen_ccd's template keeps for each deletion, column-major."""
+    X = model_matrix(full)
+    return [np.asfortranarray(X[rows]) for rows in full._ccd.residual_rows]
 
 
 def _invert_stack(alpha: float, M: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -1,6 +1,8 @@
+import functools
+
 import pytest
 
-from ccdrobust import criteria, linalg
+from ccdrobust import criteria, design, linalg
 
 
 @pytest.fixture
@@ -24,3 +26,13 @@ def grid_cache(monkeypatch):
     restored after it."""
     monkeypatch.setattr(criteria, "_grid_cache", {})
     return criteria._grid_cache
+
+
+@pytest.fixture
+def ccd_templates(monkeypatch):
+    """An empty gen_ccd template cache for the test, as the lru_cache-wrapped
+    builder gen_ccd calls (its cache_info counts the templates built); the
+    process's own cache is restored after it."""
+    fresh = functools.lru_cache(maxsize=design._TEMPLATES)(design._ccd_template.__wrapped__)
+    monkeypatch.setattr(design, "_ccd_template", fresh)
+    return fresh

@@ -81,10 +81,11 @@ class TestInformationInverse:
         assert invert_calls[0] == 3
         assert set(res._memoized) == {"model_matrix", "probe_rows"}
 
-    def test_sweep_expands_and_averages_each_design_once(self, monkeypatch):
-        # one alpha: the full design's model rows and probe rows are
-        # expanded; its three residuals slice theirs from it; V of the
-        # four designs is one stacked call
+    def test_sweep_expands_and_averages_each_design_once(self, monkeypatch, ccd_templates):
+        # one alpha, from an empty template cache: the (k, n0) template's
+        # model rows and probe rows are expanded together, once; the full
+        # design fills its rows in from them and its three residuals slice
+        # theirs from it; V of the four designs is one stacked call
         from ccdrobust import missing, model
         counts = {}
 
@@ -101,7 +102,10 @@ class TestInformationInverse:
         monkeypatch.setattr(criteria, "_v_from_moments", v)
         monkeypatch.setattr(missing, "_v_from_moments", v)
         scenario_sweep(3, 4, [1.5], CUBE1)
-        assert counts == {"expand_points": 2, "_v_from_moments": 1}
+        assert counts == {"expand_points": 1, "_v_from_moments": 1}
+        # the template serves every further alpha of the (k, n0)
+        scenario_sweep(3, 4, [1.7, 2.0], CUBE1)
+        assert counts == {"expand_points": 1, "_v_from_moments": 3}
 
     def test_seeded_scores_are_what_the_criteria_read(self, invert_calls):
         # each seeded value is returned as kept, and nothing is computed

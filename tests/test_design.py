@@ -73,6 +73,28 @@ class TestGenCcd:
         with pytest.raises(ValueError):
             gen_ccd(k, alpha, n0)
 
+    @pytest.mark.parametrize("k,alpha,n0,name", [
+        (3.0, 1.5, 4, "k"), (3, 1.5, 4.0, "n0"), (True, 1.5, 4, "k"),
+        (3, 1.5, True, "n0"), (np.bool_(True), 1.5, 4, "k"), (3, 1.5, np.float64(4), "n0"),
+        ("3", 1.5, 4, "k"), (3, True, 4, "alpha"), (3, np.bool_(True), 4, "alpha")])
+    def test_rejects_bad_types_before_the_template_cache(self, k, alpha, n0, name,
+                                                         ccd_templates):
+        # a float or bool k or n0 must not be read as the (int, int) key of
+        # a template; nothing is looked up for a refused argument
+        with pytest.raises(TypeError, match=f"^{name} must be"):
+            gen_ccd(k, alpha, n0)
+        with pytest.raises(ValueError, match="k must be in"):
+            gen_ccd(13, 1.5, 4)
+        info = ccd_templates.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
+
+    @pytest.mark.parametrize("int_type", [np.int8, np.int32, np.int64, np.uint16])
+    def test_accepts_numpy_integers(self, int_type):
+        d, want = gen_ccd(int_type(3), 1.5, int_type(4)), gen_ccd(3, 1.5, 4)
+        assert (d.k, d.n) == (want.k, want.n)
+        assert d.coords.tobytes() == want.coords.tobytes()
+        assert d._ccd is want._ccd
+
     def test_k_bound_is_the_criteria_bound(self):
         # criteria_report's rotatability index needs one Halton base per factor
         assert _MAX_K == len(_PRIMES)
