@@ -162,12 +162,12 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
     for alpha in alphas:
         full = gen_ccd(k, alpha, n0)
         n, deleted = full.n, full._ccd.first_rows
-        X = model_matrix(full)
         if grid_step is None:
-            models = [X] + _residual_models(full)
+            models = _sweep_models(full)
         else:
             designs = [full] + [delete_rows(full, [row]) for row in deleted]
             models = [model_matrix(d) for d in designs]
+        X = models[0]
         Minv, live = _invert_stack(alpha, np.stack([Xd.T @ Xd for Xd in models]))
         ns = np.array([n, n - 1, n - 1, n - 1])[live]
         a = _a_traces(Minv).tolist()
@@ -195,12 +195,13 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
     return reports
 
 
-def _residual_models(full: Design) -> list[np.ndarray]:
-    """The model matrices of the three residuals scenario_sweep scores, the
-    full CCD less each class's first row, as delete_rows slices them: the
-    rows gen_ccd's template keeps for each deletion, column-major."""
+def _sweep_models(full: Design) -> list[np.ndarray]:
+    """The model matrices scenario_sweep stacks without a grid: the full
+    CCD's, then those of its residuals less each class's first row, as
+    delete_rows slices them: the rows gen_ccd's template keeps for each
+    deletion, column-major."""
     X = model_matrix(full)
-    return [np.asfortranarray(X[rows]) for rows in full._ccd.residual_rows]
+    return [X] + [np.asfortranarray(X[rows]) for rows in full._ccd.residual_rows]
 
 
 def _invert_stack(alpha: float, M: np.ndarray) -> tuple[np.ndarray, list[int]]:

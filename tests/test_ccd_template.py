@@ -20,7 +20,7 @@ from ccdrobust.criteria import (Region, RegionShape, _probe_rows, _unit_sphere_r
                                 a_trace, criteria_report, sphere_points)
 from ccdrobust.design import Design, PointClass, canonical_probe_points, gen_ccd
 from ccdrobust.fixtures import LOSS_TABLES, SPV_TABLES
-from ccdrobust.missing import _residual_models, delete_rows, scenario_sweep
+from ccdrobust.missing import _sweep_models, delete_rows, scenario_sweep
 from ccdrobust.model import model_matrix, num_params
 
 CUBE1 = Region(RegionShape.CUBOIDAL, 1.0)
@@ -89,7 +89,8 @@ def test_templates_fill_in_the_oracles_arrays(k, n0):
         assert not P.flags.writeable
 
         # the sweep's residuals: delete_rows' slices of the oracle's rows
-        for got, row in zip(_residual_models(d), (0, nf, nf + 2 * k)):
+        assert _sweep_models(d)[0] is X
+        for got, row in zip(_sweep_models(d)[1:], (0, nf, nf + 2 * k)):
             keep = np.ones(d.n, dtype=bool)
             keep[row] = False
             assert_same_array(got, np.asfortranarray(X_want[keep]))
@@ -143,7 +144,7 @@ def test_templates_are_read_only_and_out_of_reach(ccd_templates):
     saved = [a.copy() for a in held]
     # a design's own arrays are copies, which it may make writeable; its
     # classes are a view of the template's, which it may not
-    for a in (d.coords, model_matrix(d), _probe_rows(d), *_residual_models(d)):
+    for a in (d.coords, _probe_rows(d), *_sweep_models(d)):
         assert not any(np.shares_memory(a, b) for b in held)
         a.flags.writeable = True
         a[...] = 7.0
