@@ -197,9 +197,9 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
 
 def _sweep_models(full: Design) -> list[np.ndarray]:
     """The model matrices scenario_sweep stacks without a grid: the full
-    CCD's, then those of its residuals less each class's first row, as
-    delete_rows slices them: the rows gen_ccd's template keeps for each
-    deletion, column-major."""
+    CCD's, then its three residuals' (each class's first row deleted),
+    taken by the rows gen_ccd's template keeps for each deletion and made
+    column-major, as delete_rows slices them."""
     X = model_matrix(full)
     return [X] + [np.asfortranarray(X[rows]) for rows in full._ccd.residual_rows]
 
