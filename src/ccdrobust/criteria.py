@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import threading
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
@@ -57,12 +57,16 @@ class Region:
 
     A region keys the memos of g_max and v_avg and the cache of
     region_moments, so its hash, the dataclass's hash((shape, size)), is
-    computed once, here; equality stays the dataclass's."""
+    computed once, here; equality stays the dataclass's.  Raises TypeError
+    for a shape that is not a RegionShape, ValueError for a size that is not
+    finite and > 0."""
 
     shape: RegionShape
     size: float
 
     def __post_init__(self):
+        if not isinstance(self.shape, RegionShape):
+            raise TypeError(f"region shape must be a RegionShape, got {self.shape!r}")
         if not (math.isfinite(self.size) and self.size > 0):
             raise ValueError(f"region size must be finite and > 0, got {self.size}")
         object.__setattr__(self, "_hash", hash((self.shape, self.size)))
@@ -80,8 +84,8 @@ class Region:
 def information_inverse(design: Design) -> np.ndarray:
     """(X'X)^{-1} for the design's full quadratic model matrix.  Computed
     once per (immutable) Design and read-only (Design._memo); a failed
-    inversion is not kept, and a design scenario_sweep scored already holds
-    the inverse from its stack (_seed_scores)."""
+    inversion is not kept, and the full design of a scenario_sweep row
+    already holds the inverse from its stack (_seed_scores)."""
     def invert() -> np.ndarray:
         X = model_matrix(design)
         return linalg.invert(X.T @ X)
@@ -117,7 +121,7 @@ def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
 
 def _spv_rows(design: Design, F: np.ndarray) -> np.ndarray:
     """The design's SPV at each point whose model row is a row of F, for
-    spv_many, g_max and criteria_report."""
+    spv_many, probe_spv and criteria_report."""
     return _spv(design.n, information_inverse(design), F)
 
 
@@ -170,11 +174,13 @@ _grid_lock = threading.Lock()
 _Symmetry = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
-def _symmetry(design: Design) -> _Symmetry:
-    """The product-form symmetry of the design, read exactly from its
-    coordinates: (flips, blocks), the axes whose sign flip leaves the
+def _symmetry(X: np.ndarray) -> _Symmetry:
+    """The product-form symmetry of a design, read exactly from its n x k
+    coordinates X: (flips, blocks), the axes whose sign flip leaves the
     multiset of rows unchanged, and the partition of the axes into blocks
     whose transpositions leave it unchanged, each block in axis order.
+    g_max passes a design's coords and missing.scenario_sweep a residual's,
+    the full design's kept rows, without building the residual.
 
     A row is keyed exactly in base b, the count of distinct values of X and
     -X, by its value codes pos (and neg for -X) with weight w_j on axis j.
@@ -190,7 +196,6 @@ def _symmetry(design: Design) -> _Symmetry:
     vertex is fixed by signed transpositions) contributes only its product
     subgroup, so the search domain is larger than it could be, but correct.
     """
-    X = design.coords
     n, k = X.shape
     values, codes = np.unique(np.concatenate([X, -X]), return_inverse=True)
     b = len(values)
@@ -364,22 +369,37 @@ def g_max(design: Design, region: Region,
     is expanded once per process and kept in _grid_cache while it fits in
     what the domains kept before it leave of _GRID_CACHE_BYTES (32 MiB); a
     domain that does not fit is expanded chunk by chunk on every search.  Each
-    chunk then costs one product with (X'X)^{-1} and one row sum
-    (_spv_rows, the kernel spv_many uses).
+    chunk then costs one product with (X'X)^{-1} and one row sum (_spv, the
+    kernel spv_many uses).  The scan is _g_scan, which
+    missing.scenario_sweep also runs, to continue each design of its stack
+    over its grid domain.
 
     Design._memo keeps the result per (region, grid_step), so each design is
     searched once per region and step; a bad step raises ValueError where
     its grid is built (_grid_half_width), so nothing is kept for it.
     """
     def search() -> tuple[float, tuple[float, ...]]:
-        best, loc = -math.inf, ()
-        grid = () if grid_step is None else _grid_models(region, grid_step, _symmetry(design))
-        for F in itertools.chain([model_matrix(design), _probe_rows(design)], grid):
-            best, i = _g_step(best, _spv_rows(design, F))
-            if i >= 0:
-                loc = _location(F, i, design.k)
-        return best, loc
+        head = [model_matrix(design), _probe_rows(design)]
+        return _g_scan(design.n, information_inverse(design), design.coords, region,
+                       grid_step, head)
     return design._memo(("g_max", region, grid_step), search)
+
+
+def _g_scan(n: int | np.ndarray, Minv: np.ndarray, X: np.ndarray, region: Region,
+            grid_step: float | None, head: Iterable[np.ndarray] = (),
+            start: tuple = (-math.inf, ())) -> tuple[float, tuple[float, ...]]:
+    """g_max's scan, for g_max and missing.scenario_sweep: the maximum SPV of
+    the design with run count n, inverse Minv and n x k coordinates X, and
+    its location, over the model rows of each chunk of head and then, when
+    grid_step is not None, of the grid domain of X's symmetry.  It continues
+    from start, the maximum and location over what was scanned before."""
+    best, loc = start
+    grid = () if grid_step is None else _grid_models(region, grid_step, _symmetry(X))
+    for F in itertools.chain(head, grid):
+        best, i = _g_step(best, _spv(n, Minv, F))
+        if i >= 0:
+            loc = _location(F, i, X.shape[1])
+    return best, loc
 
 
 def _g_step(best: float, vals: np.ndarray) -> tuple[float, int]:
@@ -393,13 +413,13 @@ def _g_step(best: float, vals: np.ndarray) -> tuple[float, int]:
     return max(best, top), -1
 
 
-def _g_rows(S: np.ndarray, n: int) -> tuple[float, int]:
-    """g_max without a grid, from S, one design's SPVs over [design rows;
-    probes]: the maximum and the index in S of its location, scanned as
-    g_max scans the two."""
-    best, i = _g_step(-math.inf, S[:n])
-    best, j = _g_step(best, S[n:n + 3])
-    return best, (n + j if j >= 0 else i)
+def _g_rows(S: np.ndarray, F: np.ndarray, k: int) -> tuple[float, tuple[float, ...]]:
+    """g_max without a grid, from S, one design's SPVs at the rows of F,
+    [design rows; 3 probes]: the maximum and its location, scanned as g_max
+    scans the two."""
+    best, i = _g_step(-math.inf, S[:-3])
+    best, j = _g_step(best, S[-3:])
+    return best, _location(F, len(F) - 3 + j if j >= 0 else i, k)
 
 
 def _location(F: np.ndarray, i: int, k: int) -> tuple[float, ...]:
@@ -458,18 +478,17 @@ def _v_from_moments(n: int | np.ndarray, Minv: np.ndarray, M: np.ndarray):
     return n * np.trace(Minv @ M, axis1=-2, axis2=-1)
 
 
-def _seed_scores(design: Design, Minv: np.ndarray, a: float, region: Region,
-                 v: float, g: tuple[float, tuple[float, ...]] | None = None) -> None:
+def _seed_scores(design: Design, Minv: np.ndarray, a: float, region: Region, v: float,
+                 grid_step: float | None, g: tuple[float, tuple[float, ...]]) -> None:
     """Keep scores computed elsewhere (missing.scenario_sweep's stack) on the
-    design, under the memo keys information_inverse, a_trace, v_avg and,
-    when g is given, g_max without a grid read, so that none of them
-    computes its value again.  Each value must be the bit-identical one
-    that function would compute."""
+    design, under the memo keys information_inverse, a_trace, v_avg and
+    g_max read, G under (region, grid_step), so that none of them computes
+    its value again.  Each value must be the bit-identical one that function
+    would compute."""
     design._memo("information_inverse", lambda: Minv)
     design._memo("a_trace", lambda: a)
     design._memo(("v_avg", region), lambda: v)
-    if g is not None:
-        design._memo(("g_max", region, None), lambda: g)
+    design._memo(("g_max", region, grid_step), lambda: g)
 
 
 def _radical_inverse(i: int, base: int) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .criteria import (Region, _a_traces, _g_rows, _location, _probe_rows, _seed_scores,
+from .criteria import (Region, _a_traces, _g_rows, _g_scan, _probe_rows, _seed_scores,
                        _spv, _v_from_moments, a_trace, g_max, region_moments, v_avg)
 from .design import Design, PointClass, gen_ccd
 from .linalg import SingularMatrixError
@@ -147,48 +147,45 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
       each X'X is formed alone;
     - the four X'X are inverted in one linalg.invert call, or, if one is
       singular, each alone, so that only a singular residual is flagged;
-    - the A-traces and the V values take one stacked call each, and so
-      does G without a grid: the SPV over [full rows; probes], with each
-      residual's deleted row masked;
-    - with a grid, each residual is built by delete_rows, holding its
-      inverse from the stack, and searched by g_max.
+    - the A-traces, the V values and each design's G over its rows and the
+      probes take one stacked call each, the last the SPV over [full rows;
+      probes] with each residual's deleted row masked;
+    - with a grid, each design's G scan is continued over its grid domain by
+      the scan g_max runs (criteria._g_scan); a residual's symmetry is read
+      from the full design's coordinates at the rows the template keeps, so
+      no Design but the full one is built.
     The loss and the efficiencies are the per-design functions' _loss and
     _efficiency.  The full design (LossReport.full) keeps its inverse,
-    A-trace, V and G (criteria._seed_scores), so a criteria_report of it
-    inverts and searches nothing again.
+    A-trace, V and G under the sweep's region and grid step
+    (criteria._seed_scores), so a criteria_report of it at that region and
+    step inverts and searches nothing again.
     """
     tags = [cls.value for cls in PointClass]
     reports = []
     for alpha in alphas:
         full = gen_ccd(k, alpha, n0)
         n, deleted = full.n, full._ccd.first_rows
-        if grid_step is None:
-            models = _sweep_models(full)
-        else:
-            designs = [full] + [delete_rows(full, [row]) for row in deleted]
-            models = [model_matrix(d) for d in designs]
-        X = models[0]
+        models = _sweep_models(full)
         Minv, live = _invert_stack(alpha, np.stack([Xd.T @ Xd for Xd in models]))
         ns = np.array([n, n - 1, n - 1, n - 1])[live]
         a = _a_traces(Minv).tolist()
         v = _v_from_moments(ns, Minv, region_moments(region, k)).tolist()
-        if grid_step is None:
-            F = np.vstack([X, _probe_rows(full)])
-            S = _spv(ns, Minv, F)
-            for j, i in enumerate(live[1:], 1):
-                S[j, deleted[i - 1]] = -np.inf
-            g = S.max(axis=1).tolist()
-            g_full, where = _g_rows(S[0], n)
-            _seed_scores(full, Minv[0], a[0], region, v[0], (g_full, _location(F, where, k)))
-        else:
-            for j, i in enumerate(live):
-                _seed_scores(designs[i], Minv[j], a[j], region, v[j])
-            g = [g_max(designs[i], region, grid_step)[0] for i in live]
+        F = np.vstack([models[0], _probe_rows(full)])
+        S = _spv(ns, Minv, F)
+        for j, i in enumerate(live[1:], 1):
+            S[j, deleted[i - 1]] = -np.inf
+        # each live design's G and its location; a residual's location is not read
+        g = [_g_rows(S[0], F, k)] + [(gj, ()) for gj in S[1:].max(axis=1).tolist()]
+        if grid_step is not None:
+            coords = [full.coords] + [full.coords[rows] for rows in full._ccd.residual_rows]
+            g = [_g_scan(ns[j], Minv[j], coords[i], region, grid_step, start=g[j])
+                 for j, i in enumerate(live)]
+        _seed_scores(full, Minv[0], a[0], region, v[0], grid_step, g[0])
         rep = LossReport(alpha=alpha, a_full=a[0], full=full)
         for j, i in enumerate(live[1:], 1):
             tag = tags[i - 1]
             setattr(rep, f"loss_{tag}", _loss(a[0], a[j]))
-            setattr(rep, f"re_g_{tag}", _efficiency(g[0], g[j]))
+            setattr(rep, f"re_g_{tag}", _efficiency(g[0][0], g[j][0]))
             setattr(rep, f"re_v_{tag}", _efficiency(v[0], v[j]))
         rep.inestimable = [tags[i - 1] for i in (1, 2, 3) if i not in live]
         reports.append(rep)
@@ -196,10 +193,10 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
 
 
 def _sweep_models(full: Design) -> list[np.ndarray]:
-    """The model matrices scenario_sweep stacks without a grid: the full
-    CCD's, then its three residuals' (each class's first row deleted),
-    taken by the rows gen_ccd's template keeps for each deletion and made
-    column-major, as delete_rows slices them."""
+    """The model matrices scenario_sweep stacks: the full CCD's, then its
+    three residuals' (each class's first row deleted), taken by the rows
+    gen_ccd's template keeps for each deletion and made column-major, as
+    delete_rows slices them."""
     X = model_matrix(full)
     return [X] + [np.asfortranarray(X[rows]) for rows in full._ccd.residual_rows]
 

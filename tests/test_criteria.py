@@ -111,14 +111,17 @@ class TestInformationInverse:
         # each seeded value is returned as kept, and nothing is computed
         d = gen_ccd(3, 1.681, 4)
         Minv, g = np.eye(num_params(3)), (7.0, (0.5, 0.5, 0.5))
-        criteria._seed_scores(d, Minv, 2.0, CUBE1, 3.0, g)
+        criteria._seed_scores(d, Minv, 2.0, CUBE1, 3.0, None, g)
         assert information_inverse(d) is Minv
         assert (a_trace(d), v_avg(d, CUBE1), g_max(d, CUBE1)) == (2.0, 3.0, g)
         assert invert_calls[0] == 0
-        # without g, G is searched with the seeded inverse
+        # G seeded under a grid step is read at that step alone; without a
+        # grid, G is searched with the seeded inverse
         ref, e = gen_ccd(3, 1.681, 4), gen_ccd(3, 1.681, 4)
         criteria._seed_scores(e, information_inverse(ref), a_trace(ref), CUBE1,
-                              v_avg(ref, CUBE1))
+                              v_avg(ref, CUBE1), 0.5, g)
+        assert g_max(e, CUBE1, 0.5) is g
+        assert ("g_max", CUBE1, None) not in e._memoized
         assert g_max(e, CUBE1) == g_max(ref, CUBE1)
         assert invert_calls[0] == 1
 
@@ -209,7 +212,7 @@ class TestGMax:
         def no_search(*args, **kwargs):
             raise AssertionError("searched again")
 
-        monkeypatch.setattr(criteria, "_spv_rows", no_search)
+        monkeypatch.setattr(criteria, "_spv", no_search)
         assert g_max(d, Region(RegionShape.CUBOIDAL, 1.0), grid_step=0.5) is first
         for design, step in ((d, 0.25), (gen_ccd(3, 1.5, 4), 0.5)):
             with pytest.raises(AssertionError, match="searched again"):
@@ -351,13 +354,13 @@ class TestReducedGSearch:
         # rows handed to the SPV kernel: the design rows, 3 probes, then the
         # grid, whether its domain is expanded now or was cached
         counts = []
-        real = criteria._spv_rows
+        real = criteria._spv
 
-        def counting(design, F):
+        def counting(n, Minv, F):
             counts[-1] += len(F)
-            return real(design, F)
+            return real(n, Minv, F)
 
-        monkeypatch.setattr(criteria, "_spv_rows", counting)
+        monkeypatch.setattr(criteria, "_spv", counting)
         full = gen_ccd(5, 1.5, 4)
         rng = np.random.default_rng(0)
         designs = {"full": (full, 126),
@@ -409,7 +412,7 @@ def _symmetry_cases():
 @pytest.mark.parametrize("design,want", [case[1:] for case in _symmetry_cases()],
                          ids=[case[0] for case in _symmetry_cases()])
 def test_symmetry_truth_table(design, want):
-    assert _symmetry(design) == want
+    assert _symmetry(design.coords) == want
 
 
 def _symmetry_oracle(design):
@@ -464,10 +467,11 @@ class TestSymmetryAgainstOracle:
         for alpha in (0.5, 1.0, 1.3, math.sqrt(k), 2.0):
             for n0 in (1, 4):
                 full = gen_ccd(k, alpha, n0)
-                assert _symmetry(full) == _symmetry_oracle(full)
+                assert _symmetry(full.coords) == _symmetry_oracle(full)
                 for row in range(full.n):
                     residual = delete_rows(full, [row])
-                    assert _symmetry(residual) == _symmetry_oracle(residual), (alpha, n0, row)
+                    assert _symmetry(residual.coords) == _symmetry_oracle(residual), (
+                        alpha, n0, row)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_seeded_triple_deletions(self, k):
@@ -476,7 +480,7 @@ class TestSymmetryAgainstOracle:
             full = gen_ccd(k, alpha, 2)
             for _ in range(40):
                 residual = delete_rows(full, rng.choice(full.n, 3, replace=False).tolist())
-                assert _symmetry(residual) == _symmetry_oracle(residual)
+                assert _symmetry(residual.coords) == _symmetry_oracle(residual)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_seeded_integer_designs(self, seed):
@@ -485,7 +489,7 @@ class TestSymmetryAgainstOracle:
             k = int(rng.integers(1, 7))
             X = rng.integers(-2, 3, (int(rng.integers(1, 9)), k)).astype(float)
             d = _with_points(_closed_under_random_symmetries(rng, X, int(rng.integers(0, 4))))
-            assert _symmetry(d) == _symmetry_oracle(d)
+            assert _symmetry(d.coords) == _symmetry_oracle(d)
 
     def test_wide_keys_beyond_int64(self):
         # k = 12 with the 64 values +-1 .. +-32: 64^12 >= 2^62, so the keys
@@ -505,7 +509,7 @@ class TestSymmetryAgainstOracle:
         d = _with_points(X.astype(float))
         want = _symmetry_oracle(d)
         assert 0 not in want[0] and 5 in want[0] and (8, 9) in want[1]
-        assert _symmetry(d) == want
+        assert _symmetry(d.coords) == want
 
 
 class TestGridChunks:
@@ -615,7 +619,7 @@ class TestGridCache:
         assert main(["sweep", "--k", "3", "--grid-step", "0.5",
                      "--out", str(tmp_path)]) == 0
         # full and center-deleted designs share a symmetry at every alpha
-        symmetries = {_symmetry(d) for alpha in DEFAULT_ALPHAS[3]
+        symmetries = {_symmetry(d.coords) for alpha in DEFAULT_ALPHAS[3]
                       for full in [gen_ccd(3, alpha, 4)]
                       for d in [full] + [_deleted(full, cls) for cls in PointClass]}
         assert len(symmetries) == 3
@@ -662,7 +666,7 @@ class TestGridCache:
         full = gen_ccd(3, 1.5, 4)
         designs = [full] + [_deleted(full, cls)
                             for cls in (PointClass.FACTORIAL, PointClass.AXIAL)]
-        keys = [(CUBE1, 0.5, _symmetry(d)) for d in designs]
+        keys = [(CUBE1, 0.5, _symmetry(d.coords)) for d in designs]
         for d in designs:
             g_max(d, CUBE1, grid_step=0.5)
         assert list(grid_cache) == keys[:2]
@@ -996,6 +1000,18 @@ def test_region_rejects_size_not_finite_and_positive(shape, size):
         Region(shape, size)
 
 
+@pytest.mark.parametrize("shape", ["cuboidal", "spherical", None, 0, ["cuboidal"], RegionShape],
+                         ids=repr)
+def test_region_rejects_shape_not_a_region_shape(shape):
+    # any other shape would act as the ball: contains and region_moments
+    # test `shape is RegionShape.CUBOIDAL`
+    with pytest.raises(TypeError, match=re.escape(
+            f"region shape must be a RegionShape, got {shape!r}")):
+        Region(shape, 1.0)
+    with pytest.raises(TypeError, match="region shape"):
+        Region(shape, math.nan)
+
+
 class TestRegionHash:
     def test_equal_regions_hash_equal(self):
         for shape in RegionShape:
@@ -1029,7 +1045,7 @@ class TestRegionHash:
         def recomputed(*args):
             raise AssertionError("recomputed")
 
-        monkeypatch.setattr(criteria, "_spv_rows", recomputed)
+        monkeypatch.setattr(criteria, "_spv", recomputed)
         monkeypatch.setattr(criteria, "_v_from_moments", recomputed)
         assert g_max(d, Region(RegionShape.CUBOIDAL, 1.0)) is g
         assert v_avg(d, Region(RegionShape.SPHERICAL, math.sqrt(3))) == v

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from ccdrobust import criteria
+from ccdrobust import criteria, missing
 from ccdrobust.cli import DEFAULT_ALPHAS
 from ccdrobust.criteria import (
     CriteriaReport,
@@ -376,28 +376,58 @@ class TestStackedSweep:
 
     @pytest.mark.parametrize("n0", [1, 4])
     def test_grid_path_matches_per_design_functions(self, n0):
-        alphas = [0.8, 1.3, math.sqrt(3), 2.4]
-        for region in (CUBE1, SPHERE[3]):
-            for rep in scenario_sweep(3, n0, alphas, region, grid_step=0.25):
-                full = gen_ccd(3, rep.alpha, n0)
-                assert rep.a_full == a_trace(full)
-                for cls in PointClass:
-                    res = delete_rows(full, [full.rows_of_class(cls)[0]])
-                    try:
-                        want = (loss_precision(full, res),
-                                relative_g_efficiency(full, res, region, 0.25),
-                                relative_v_efficiency(full, res, region))
-                    except SingularMatrixError:
-                        assert cls.value in rep.inestimable
-                        continue
-                    got = tuple(getattr(rep, f"{m}_{cls.value}")
-                                for m in ("loss", "re_g", "re_v"))
-                    assert repr(got) == repr(want)
+        # at alpha = sqrt(k) a one-center-run design cannot lose its center
+        # run, so a singular residual rides the stack on the grid path
+        for k, step in ((2, 0.5), (3, 0.25), (3, 0.5), (4, 0.5), (5, 0.5)):
+            alphas = [0.8, 1.3, math.sqrt(k), 2.4]
+            for region in (CUBE1, SPHERE[k]):
+                for rep in scenario_sweep(k, n0, alphas, region, grid_step=step):
+                    self.assert_matches_per_design_functions(rep, k, n0, region, step)
+
+    @staticmethod
+    def assert_matches_per_design_functions(rep, k, n0, region, step):
+        full = gen_ccd(k, rep.alpha, n0)
+        assert rep.a_full == a_trace(full)
+        if n0 == 1 and rep.alpha == math.sqrt(k):
+            assert rep.inestimable == ["center"]
+        for cls in PointClass:
+            res = delete_rows(full, [full.rows_of_class(cls)[0]])
+            try:
+                want = (loss_precision(full, res),
+                        relative_g_efficiency(full, res, region, step),
+                        relative_v_efficiency(full, res, region))
+            except SingularMatrixError:
+                assert cls.value in rep.inestimable
+                continue
+            got = tuple(getattr(rep, f"{m}_{cls.value}") for m in ("loss", "re_g", "re_v"))
+            assert repr(got) == repr(want), (k, step, rep.alpha, cls.value)
 
     def test_grid_path_factorizes_each_design_once(self, invert_calls):
-        # the residuals searched on the grid hold their inverses from the stack
+        # each design's grid scan reads its inverse from the stack
         scenario_sweep(3, 4, [1.0, 1.681], CUBE1, grid_step=0.5)
         assert invert_calls[0] == 2 * 4
+
+    def test_grid_path_builds_no_residual(self, monkeypatch, invert_calls):
+        # a residual's grid domain is read from the full design's kept rows;
+        # the full design keeps its G under the sweep's region and step, so
+        # a report of it at them factorizes and searches nothing
+        calls = {"delete_rows": 0, "_grid_models": 0}
+        for module, name in ((missing, "delete_rows"), (criteria, "_grid_models")):
+            def counting(*args, real=getattr(module, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, counting)
+        for region in (CUBE1, SPHERE[3]):
+            calls.update(delete_rows=0, _grid_models=0)
+            # n0 = 1 at alpha = sqrt(3): the center residual is singular
+            reports = scenario_sweep(3, 1, [1.3, math.sqrt(3)], region, grid_step=0.5)
+            assert reports[1].inestimable == ["center"]
+            assert calls == {"delete_rows": 0, "_grid_models": 4 + 3}
+            factorized = invert_calls[0]
+            for rep in reports:
+                criteria_report(rep.full, region, 0.5)
+            assert calls["_grid_models"] == 4 + 3
+            assert invert_calls[0] == factorized
 
     def test_full_design_memo_seeded_from_stack(self, invert_calls):
         rep, = scenario_sweep(3, 4, [1.5], CUBE1)
