@@ -8,7 +8,7 @@ from .design import (
     design_to_csv,
     gen_ccd,
 )
-from .model import expand_point, model_matrix, num_params
+from .model import model_matrix, num_params
 from .linalg import SingularMatrixError
 from .criteria import (
     CriteriaReport,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Design", "PointClass", "gen_ccd",
     "canonical_probe_points", "design_to_csv",
-    "expand_point", "model_matrix", "num_params",
+    "model_matrix", "num_params",
     "SingularMatrixError",
     "CriteriaReport", "Region", "RegionShape", "a_trace", "criteria_report",
     "g_max", "region_moments", "rotatability_index", "v_avg",

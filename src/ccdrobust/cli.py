@@ -154,8 +154,8 @@ def _sweep_from_args(args) -> tuple[Region, Path, list[LossReport]]:
 
 def cmd_sweep(args) -> int:
     region, outdir, reports = _sweep_from_args(args)
-    crit = [criteria_report(rep.full, region, args.grid_step).as_dict()
-            for rep in reports]
+    crit = [criteria_report(gen_ccd(args.k, rep.alpha, args.n0), region,
+                            args.grid_step).as_dict() for rep in reports]
     _write(outdir / f"loss_k{args.k}.csv", _csv(
         LossReport.FIELDS, ([getattr(rep, f) for f in LossReport.FIELDS] for rep in reports)))
     _write(outdir / f"loss_k{args.k}_long.csv", _loss_long_csv(args.k, reports))

@@ -54,12 +54,8 @@ class Region:
     """Region of interest: a cube [-a, a]^k (size = half-width a) or a
     ball of radius r (size = r), both centered at the origin.  contains
     admits points up to 1e-12 outside either, measured in distance.
-
-    A region keys the memos of g_max and v_avg and the cache of
-    region_moments, so its hash, the dataclass's hash((shape, size)), is
-    computed once, here; equality stays the dataclass's.  Raises TypeError
-    for a shape that is not a RegionShape, ValueError for a size that is not
-    finite and > 0."""
+    Raises TypeError for a shape that is not a RegionShape or a size that is
+    a bool, ValueError for a size that is not finite and > 0."""
 
     shape: RegionShape
     size: float
@@ -67,12 +63,10 @@ class Region:
     def __post_init__(self):
         if not isinstance(self.shape, RegionShape):
             raise TypeError(f"region shape must be a RegionShape, got {self.shape!r}")
+        if isinstance(self.size, (bool, np.bool_)):
+            raise TypeError(f"region size must be a real number, got {self.size!r}")
         if not (math.isfinite(self.size) and self.size > 0):
             raise ValueError(f"region size must be finite and > 0, got {self.size}")
-        object.__setattr__(self, "_hash", hash((self.shape, self.size)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -83,9 +77,9 @@ class Region:
 
 def information_inverse(design: Design) -> np.ndarray:
     """(X'X)^{-1} for the design's full quadratic model matrix.  Computed
-    once per (immutable) Design and read-only (Design._memo); a failed
-    inversion is not kept, and the full design of a scenario_sweep row
-    already holds the inverse from its stack (_seed_scores)."""
+    once per (immutable) Design and read-only (Design._memo), so that A, G
+    and V, each computed on every call, read it; a failed inversion is not
+    kept."""
     def invert() -> np.ndarray:
         X = model_matrix(design)
         return linalg.invert(X.T @ X)
@@ -100,8 +94,8 @@ def _a_traces(Minv: np.ndarray) -> np.ndarray:
 
 def a_trace(design: Design) -> float:
     """The A-criterion: trace((X'X)^{-1}), the summed variance of the
-    parameter estimates.  Computed once per design."""
-    return design._memo("a_trace", lambda: float(_a_traces(information_inverse(design))))
+    parameter estimates."""
+    return float(_a_traces(information_inverse(design)))
 
 
 def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
@@ -110,12 +104,14 @@ def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
     model matrix F.  N is the run count of the design being evaluated, so a
     residual design is scaled by its own (reduced) size.
 
-    Raises ValueError unless pts is m x k for the design's k.
+    Raises ValueError unless pts is m x k for the design's k and finite.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != design.k:
         raise ValueError(f"points must be an m x {design.k} array, "
                          f"got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     return _spv_rows(design, expand_points(pts))
 
 
@@ -136,8 +132,7 @@ def _spv(n: int | np.ndarray, Minv: np.ndarray, F: np.ndarray) -> np.ndarray:
 def _probe_rows(design: Design) -> np.ndarray:
     """The model rows of the canonical probe points, once per design: filled
     in from the template of a design from gen_ccd, as model_matrix is, and
-    expanded for any other; a residual from missing.delete_rows shares its
-    parent's."""
+    expanded for any other."""
     def make() -> np.ndarray:
         if design._ccd is None:
             return expand_points(canonical_probe_points(design))
@@ -372,17 +367,12 @@ def g_max(design: Design, region: Region,
     chunk then costs one product with (X'X)^{-1} and one row sum (_spv, the
     kernel spv_many uses).  The scan is _g_scan, which
     missing.scenario_sweep also runs, to continue each design of its stack
-    over its grid domain.
-
-    Design._memo keeps the result per (region, grid_step), so each design is
-    searched once per region and step; a bad step raises ValueError where
-    its grid is built (_grid_half_width), so nothing is kept for it.
+    over its grid domain.  Each call searches again; a bad step raises
+    ValueError where its grid is built (_grid_half_width).
     """
-    def search() -> tuple[float, tuple[float, ...]]:
-        head = [model_matrix(design), _probe_rows(design)]
-        return _g_scan(design.n, information_inverse(design), design.coords, region,
-                       grid_step, head)
-    return design._memo(("g_max", region, grid_step), search)
+    head = [model_matrix(design), _probe_rows(design)]
+    return _g_scan(design.n, information_inverse(design), design.coords, region,
+                   grid_step, head)
 
 
 def _g_scan(n: int | np.ndarray, Minv: np.ndarray, X: np.ndarray, region: Region,
@@ -411,15 +401,6 @@ def _g_step(best: float, vals: np.ndarray) -> tuple[float, int]:
     if top > best * (1 + _G_TIE_RTOL):
         return top, int(np.argmax(vals >= top * (1 - _G_TIE_RTOL)))
     return max(best, top), -1
-
-
-def _g_rows(S: np.ndarray, F: np.ndarray, k: int) -> tuple[float, tuple[float, ...]]:
-    """g_max without a grid, from S, one design's SPVs at the rows of F,
-    [design rows; 3 probes]: the maximum and its location, scanned as g_max
-    scans the two."""
-    best, i = _g_step(-math.inf, S[:-3])
-    best, j = _g_step(best, S[-3:])
-    return best, _location(F, len(F) - 3 + j if j >= 0 else i, k)
 
 
 def _location(F: np.ndarray, i: int, k: int) -> tuple[float, ...]:
@@ -465,10 +446,9 @@ def region_moments(region: Region, k: int) -> np.ndarray:
 
 def v_avg(design: Design, region: Region) -> float:
     """Average SPV over the region:
-    N * trace((X'X)^{-1} E[f f']) under the uniform measure on R, computed
-    once per design and region."""
-    return design._memo(("v_avg", region), lambda: float(_v_from_moments(
-        design.n, information_inverse(design), region_moments(region, design.k))))
+    N * trace((X'X)^{-1} E[f f']) under the uniform measure on R."""
+    return float(_v_from_moments(design.n, information_inverse(design),
+                                 region_moments(region, design.k)))
 
 
 def _v_from_moments(n: int | np.ndarray, Minv: np.ndarray, M: np.ndarray):
@@ -476,19 +456,6 @@ def _v_from_moments(n: int | np.ndarray, Minv: np.ndarray, M: np.ndarray):
     formula, shared by v_avg, scenario_sweep (a stack of d inverses and d
     run counts) and verify's printed-convention cells."""
     return n * np.trace(Minv @ M, axis1=-2, axis2=-1)
-
-
-def _seed_scores(design: Design, Minv: np.ndarray, a: float, region: Region, v: float,
-                 grid_step: float | None, g: tuple[float, tuple[float, ...]]) -> None:
-    """Keep scores computed elsewhere (missing.scenario_sweep's stack) on the
-    design, under the memo keys information_inverse, a_trace, v_avg and
-    g_max read, G under (region, grid_step), so that none of them computes
-    its value again.  Each value must be the bit-identical one that function
-    would compute."""
-    design._memo("information_inverse", lambda: Minv)
-    design._memo("a_trace", lambda: a)
-    design._memo(("v_avg", region), lambda: v)
-    design._memo(("g_max", region, grid_step), lambda: g)
 
 
 def _radical_inverse(i: int, base: int) -> float:

@@ -90,14 +90,15 @@ class Design:
     def rows_of_class(self, point_class: PointClass) -> np.ndarray:
         return np.flatnonzero(self.classes == point_class)
 
-    def _memo(self, key, make):
-        """make(), computed once per design and kept under key, read-only if
-        an array; nothing is kept if make raises (make never returns None)."""
+    def _memo(self, key: str, make) -> np.ndarray:
+        """The array make() returns, computed once per design and kept
+        read-only under key by the one function that computes it
+        (model.model_matrix, criteria._probe_rows and
+        criteria.information_inverse); nothing is kept if make raises."""
         value = self._memoized.get(key)
         if value is None:
             value = make()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            value.flags.writeable = False
             self._memoized[key] = value
         return value
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .criteria import (Region, _a_traces, _g_rows, _g_scan, _probe_rows, _seed_scores,
-                       _spv, _v_from_moments, a_trace, g_max, region_moments, v_avg)
+from .criteria import (Region, _a_traces, _g_scan, _probe_rows, _spv, _v_from_moments,
+                       a_trace, g_max, region_moments, v_avg)
 from .design import Design, PointClass, gen_ccd
 from .linalg import SingularMatrixError
 from .model import model_matrix
@@ -40,10 +40,8 @@ __all__ = [
 def delete_rows(design: Design, indices: list[int]) -> Design:
     """Residual design with the given rows removed, in their order.  Raises
     TypeError for an index that is a bool or not an integer, ValueError for
-    repeated ones, IndexError for one out of range.  The residual's model
-    matrix is the parent's kept rows, column-major as expand_points writes
-    it, so X'X is a fresh expansion's to the bit; its probe rows are the
-    parent's."""
+    repeated ones, IndexError for one out of range.  The residual expands
+    its own model rows and probe rows, each the parent's to the bit."""
     for i in indices:
         if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
             raise TypeError(f"row index {i!r} is not an integer")
@@ -54,10 +52,7 @@ def delete_rows(design: Design, indices: list[int]) -> Design:
             raise IndexError(f"row index {i} out of range for n={design.n}")
     keep = np.ones(design.n, dtype=bool)
     keep[list(indices)] = False
-    residual = Design(design.alpha, design.coords[keep], design.classes[keep])
-    residual._memo("model_matrix", lambda: np.asfortranarray(model_matrix(design)[keep]))
-    residual._memo("probe_rows", lambda: _probe_rows(design))
-    return residual
+    return Design(design.alpha, design.coords[keep], design.classes[keep])
 
 
 def increase_in_variance(full: Design, residual: Design) -> float:
@@ -107,7 +102,6 @@ class LossReport:
     and the effect of deleting one point of each class.
 
     A value of None marks a cell whose residual design was inestimable.
-    `full` is the full design itself, which FIELDS leaves out.
     """
 
     alpha: float
@@ -122,7 +116,6 @@ class LossReport:
     re_v_axial: float | None = None
     re_v_center: float | None = None
     inestimable: list[str] = field(default_factory=list)
-    full: Design | None = field(default=None, repr=False, compare=False)
 
     FIELDS = ("alpha", "a_full",
               "loss_factorial", "loss_axial", "loss_center",
@@ -143,7 +136,7 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
     - the full model matrix is gen_ccd's (k, n0) template filled in with
       alpha, and each residual's is its rows without the class's first
       canonical row (0, 2^k, 2^k + 2k), taken by the rows the template
-      keeps for that deletion, column-major as delete_rows slices it;
+      keeps for that deletion, column-major as expand_points writes it;
       each X'X is formed alone;
     - the four X'X are inverted in one linalg.invert call, or, if one is
       singular, each alone, so that only a singular residual is flagged;
@@ -155,10 +148,7 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
       from the full design's coordinates at the rows the template keeps, so
       no Design but the full one is built.
     The loss and the efficiencies are the per-design functions' _loss and
-    _efficiency.  The full design (LossReport.full) keeps its inverse,
-    A-trace, V and G under the sweep's region and grid step
-    (criteria._seed_scores), so a criteria_report of it at that region and
-    step inverts and searches nothing again.
+    _efficiency; each design's G enters by its value alone.
     """
     tags = [cls.value for cls in PointClass]
     reports = []
@@ -174,18 +164,16 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
         S = _spv(ns, Minv, F)
         for j, i in enumerate(live[1:], 1):
             S[j, deleted[i - 1]] = -np.inf
-        # each live design's G and its location; a residual's location is not read
-        g = [_g_rows(S[0], F, k)] + [(gj, ()) for gj in S[1:].max(axis=1).tolist()]
+        g = S.max(axis=1).tolist()
         if grid_step is not None:
             coords = [full.coords] + [full.coords[rows] for rows in full._ccd.residual_rows]
-            g = [_g_scan(ns[j], Minv[j], coords[i], region, grid_step, start=g[j])
+            g = [_g_scan(ns[j], Minv[j], coords[i], region, grid_step, start=(g[j], ()))[0]
                  for j, i in enumerate(live)]
-        _seed_scores(full, Minv[0], a[0], region, v[0], grid_step, g[0])
-        rep = LossReport(alpha=alpha, a_full=a[0], full=full)
+        rep = LossReport(alpha=alpha, a_full=a[0])
         for j, i in enumerate(live[1:], 1):
             tag = tags[i - 1]
             setattr(rep, f"loss_{tag}", _loss(a[0], a[j]))
-            setattr(rep, f"re_g_{tag}", _efficiency(g[0][0], g[j][0]))
+            setattr(rep, f"re_g_{tag}", _efficiency(g[0], g[j]))
             setattr(rep, f"re_v_{tag}", _efficiency(v[0], v[j]))
         rep.inestimable = [tags[i - 1] for i in (1, 2, 3) if i not in live]
         reports.append(rep)
@@ -196,7 +184,7 @@ def _sweep_models(full: Design) -> list[np.ndarray]:
     """The model matrices scenario_sweep stacks: the full CCD's, then its
     three residuals' (each class's first row deleted), taken by the rows
     gen_ccd's template keeps for each deletion and made column-major, as
-    delete_rows slices them."""
+    expand_points writes them."""
     X = model_matrix(full)
     return [X] + [np.asfortranarray(X[rows]) for rows in full._ccd.residual_rows]
 

@@ -9,15 +9,12 @@ fixed order keeps serialized matrices comparable.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from .design import Design
 
 __all__ = [
     "num_params",
-    "expand_point",
     "expand_points",
     "model_matrix",
 ]
@@ -26,11 +23,6 @@ __all__ = [
 def num_params(k: int) -> int:
     """Parameter count p = 1 + 2k + k(k-1)/2 = (k+1)(k+2)/2."""
     return (k + 1) * (k + 2) // 2
-
-
-def expand_point(x: Sequence[float]) -> np.ndarray:
-    """Model vector f(x) of length (k+1)(k+2)/2 for a single point."""
-    return expand_points(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
 def expand_points(pts: np.ndarray) -> np.ndarray:
@@ -57,9 +49,9 @@ def expand_points(pts: np.ndarray) -> np.ndarray:
 def model_matrix(design: Design) -> np.ndarray:
     """n x p model matrix, rows in design order, column-major; read-only and
     computed once per design.  A design from gen_ccd fills its (k, n0)
-    template in with alpha and alpha * alpha (design._CcdTemplate); a
-    residual from missing.delete_rows slices the parent's; any other design
-    is expanded.  All three give expand_points(design.coords) to the bit."""
+    template in with alpha and alpha * alpha (design._CcdTemplate), and any
+    other design is expanded.  Both give expand_points(design.coords) to the
+    bit."""
     def make() -> np.ndarray:
         if design._ccd is None:
             return expand_points(design.coords)

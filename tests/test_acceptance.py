@@ -32,7 +32,7 @@ from ccdrobust.criteria import (
 from ccdrobust.design import PointClass, gen_ccd
 from ccdrobust.fixtures import LOSS_TABLES, SPV_TABLES, ulp_tolerance
 from ccdrobust.missing import delete_rows, increase_in_variance, loss_precision
-from ccdrobust.model import expand_point, model_matrix, num_params
+from ccdrobust.model import expand_points, model_matrix, num_params
 from ccdrobust.verify import _truncate, calibrate_v_region, paper_loss, verify_table
 
 CUBE1 = Region(RegionShape.CUBOIDAL, 1.0)
@@ -228,8 +228,7 @@ def test_criterion_09_rank_one_oracle():
             full = gen_ccd(k, float(alpha_s), n0)
             from ccdrobust.criteria import information_inverse
             Minv = information_inverse(full)
-            for row in range(full.n):
-                f = expand_point(full.coords[row])
+            for row, f in enumerate(expand_points(full.coords)):
                 predicted = float(f @ Minv @ Minv @ f) / (1.0 - float(f @ Minv @ f))
                 actual = increase_in_variance(full, delete_rows(full, [row]))
                 worst = max(worst, abs(actual - predicted))

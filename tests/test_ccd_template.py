@@ -160,23 +160,25 @@ def test_templates_are_read_only_and_out_of_reach(ccd_templates):
 
 
 def test_one_template_serves_every_alpha(ccd_templates, invert_calls):
-    # a k=3 sweep and a criteria_report of each full design: 8 alphas x
-    # 4 designs factorized, from one template
+    # a k=3 sweep, 8 alphas x 4 designs factorized, and a criteria_report of
+    # a fresh full design at each alpha, from one template
     reports = scenario_sweep(3, 4, DEFAULT_ALPHAS[3], CUBE1)
-    for rep in reports:
-        criteria_report(rep.full)
     assert invert_calls[0] == 32
-    assert len({id(rep.full._ccd) for rep in reports}) == 1
+    fulls = [gen_ccd(3, rep.alpha, 4) for rep in reports]
+    for full in fulls:
+        criteria_report(full)
+    assert invert_calls[0] == 40
+    assert len({id(full._ccd) for full in fulls}) == 1
     criteria_report(gen_ccd(3, 1.681, 4))
-    assert invert_calls[0] == 33
+    assert invert_calls[0] == 41
     info = ccd_templates.cache_info()
-    assert (info.misses, info.hits) == (1, len(DEFAULT_ALPHAS[3]))
+    assert (info.misses, info.hits) == (1, 2 * len(DEFAULT_ALPHAS[3]))
     # 5 runs left of a k=2 design cannot estimate p=6 parameters
     res = delete_rows(gen_ccd(2, 1.0, 4), list(range(7)))
     for attempt in (1, 2, 3):
         with pytest.raises(criteria.linalg.SingularMatrixError):
             a_trace(res)
-    assert invert_calls[0] == 33 + 3
+    assert invert_calls[0] == 41 + 3
     assert ccd_templates.cache_info().misses == 2
 
 

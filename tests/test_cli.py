@@ -151,15 +151,15 @@ class TestSweep:
         assert list(tmp_path.iterdir()) == []
 
     def test_one_inversion_per_distinct_design(self, tmp_path, invert_calls):
-        # 8 alphas x (full design + 3 single-deletion residuals); the
-        # criteria rows reuse the sweep's full designs
+        # 8 alphas x (full design + 3 single-deletion residuals) in the
+        # sweep, then each alpha's criteria row from a fresh full design
         assert main(["sweep", "--k", "3", "--out", str(tmp_path)]) == 0
-        assert invert_calls[0] == 32
+        assert invert_calls[0] == 8 * 4 + 8
 
     def test_one_grid_search_per_distinct_design(self, tmp_path, monkeypatch):
-        # the criteria rows reuse the G search the sweep made of each full
-        # design: 8 alphas x 4 designs, not 8 x 5; counted per search, as
-        # the grid domain itself is built once (TestGridCache)
+        # 8 alphas x 4 designs in the sweep, then each alpha's criteria row
+        # searches a fresh full design: 8 x 5; counted per search, as the
+        # grid domain itself is built once (TestGridCache)
         calls = [0]
         real = criteria._grid_models
 
@@ -170,7 +170,25 @@ class TestSweep:
         monkeypatch.setattr(criteria, "_grid_models", counting)
         assert main(["sweep", "--k", "3", "--grid-step", "0.5",
                      "--out", str(tmp_path)]) == 0
-        assert calls[0] == 32
+        assert calls[0] == 8 * 5
+
+    @pytest.mark.parametrize("region", ["cube", "sphere"])
+    @pytest.mark.parametrize("n0", [1, 4])
+    def test_criteria_rows_are_each_full_designs_report(self, region, n0, tmp_path):
+        assert main(["sweep", "--k", "3", "--n0", str(n0), "--region", region,
+                     "--grid-step", "0.25", "--out", str(tmp_path)]) == 0
+        if region == "cube":
+            where = criteria.Region(criteria.RegionShape.CUBOIDAL, 1.0)
+        else:
+            where = criteria.Region(criteria.RegionShape.SPHERICAL, math.sqrt(3))
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "criteria_k3.csv").read_text())))
+        assert [float(row["alpha"]) for row in rows] == cli.DEFAULT_ALPHAS[3]
+        for row in rows:
+            want = criteria.criteria_report(gen_ccd(3, float(row["alpha"]), n0),
+                                            where, 0.25).as_dict()
+            assert list(row) == list(want)
+            for field, value in want.items():
+                assert row[field] == (repr(value) if isinstance(value, float) else value), field
 
     @pytest.mark.parametrize("command", [["sweep"], ["plot", "--metric", "loss"]])
     def test_inestimable_full_design_exits_3_naming_alpha(self, command, tmp_path,

@@ -34,7 +34,8 @@ from ccdrobust.criteria import (
 )
 from ccdrobust.design import Design, PointClass, canonical_probe_points, gen_ccd
 from ccdrobust.linalg import SingularMatrixError
-from ccdrobust.missing import delete_rows, scenario_sweep
+from ccdrobust.missing import (delete_rows, relative_g_efficiency, relative_v_efficiency,
+                               scenario_sweep)
 from ccdrobust.model import expand_points, model_matrix, num_params
 
 CUBE1 = Region(RegionShape.CUBOIDAL, 1.0)
@@ -107,24 +108,6 @@ class TestInformationInverse:
         scenario_sweep(3, 4, [1.7, 2.0], CUBE1)
         assert counts == {"expand_points": 1, "_v_from_moments": 3}
 
-    def test_seeded_scores_are_what_the_criteria_read(self, invert_calls):
-        # each seeded value is returned as kept, and nothing is computed
-        d = gen_ccd(3, 1.681, 4)
-        Minv, g = np.eye(num_params(3)), (7.0, (0.5, 0.5, 0.5))
-        criteria._seed_scores(d, Minv, 2.0, CUBE1, 3.0, None, g)
-        assert information_inverse(d) is Minv
-        assert (a_trace(d), v_avg(d, CUBE1), g_max(d, CUBE1)) == (2.0, 3.0, g)
-        assert invert_calls[0] == 0
-        # G seeded under a grid step is read at that step alone; without a
-        # grid, G is searched with the seeded inverse
-        ref, e = gen_ccd(3, 1.681, 4), gen_ccd(3, 1.681, 4)
-        criteria._seed_scores(e, information_inverse(ref), a_trace(ref), CUBE1,
-                              v_avg(ref, CUBE1), 0.5, g)
-        assert g_max(e, CUBE1, 0.5) is g
-        assert ("g_max", CUBE1, None) not in e._memoized
-        assert g_max(e, CUBE1) == g_max(ref, CUBE1)
-        assert invert_calls[0] == 1
-
     def test_sweep_inverts_each_design_once(self, invert_calls):
         # 8 alphas x (full design + 3 single-deletion residuals)
         scenario_sweep(3, 4, DEFAULT_ALPHAS[3], CUBE1)
@@ -138,6 +121,39 @@ class TestInformationInverse:
     def test_criteria_report_default_inverts_once(self, invert_calls):
         criteria_report(gen_ccd(3, 1.681, 4))
         assert invert_calls[0] == 1
+
+    def test_designs_memoize_arrays_alone(self, monkeypatch):
+        # a design keeps its model rows, probe rows and inverse, each under
+        # the key of the one function that computes it; A, G and V are
+        # computed on every call
+        designs = []
+        hold = Design._hold
+
+        def recording(self, *args):
+            designs.append(self)
+            hold(self, *args)
+
+        monkeypatch.setattr(Design, "_hold", recording)
+        sphere = Region(RegionShape.SPHERICAL, math.sqrt(3))
+        for region in (CUBE1, sphere):
+            for step in (None, 0.5):
+                scenario_sweep(3, 4, [1.0, 1.7], region, grid_step=step)
+                criteria_report(gen_ccd(3, 1.7, 1), region, step)
+        full = gen_ccd(3, 1.5, 4)
+        g_max(full, CUBE1, grid_step=0.25)
+        probe_spv(full)
+        for cls in PointClass:
+            res = delete_rows(full, [full.rows_of_class(cls)[0]])
+            relative_g_efficiency(full, res, sphere, 0.5)
+            relative_v_efficiency(full, res, CUBE1)
+            probe_spv(res)
+        keys = {"model_matrix", "probe_rows", "information_inverse"}
+        assert len(designs) == 8 + 4 + 1 + 3
+        for d in designs:
+            assert set(d._memoized) <= keys
+            assert all(isinstance(a, np.ndarray) and not a.flags.writeable
+                       for a in d._memoized.values())
+        assert set(designs[-1]._memoized) == set(full._memoized) == keys
 
 
 class TestSpv:
@@ -178,6 +194,11 @@ class TestSpv:
         assert np.array_equal(spv_many(d, [(1.0, 1.0), (0.5, -0.2)]),
                               spv_many(d, np.array([(1.0, 1.0), (0.5, -0.2)])))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_points_not_finite(self, bad):
+        with pytest.raises(ValueError, match="points must be finite"):
+            spv_many(gen_ccd(2, 1.0, 4), [[bad, 0.0]])
+
     def test_no_points_no_values(self):
         assert spv_many(gen_ccd(3, 1.5, 4), np.empty((0, 3))).shape == (0,)
 
@@ -205,19 +226,6 @@ class TestGMax:
         assert f == pytest.approx(7.500, abs=1e-3)
         assert a == pytest.approx(7.499, abs=1e-3)
 
-    def test_search_kept_per_region_and_step(self, monkeypatch):
-        d = gen_ccd(3, 1.5, 4)
-        first = g_max(d, CUBE1, grid_step=0.5)
-
-        def no_search(*args, **kwargs):
-            raise AssertionError("searched again")
-
-        monkeypatch.setattr(criteria, "_spv", no_search)
-        assert g_max(d, Region(RegionShape.CUBOIDAL, 1.0), grid_step=0.5) is first
-        for design, step in ((d, 0.25), (gen_ccd(3, 1.5, 4), 0.5)):
-            with pytest.raises(AssertionError, match="searched again"):
-                g_max(design, CUBE1, grid_step=step)
-
     def test_finer_grid_never_smaller(self):
         d = gen_ccd(3, 1.5, 4)
         coarse, _ = g_max(d, CUBE1, grid_step=0.5)
@@ -227,7 +235,7 @@ class TestGMax:
     def test_default_searches_no_grid(self):
         # one default everywhere: design rows and probes only
         d = gen_ccd(3, 1.5, 4)
-        assert g_max(d, CUBE1) is g_max(d, CUBE1, None)
+        assert g_max(d, CUBE1) == g_max(d, CUBE1, None)
         assert criteria_report(d) == criteria_report(d, CUBE1, None)
 
     def test_rejects_bad_step(self):
@@ -991,6 +999,14 @@ def test_region_validation():
         region_moments(CUBE1, 1)
 
 
+@pytest.mark.parametrize("size", [True, False, np.True_], ids=repr)
+def test_region_rejects_bool_size(size):
+    # as gen_ccd refuses a bool alpha
+    with pytest.raises(TypeError, match=re.escape(
+            f"region size must be a real number, got {size!r}")):
+        Region(RegionShape.CUBOIDAL, size)
+
+
 @given(shape=st.sampled_from(RegionShape),
        size=st.one_of(st.floats(max_value=0.0),
                       st.sampled_from([math.nan, math.inf])))
@@ -1023,31 +1039,8 @@ class TestRegionHash:
         assert [f.name for f in dataclasses.fields(Region)] == ["shape", "size"]
         assert repr(CUBE1) == "Region(shape=<RegionShape.CUBOIDAL: 'cuboidal'>, size=1.0)"
 
-    def test_hashed_once(self, monkeypatch):
-        region = Region(RegionShape.SPHERICAL, 2.0)
-
-        def no_hash(self):
-            raise AssertionError("hashed again")
-
-        monkeypatch.setattr(RegionShape, "__hash__", no_hash)
-        with pytest.raises(AssertionError, match="hashed again"):
-            hash(RegionShape.SPHERICAL)
-        assert {region: 1}[region] == 1
-        assert hash(region) == hash(region)
-
-    def test_equal_region_hits_the_memos(self, monkeypatch):
-        d = gen_ccd(3, 1.5, 4)
-        g = g_max(d, Region(RegionShape.CUBOIDAL, 1.0))
-        v = v_avg(d, Region(RegionShape.SPHERICAL, math.sqrt(3)))
+    def test_equal_region_hits_the_memos(self):
         moments = region_moments(Region(RegionShape.CUBOIDAL, 0.75), 3)
         hits = region_moments.cache_info().hits
-
-        def recomputed(*args):
-            raise AssertionError("recomputed")
-
-        monkeypatch.setattr(criteria, "_spv", recomputed)
-        monkeypatch.setattr(criteria, "_v_from_moments", recomputed)
-        assert g_max(d, Region(RegionShape.CUBOIDAL, 1.0)) is g
-        assert v_avg(d, Region(RegionShape.SPHERICAL, math.sqrt(3))) == v
         assert region_moments(Region(RegionShape.CUBOIDAL, 0.75), 3) is moments
         assert region_moments.cache_info().hits == hits + 1

@@ -29,7 +29,7 @@ from ccdrobust.missing import (
     relative_v_efficiency,
     scenario_sweep,
 )
-from ccdrobust.model import expand_point, expand_points, model_matrix, num_params
+from ccdrobust.model import expand_points, model_matrix, num_params
 
 CUBE1 = Region(RegionShape.CUBOIDAL, 1.0)
 
@@ -79,15 +79,17 @@ class TestDeleteRows:
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_residual_rows_sliced_from_parent(self, k):
-        # the seeded model matrix is a fresh expansion's, bytes and layout
+        # a residual expands its own rows: the parent's kept model rows and
+        # its probe rows, bit for bit and column-major
         full = gen_ccd(k, 1.3, 2)
         for rows in ([0], [full.n - 1], [1, 5, full.n - 2]):
             r = delete_rows(full, rows)
-            X, fresh = model_matrix(r), expand_points(r.coords)
-            assert X.strides == fresh.strides and X.flags.f_contiguous
-            assert X.tobytes(order="A") == fresh.tobytes(order="A")
-            assert not X.flags.writeable
-            assert criteria._probe_rows(r) is criteria._probe_rows(full)
+            kept = np.asfortranarray(np.delete(model_matrix(full), rows, axis=0))
+            for got, want in ((model_matrix(r), kept),
+                              (criteria._probe_rows(r), criteria._probe_rows(full))):
+                assert got.strides == want.strides and got.flags.f_contiguous
+                assert got.tobytes(order="A") == want.tobytes(order="A")
+                assert not got.flags.writeable
 
 
 class TestIncreaseInVariance:
@@ -105,8 +107,7 @@ class TestIncreaseInVariance:
     def test_rank_one_update_oracle(self, k, alpha):
         full = gen_ccd(k, alpha, 4)
         Minv = information_inverse(full)
-        for row in range(full.n):
-            f = expand_point(full.coords[row])
+        for row, f in enumerate(expand_points(full.coords)):
             leverage = float(f @ Minv @ f)
             # Sherman-Morrison: removing row x changes trace(Minv) by
             # trace(Minv x x' Minv) / (1 - x' Minv x)
@@ -357,10 +358,9 @@ class TestStackedSweep:
         for rep, want in zip(scenario_sweep(k, n0, alphas, CUBE1),
                              _sweep_alone(k, n0, alphas, CUBE1), strict=True):
             assert _bits(rep, fields) == _bits(want, fields), rep.alpha
-            report = _Alone(rep.full).report()
-            for design in (rep.full, gen_ccd(k, rep.alpha, n0)):
-                assert (_bits(criteria_report(design, CUBE1), CriteriaReport.FIELDS)
-                        == _bits(report, CriteriaReport.FIELDS)), rep.alpha
+            full = gen_ccd(k, rep.alpha, n0)
+            assert (_bits(criteria_report(full, CUBE1), CriteriaReport.FIELDS)
+                    == _bits(_Alone(full).report(), CriteriaReport.FIELDS)), rep.alpha
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_report_of_residual_whose_g_is_at_a_probe(self, k):
@@ -407,10 +407,8 @@ class TestStackedSweep:
         scenario_sweep(3, 4, [1.0, 1.681], CUBE1, grid_step=0.5)
         assert invert_calls[0] == 2 * 4
 
-    def test_grid_path_builds_no_residual(self, monkeypatch, invert_calls):
-        # a residual's grid domain is read from the full design's kept rows;
-        # the full design keeps its G under the sweep's region and step, so
-        # a report of it at them factorizes and searches nothing
+    def test_grid_path_builds_no_residual(self, monkeypatch):
+        # a residual's grid domain is read from the full design's kept rows
         calls = {"delete_rows": 0, "_grid_models": 0}
         for module, name in ((missing, "delete_rows"), (criteria, "_grid_models")):
             def counting(*args, real=getattr(module, name), name=name):
@@ -423,23 +421,6 @@ class TestStackedSweep:
             reports = scenario_sweep(3, 1, [1.3, math.sqrt(3)], region, grid_step=0.5)
             assert reports[1].inestimable == ["center"]
             assert calls == {"delete_rows": 0, "_grid_models": 4 + 3}
-            factorized = invert_calls[0]
-            for rep in reports:
-                criteria_report(rep.full, region, 0.5)
-            assert calls["_grid_models"] == 4 + 3
-            assert invert_calls[0] == factorized
-
-    def test_full_design_memo_seeded_from_stack(self, invert_calls):
-        rep, = scenario_sweep(3, 4, [1.5], CUBE1)
-        assert invert_calls[0] == 4
-        assert {"information_inverse", "a_trace", ("v_avg", CUBE1),
-                ("g_max", CUBE1, None)} <= set(rep.full._memoized)
-        want = _Alone(rep.full)
-        assert np.array_equal(information_inverse(rep.full), want.Minv)
-        assert not information_inverse(rep.full).flags.writeable
-        assert repr(criteria.g_max(rep.full, CUBE1)) == repr(want.g())
-        criteria_report(rep.full, CUBE1)
-        assert invert_calls[0] == 4
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_one_singular_residual_flagged_rest_bit_identical(self, k, invert_calls):

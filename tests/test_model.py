@@ -4,22 +4,24 @@ import numpy as np
 import pytest
 
 from ccdrobust.design import gen_ccd
-from ccdrobust.model import expand_point, expand_points, model_matrix, num_params
+from ccdrobust.model import expand_points, model_matrix, num_params
 
 
 class TestExpandPoint:
+    """One point, as a 1 x k array."""
+
     def test_origin(self):
-        assert expand_point((0, 0)).tolist() == [1, 0, 0, 0, 0, 0]
+        assert expand_points([[0, 0]]).tolist() == [[1, 0, 0, 0, 0, 0]]
 
     def test_all_ones_k3(self):
-        f = expand_point((1, 1, 1))
+        f, = expand_points([[1, 1, 1]])
         assert f.tolist() == [1.0] * 10
 
     def test_axial_k2(self):
-        assert expand_point((2, 0)).tolist() == [1, 2, 0, 4, 0, 0]
+        assert expand_points([[2, 0]]).tolist() == [[1, 2, 0, 4, 0, 0]]
 
     def test_interaction_ordering(self):
-        f = expand_point((2.0, 3.0, 5.0))
+        f, = expand_points([[2.0, 3.0, 5.0]])
         # interactions lexicographic: x1x2, x1x3, x2x3
         assert f[-3:].tolist() == [6.0, 10.0, 15.0]
 
@@ -80,7 +82,7 @@ class TestExpandPoints:
         assert not pts.flags.c_contiguous and not pts.flags.f_contiguous
         F = expand_points(pts)
         for x, f in zip(pts, F):
-            assert np.array_equal(f, expand_point(x.copy()))
+            assert np.array_equal(f, expand_points(x[None].copy())[0])
 
 
 class TestModelMatrix:
@@ -105,7 +107,7 @@ class TestModelMatrix:
         d = gen_ccd(2, 1.414, 2)
         X = model_matrix(d)
         for i, x in enumerate(d.coords):
-            assert np.array_equal(X[i], expand_point(x))
+            assert np.array_equal(X[i], expand_points(x[None])[0])
 
 
 def test_param_count_matches_table_headers():
@@ -118,8 +120,7 @@ def test_permutation_equivariance():
     k = 3
     x = np.array([0.3, -1.2, 2.0])
     for perm in itertools.permutations(range(k)):
-        fx = expand_point(x[list(perm)])
-        fy = expand_point(x)
+        fx, fy = expand_points([x[list(perm)], x])
         # linear and quadratic blocks permute
         assert np.allclose(fx[1:1 + k], fy[1:1 + k][list(perm)])
         assert np.allclose(fx[1 + k:1 + 2 * k], fy[1 + k:1 + 2 * k][list(perm)])
