@@ -130,14 +130,10 @@ def _spv(n: int | np.ndarray, Minv: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def _probe_rows(design: Design) -> np.ndarray:
-    """The model rows of the canonical probe points, once per design: filled
-    in from the template of a design from gen_ccd, as model_matrix is, and
-    expanded for any other."""
-    def make() -> np.ndarray:
-        if design._ccd is None:
-            return expand_points(canonical_probe_points(design))
-        return design._ccd.probe_rows(design.alpha)
-    return design._memo("probe_rows", make)
+    """The model rows of the canonical probe points, expanded once per
+    design."""
+    return design._memo("probe_rows",
+                        lambda: expand_points(canonical_probe_points(design)))
 
 
 def probe_spv(design: Design) -> tuple[float, float, float]:
@@ -305,7 +301,11 @@ def _grid_models(region: Region, step: float,
     """The model matrix of _grid_chunks' domain, one read-only chunk per
     chunk of points; the points are its columns 1..k.  Served from
     _grid_cache when the domain is there, else expanded as it is streamed
-    and kept if it fits in the bytes the kept domains leave."""
+    and kept if it fits in the bytes the kept domains leave.  Raises
+    TypeError for a bool step, before the lookup, since True == 1.0 as a
+    key."""
+    if isinstance(step, (bool, np.bool_)):
+        raise TypeError(f"grid_step must be a real number, got {step!r}")
     key = (region, step, symmetry)
     with _grid_lock:
         cached = _grid_cache.get(key)
@@ -474,8 +474,13 @@ def sphere_points(k: int, radius: float, n: int) -> np.ndarray:
     """n deterministic, well-spread points on the sphere of the given
     radius: Halton sequence mapped through the Gaussian quantile and
     normalized (equal angular spacing for k = 2).  The Halton bases are
-    the first len(_PRIMES) primes, which bounds k.  Raises ValueError for
+    the first len(_PRIMES) primes, which bounds k.  Raises TypeError for a
+    bool radius or an n that is a bool or not an integer; ValueError for
     k < 2, n < 1, or a radius that is not finite and > 0."""
+    if isinstance(radius, (bool, np.bool_)):
+        raise TypeError(f"radius must be a real number, got {radius!r}")
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"n must be an integer, got {n!r}")
     if not 2 <= k <= len(_PRIMES):
         raise ValueError(f"sphere_points supports 2 <= k <= {len(_PRIMES)}, got {k}")
     if n < 1:
@@ -627,8 +632,7 @@ def criteria_report(design: Design, region: Region | None = None,
     One SPV pass, over [probes; the unit sphere's points], gives the probe
     SPVs and the rotatability index, each equal to the bit to what
     probe_spv and rotatability_index return.  The sphere's model rows are
-    expanded once per k (_unit_sphere_rows), and the probe rows of a design
-    from gen_ccd are filled in from its template.
+    expanded once per k (_unit_sphere_rows).
     """
     if region is None:
         region = Region(RegionShape.CUBOIDAL, 1.0)

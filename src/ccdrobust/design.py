@@ -29,7 +29,7 @@ __all__ = [
 _MAX_K = 12
 
 # The most (k, n0) templates _ccd_template keeps.  A k = 5 template holds
-# 12 KB of arrays and a k = 12 one 3.5 MB, so 16 of the widest hold 56 MB.
+# 3.3 KB of arrays and a k = 12 one 0.53 MB, so 16 of the widest hold 8.5 MB.
 _TEMPLATES = 16
 
 
@@ -46,10 +46,9 @@ class PointClass(Enum):
 class Design:
     """An immutable design with axial distance alpha: an n x k array of
     coded coordinates and the PointClass of each row, both read-only and
-    copied from what is passed in.  Equality is identity.  A design built
-    by gen_ccd holds its (k, n0) template (_CcdTemplate), from which its
-    model rows and probe rows are filled in, and its classes are a
-    read-only view of the template's; any other design holds None.
+    copied from what is passed in (gen_ccd's classes are a read-only view
+    of its template's).  Equality is identity.  Every design expands its
+    own model rows and probe rows, once (_memo).
 
     The canonical ordering is: factorial points (lexicographic over levels,
     -1 before +1), then axial pairs per axis (-alpha before +alpha, axis 1
@@ -67,17 +66,16 @@ class Design:
         if coords.ndim != 2 or classes.shape != coords.shape[:1]:
             raise ValueError(f"coords must be n x k and classes of length n, got "
                              f"shapes {coords.shape} and {classes.shape}")
-        self._hold(coords, classes, None)
+        self._hold(coords, classes)
 
-    def _hold(self, coords: np.ndarray, classes: np.ndarray, ccd: _CcdTemplate | None) -> None:
-        """Keep coords and classes as they are, read-only, an empty memo and
-        the template ccd; _CcdTemplate.design builds a design through here
-        alone, without __init__'s checks and copies."""
+    def _hold(self, coords: np.ndarray, classes: np.ndarray) -> None:
+        """Keep coords and classes as they are, read-only, and an empty memo;
+        _CcdTemplate.design builds a design through here alone, without
+        __init__'s checks and copies."""
         coords.flags.writeable = classes.flags.writeable = False
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "_memoized", {})  # see _memo
-        object.__setattr__(self, "_ccd", ccd)
 
     @property
     def n(self) -> int:
@@ -121,8 +119,7 @@ def _check_ccd_args(k: int, alpha: float, n0: int) -> None:
 def gen_ccd(k: int, alpha: float, n0: int) -> Design:
     """Build a full central composite design: a new Design on every call,
     whose coordinates are its (k, n0) template's (_ccd_template) with the
-    axial entries scaled to +-alpha.  Its model rows and probe rows are
-    filled in from the template when they are first needed.
+    axial entries scaled to +-alpha.
 
     Raises TypeError for k or n0 that is a bool or not an integer, or alpha
     that is a bool; ValueError for k < 2 (the interaction term degenerates)
@@ -139,19 +136,12 @@ class _CcdTemplate:
     - coords: the n x k coordinates at alpha = 1, whose axial rows hold
       -1 and +1 on each axis in turn.
     - classes: the PointClass of each row.
-    - model: the column-major n x p model matrix of coords (expand_points).
-      Alpha enters only the axial rows' x_j and x_j^2; their interactions
-      are products of +-1 and 0, so each -alpha row keeps the -0.0 that
-      the expansion at alpha writes.
-    - probes: the model rows of canonical_probe_points at alpha = 1, whose
-      axial probe (row 1) alone depends on alpha.
     - first_rows: each class's first row (0, 2^k, 2^k + 2k), the one
       missing.scenario_sweep deletes, and residual_rows the rows each of
       those deletions keeps, in order.
     """
 
     def __init__(self, k: int, n0: int):
-        from .model import expand_points  # model imports this module
         nf = 2 ** k
         n = nf + 2 * k + n0
         coords = np.zeros((n, k))
@@ -161,18 +151,12 @@ class _CcdTemplate:
         axes = np.arange(k)
         coords[nf + 2 * axes, axes] = -1.0
         coords[nf + 2 * axes + 1, axes] = 1.0
-        probes = np.zeros((3, k))
-        probes[0] = probes[1, 0] = 1.0
-        expanded = expand_points(np.vstack([coords, probes]))
-        self.k = k
         self.axial = slice(nf, nf + 2 * k)
         self.coords = coords
         self.classes = np.repeat(np.array(list(PointClass), dtype=object), [nf, 2 * k, n0])
-        self.model = np.asfortranarray(expanded[:n])
-        self.probes = np.asfortranarray(expanded[n:])
         self.first_rows = (0, nf, nf + 2 * k)
         self.residual_rows = tuple(np.delete(np.arange(n), row) for row in self.first_rows)
-        for a in (coords, self.classes, self.model, self.probes, *self.residual_rows):
+        for a in (coords, self.classes, *self.residual_rows):
             a.flags.writeable = False
 
     def design(self, alpha: float) -> Design:
@@ -182,29 +166,8 @@ class _CcdTemplate:
         coords[self.axial] *= alpha
         design = object.__new__(Design)
         object.__setattr__(design, "alpha", alpha)
-        design._hold(coords, self.classes.view(), self)
+        design._hold(coords, self.classes.view())
         return design
-
-    def model_rows(self, alpha: float) -> np.ndarray:
-        """The model matrix of gen_ccd(k, alpha, n0), as expand_points
-        writes it."""
-        return self._fill(self.model, self.axial, alpha)
-
-    def probe_rows(self, alpha: float) -> np.ndarray:
-        """The model rows of that design's canonical probe points, as
-        expand_points writes them."""
-        return self._fill(self.probes, slice(1, 2), alpha)
-
-    def _fill(self, template: np.ndarray, rows: slice, alpha: float) -> np.ndarray:
-        """A column-major copy of template with the linear terms of rows
-        scaled by alpha and their squares written as expand_points writes
-        them, so that one that overflows warns as there."""
-        k = self.k
-        X = template.copy(order="F")
-        lin = X[rows, 1:1 + k]
-        lin *= alpha
-        np.multiply(lin, lin, out=X[rows, 1 + k:1 + 2 * k])
-        return X
 
 
 @functools.lru_cache(maxsize=_TEMPLATES)

@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .criteria import (Region, _a_traces, _g_scan, _probe_rows, _spv, _v_from_moments,
                        a_trace, g_max, region_moments, v_avg)
-from .design import Design, PointClass, gen_ccd
+from .design import Design, PointClass, _ccd_template, gen_ccd
 from .linalg import SingularMatrixError
 from .model import model_matrix
 
@@ -133,11 +133,10 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
     The four designs of an alpha are scored as one stack, each value equal
     to the bit to what the per-design functions (loss_precision,
     relative_g_efficiency, relative_v_efficiency) give:
-    - the full model matrix is gen_ccd's (k, n0) template filled in with
-      alpha, and each residual's is its rows without the class's first
-      canonical row (0, 2^k, 2^k + 2k), taken by the rows the template
-      keeps for that deletion, column-major as expand_points writes it;
-      each X'X is formed alone;
+    - each residual's model matrix is the full design's without the
+      class's first canonical row (0, 2^k, 2^k + 2k), taken by the rows
+      gen_ccd's (k, n0) template keeps for that deletion, column-major as
+      expand_points writes it; each X'X is formed alone;
     - the four X'X are inverted in one linalg.invert call, or, if one is
       singular, each alone, so that only a singular residual is flagged;
     - the A-traces, the V values and each design's G over its rows and the
@@ -154,8 +153,9 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
     reports = []
     for alpha in alphas:
         full = gen_ccd(k, alpha, n0)
-        n, deleted = full.n, full._ccd.first_rows
-        models = _sweep_models(full)
+        template = _ccd_template(k, n0)
+        n, deleted = full.n, template.first_rows
+        models = _sweep_models(full, template.residual_rows)
         Minv, live = _invert_stack(alpha, np.stack([Xd.T @ Xd for Xd in models]))
         ns = np.array([n, n - 1, n - 1, n - 1])[live]
         a = _a_traces(Minv).tolist()
@@ -166,7 +166,7 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
             S[j, deleted[i - 1]] = -np.inf
         g = S.max(axis=1).tolist()
         if grid_step is not None:
-            coords = [full.coords] + [full.coords[rows] for rows in full._ccd.residual_rows]
+            coords = [full.coords] + [full.coords[rows] for rows in template.residual_rows]
             g = [_g_scan(ns[j], Minv[j], coords[i], region, grid_step, start=(g[j], ()))[0]
                  for j, i in enumerate(live)]
         rep = LossReport(alpha=alpha, a_full=a[0])
@@ -180,13 +180,12 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
     return reports
 
 
-def _sweep_models(full: Design) -> list[np.ndarray]:
-    """The model matrices scenario_sweep stacks: the full CCD's, then its
-    three residuals' (each class's first row deleted), taken by the rows
-    gen_ccd's template keeps for each deletion and made column-major, as
-    expand_points writes them."""
+def _sweep_models(full: Design, kept: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """The model matrices scenario_sweep stacks: the full design's, then
+    its rows at each index array of kept (one residual each), made
+    column-major as expand_points writes them."""
     X = model_matrix(full)
-    return [X] + [np.asfortranarray(X[rows]) for rows in full._ccd.residual_rows]
+    return [X] + [np.asfortranarray(X[rows]) for rows in kept]
 
 
 def _invert_stack(alpha: float, M: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -47,13 +47,6 @@ def expand_points(pts: np.ndarray) -> np.ndarray:
 
 
 def model_matrix(design: Design) -> np.ndarray:
-    """n x p model matrix, rows in design order, column-major; read-only and
-    computed once per design.  A design from gen_ccd fills its (k, n0)
-    template in with alpha and alpha * alpha (design._CcdTemplate), and any
-    other design is expanded.  Both give expand_points(design.coords) to the
-    bit."""
-    def make() -> np.ndarray:
-        if design._ccd is None:
-            return expand_points(design.coords)
-        return design._ccd.model_rows(design.alpha)
-    return design._memo("model_matrix", make)
+    """n x p model matrix, rows in design order, column-major:
+    expand_points(design.coords), read-only and computed once per design."""
+    return design._memo("model_matrix", lambda: expand_points(design.coords))

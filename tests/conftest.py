@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from ccdrobust import criteria, design, linalg
+from ccdrobust import criteria, design, linalg, missing
 
 
 @pytest.fixture
@@ -31,8 +31,9 @@ def grid_cache(monkeypatch):
 @pytest.fixture
 def ccd_templates(monkeypatch):
     """An empty gen_ccd template cache for the test, as the lru_cache-wrapped
-    builder gen_ccd calls (its cache_info counts the templates built); the
-    process's own cache is restored after it."""
+    builder gen_ccd and scenario_sweep call (its cache_info counts the
+    templates built); the process's own cache is restored after it."""
     fresh = functools.lru_cache(maxsize=design._TEMPLATES)(design._ccd_template.__wrapped__)
     monkeypatch.setattr(design, "_ccd_template", fresh)
+    monkeypatch.setattr(missing, "_ccd_template", fresh)
     return fresh

@@ -1,11 +1,11 @@
 """gen_ccd's (k, n0) templates against the construction they replace.
 
-Every design gen_ccd fills in from a template is compared, byte for byte
+Every design gen_ccd builds from a template is compared, byte for byte
 and with its dtype, strides, contiguity and write flags, with gen_ccd and
 expand_points as they were before templates (kept below as the oracle):
-the coordinates and classes, the model rows, the probe rows, the three
-residual model matrices scenario_sweep slices, and criteria_report's unit
-sphere rows.
+the coordinates and classes, the model rows and probe rows the design
+expands, the three residual model matrices scenario_sweep slices by the
+rows the template keeps, and criteria_report's unit sphere rows.
 """
 
 import math
@@ -89,8 +89,9 @@ def test_templates_fill_in_the_oracles_arrays(k, n0):
         assert not P.flags.writeable
 
         # the sweep's residuals: delete_rows' slices of the oracle's rows
-        assert _sweep_models(d)[0] is X
-        for got, row in zip(_sweep_models(d)[1:], (0, nf, nf + 2 * k)):
+        models = _sweep_models(d, design._ccd_template(k, n0).residual_rows)
+        assert models[0] is X
+        for got, row in zip(models[1:], (0, nf, nf + 2 * k)):
             keep = np.ones(d.n, dtype=bool)
             keep[row] = False
             assert_same_array(got, np.asfortranarray(X_want[keep]))
@@ -135,8 +136,8 @@ def test_overflowing_square_warns_where_the_model_is_first_needed(k):
 
 def test_templates_are_read_only_and_out_of_reach(ccd_templates):
     d = gen_ccd(3, 1.5, 4)
-    t = d._ccd
-    held = [t.coords, t.classes, t.model, t.probes, *t.residual_rows]
+    t = ccd_templates(3, 4)
+    held = [t.coords, t.classes, *t.residual_rows]
     for a in held:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -144,7 +145,7 @@ def test_templates_are_read_only_and_out_of_reach(ccd_templates):
     saved = [a.copy() for a in held]
     # a design's own arrays are copies, which it may make writeable; its
     # classes are a view of the template's, which it may not
-    for a in (d.coords, _probe_rows(d), *_sweep_models(d)):
+    for a in (d.coords, _probe_rows(d), *_sweep_models(d, t.residual_rows)):
         assert not any(np.shares_memory(a, b) for b in held)
         a.flags.writeable = True
         a[...] = 7.0
@@ -153,7 +154,7 @@ def test_templates_are_read_only_and_out_of_reach(ccd_templates):
     for a, b in zip(held, saved):
         assert np.array_equal(a, b)
     e, want = gen_ccd(3, 1.5, 4), _gen_ccd(3, 1.5, 4)
-    assert e is not d and e._ccd is t
+    assert e is not d and ccd_templates.cache_info().misses == 1
     assert_same_array(e.coords, want.coords)
     assert_same_array(model_matrix(e), _expand_points(want.coords))
     assert not np.shares_memory(e.coords, d.coords)
@@ -161,18 +162,17 @@ def test_templates_are_read_only_and_out_of_reach(ccd_templates):
 
 def test_one_template_serves_every_alpha(ccd_templates, invert_calls):
     # a k=3 sweep, 8 alphas x 4 designs factorized, and a criteria_report of
-    # a fresh full design at each alpha, from one template
+    # a fresh full design at each alpha, from one template: each alpha of
+    # the sweep reads it twice, through gen_ccd and for its kept rows
     reports = scenario_sweep(3, 4, DEFAULT_ALPHAS[3], CUBE1)
     assert invert_calls[0] == 32
-    fulls = [gen_ccd(3, rep.alpha, 4) for rep in reports]
-    for full in fulls:
-        criteria_report(full)
+    for rep in reports:
+        criteria_report(gen_ccd(3, rep.alpha, 4))
     assert invert_calls[0] == 40
-    assert len({id(full._ccd) for full in fulls}) == 1
     criteria_report(gen_ccd(3, 1.681, 4))
     assert invert_calls[0] == 41
     info = ccd_templates.cache_info()
-    assert (info.misses, info.hits) == (1, 2 * len(DEFAULT_ALPHAS[3]))
+    assert (info.misses, info.hits) == (1, 3 * len(DEFAULT_ALPHAS[3]))
     # 5 runs left of a k=2 design cannot estimate p=6 parameters
     res = delete_rows(gen_ccd(2, 1.0, 4), list(range(7)))
     for attempt in (1, 2, 3):

@@ -83,10 +83,9 @@ class TestInformationInverse:
         assert set(res._memoized) == {"model_matrix", "probe_rows"}
 
     def test_sweep_expands_and_averages_each_design_once(self, monkeypatch, ccd_templates):
-        # one alpha, from an empty template cache: the (k, n0) template's
-        # model rows and probe rows are expanded together, once; the full
-        # design fills its rows in from them and its three residuals slice
-        # theirs from it; V of the four designs is one stacked call
+        # each alpha's full design expands its model rows and its probe rows,
+        # and its three residuals slice theirs from its model rows; V of the
+        # four designs is one stacked call
         from ccdrobust import missing, model
         counts = {}
 
@@ -103,10 +102,9 @@ class TestInformationInverse:
         monkeypatch.setattr(criteria, "_v_from_moments", v)
         monkeypatch.setattr(missing, "_v_from_moments", v)
         scenario_sweep(3, 4, [1.5], CUBE1)
-        assert counts == {"expand_points": 1, "_v_from_moments": 1}
-        # the template serves every further alpha of the (k, n0)
+        assert counts == {"expand_points": 2, "_v_from_moments": 1}
         scenario_sweep(3, 4, [1.7, 2.0], CUBE1)
-        assert counts == {"expand_points": 1, "_v_from_moments": 3}
+        assert counts == {"expand_points": 6, "_v_from_moments": 3}
 
     def test_sweep_inverts_each_design_once(self, invert_calls):
         # 8 alphas x (full design + 3 single-deletion residuals)
@@ -1005,6 +1003,48 @@ def test_region_rejects_bool_size(size):
     with pytest.raises(TypeError, match=re.escape(
             f"region size must be a real number, got {size!r}")):
         Region(RegionShape.CUBOIDAL, size)
+
+
+BOOLS = [True, False, np.True_]
+
+
+@pytest.mark.parametrize("step", BOOLS, ids=repr)
+def test_grid_step_rejects_bool(step, grid_cache):
+    # each public caller of a grid, after the step-1.0 domains are kept:
+    # True == 1.0 as a cache key, so the check comes before the lookup
+    full = gen_ccd(2, 1.0, 4)
+    res = delete_rows(full, [0])
+    g_max(full, CUBE1, 1.0)
+    relative_g_efficiency(full, res, CUBE1, 1.0)
+    assert grid_cache
+    message = re.escape(f"grid_step must be a real number, got {step!r}")
+    calls = [lambda: g_max(full, CUBE1, step),
+             lambda: criteria_report(full, CUBE1, step),
+             lambda: scenario_sweep(2, 4, [1.0], CUBE1, grid_step=step),
+             lambda: relative_g_efficiency(full, res, CUBE1, step)]
+    for call in calls:
+        with pytest.raises(TypeError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("radius", BOOLS, ids=repr)
+def test_sphere_radius_rejects_bool(radius):
+    message = re.escape(f"radius must be a real number, got {radius!r}")
+    with pytest.raises(TypeError, match=message):
+        rotatability_index(gen_ccd(2, 1.0, 4), radius)
+    with pytest.raises(TypeError, match=message):
+        sphere_points(3, radius, 5)
+
+
+@pytest.mark.parametrize("n", [*BOOLS, 2.0, np.float64(5.0), "5"], ids=repr)
+def test_sphere_points_rejects_n_not_an_integer(n):
+    with pytest.raises(TypeError, match=re.escape(f"n must be an integer, got {n!r}")):
+        sphere_points(3, 1.0, n)
+
+
+@pytest.mark.parametrize("n", [np.int32(5), np.uint8(5)], ids=repr)
+def test_sphere_points_accepts_numpy_integers(n):
+    assert np.array_equal(sphere_points(3, 1.0, n), sphere_points(3, 1.0, 5))
 
 
 @given(shape=st.sampled_from(RegionShape),

@@ -89,11 +89,12 @@ class TestGenCcd:
         assert (info.hits, info.misses) == (0, 0)
 
     @pytest.mark.parametrize("int_type", [np.int8, np.int32, np.int64, np.uint16])
-    def test_accepts_numpy_integers(self, int_type):
+    def test_accepts_numpy_integers(self, int_type, ccd_templates):
         d, want = gen_ccd(int_type(3), 1.5, int_type(4)), gen_ccd(3, 1.5, 4)
         assert (d.k, d.n) == (want.k, want.n)
         assert d.coords.tobytes() == want.coords.tobytes()
-        assert d._ccd is want._ccd
+        info = ccd_templates.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_k_bound_is_the_criteria_bound(self):
         # criteria_report's rotatability index needs one Halton base per factor
@@ -131,6 +132,13 @@ class TestGenCcd:
         assert np.array_equal(e.coords, d.coords)
         assert np.array_equal(e.classes, d.classes)
         assert (e.k, e.n) == (2, 12)
+
+    def test_a_design_is_its_arrays(self):
+        # a gen_ccd design holds what a hand-built one holds, and no link to
+        # its template
+        d = gen_ccd(3, 1.5, 4)
+        e = Design(1.5, d.coords, d.classes)
+        assert set(vars(d)) == set(vars(e)) == {"alpha", "coords", "classes", "_memoized"}
 
     def test_rejects_mismatched_arrays(self):
         d = gen_ccd(2, 1.0, 4)
