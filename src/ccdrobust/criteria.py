@@ -22,7 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import linalg
-from .design import Design, canonical_probe_points
+from .design import Design, _Symmetry, _symmetry, canonical_probe_points
 from .model import expand_points, model_matrix, num_params
 
 __all__ = [
@@ -159,58 +159,6 @@ _G_TIE_RTOL = 1e-12
 _GRID_CACHE_BYTES = 32 * 2 ** 20
 _grid_cache: dict[tuple, tuple[np.ndarray, ...]] = {}
 _grid_lock = threading.Lock()
-
-# (flips, blocks): the flip-invariant axes, and a partition of the axes into
-# blocks of mutually transposable ones, each in axis order.
-_Symmetry = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
-
-
-def _symmetry(X: np.ndarray) -> _Symmetry:
-    """The product-form symmetry of a design, read exactly from its n x k
-    coordinates X: (flips, blocks), the axes whose sign flip leaves the
-    multiset of rows unchanged, and the partition of the axes into blocks
-    whose transpositions leave it unchanged, each block in axis order.
-    g_max passes a design's coords and missing.scenario_sweep a residual's,
-    the full design's kept rows, without building the residual.
-
-    A row is keyed exactly in base b, the count of distinct values of X and
-    -X, by its value codes pos (and neg for -X) with weight w_j on axis j.
-    Flipping axis j shifts a key by (neg_j - pos_j) w_j and swapping axes a
-    and c by (pos_c - pos_a)(w_a - w_c), so one sort tests all k + k(k-1)/2.
-
-    Transposition invariance is an equivalence relation, since
-    (a c) = (a b)(b c)(a b), so each axis is compared with the first axis of
-    each block found so far; and a block's axes are all flip-invariant or
-    none, since (a b) carries the flip of a to the flip of b.  The signed
-    permutations these generate leave the SPV, the region and the grid
-    unchanged.  A symmetry not of this form (a deleted mixed-sign factorial
-    vertex is fixed by signed transpositions) contributes only its product
-    subgroup, so the search domain is larger than it could be, but correct.
-    """
-    n, k = X.shape
-    values, codes = np.unique(np.concatenate([X, -X]), return_inverse=True)
-    b = len(values)
-    dtype = np.int64 if b ** k < 2 ** 62 else object
-    pos, neg = codes.reshape(2, n, k).astype(dtype)
-    w = b ** np.arange(k - 1, -1, -1).astype(dtype)
-    a, c = np.nonzero(np.arange(k)[:, None] < np.arange(k))  # pairs a < c
-    key = pos @ w
-    keys = np.column_stack([key, key[:, None] + (neg - pos) * w,
-                            key[:, None] + (pos[:, c] - pos[:, a]) * (w[a] - w[c])])
-    keys.sort(axis=0)
-    same = (keys == keys[:, :1]).all(axis=0).tolist()
-    flips = tuple(j for j in range(k) if same[1 + j])
-    swaps = dict(zip(zip(a.tolist(), c.tolist()), same[1 + k:]))
-    blocks: list[list[int]] = []
-    for j in range(k):
-        for block in blocks:
-            if swaps[block[0], j]:
-                block.append(j)
-                break
-        else:
-            blocks.append([j])
-    return flips, tuple(tuple(block) for block in blocks)
-
 
 def _grid_half_width(region: Region, step: float, k: int) -> int:
     """n1, the largest index whose axis value n1*step Region.contains accepts:
@@ -367,28 +315,32 @@ def g_max(design: Design, region: Region,
     chunk then costs one product with (X'X)^{-1} and one row sum (_spv, the
     kernel spv_many uses).  The scan is _g_scan, which
     missing.scenario_sweep also runs, to continue each design of its stack
-    over its grid domain.  Each call searches again; a bad step raises
-    ValueError where its grid is built (_grid_half_width).
+    over its grid domain.  Each call reads the design's symmetry from its
+    own coordinates and searches again; a bad step raises ValueError where
+    its grid is built (_grid_half_width).
     """
     head = [model_matrix(design), _probe_rows(design)]
-    return _g_scan(design.n, information_inverse(design), design.coords, region,
+    symmetry = None if grid_step is None else _symmetry(design.coords)
+    return _g_scan(design.n, information_inverse(design), design.k, symmetry, region,
                    grid_step, head)
 
 
-def _g_scan(n: int | np.ndarray, Minv: np.ndarray, X: np.ndarray, region: Region,
-            grid_step: float | None, head: Iterable[np.ndarray] = (),
+def _g_scan(n: int | np.ndarray, Minv: np.ndarray, k: int, symmetry: _Symmetry | None,
+            region: Region, grid_step: float | None, head: Iterable[np.ndarray] = (),
             start: tuple = (-math.inf, ())) -> tuple[float, tuple[float, ...]]:
     """g_max's scan, for g_max and missing.scenario_sweep: the maximum SPV of
-    the design with run count n, inverse Minv and n x k coordinates X, and
-    its location, over the model rows of each chunk of head and then, when
-    grid_step is not None, of the grid domain of X's symmetry.  It continues
-    from start, the maximum and location over what was scanned before."""
+    the k-factor design with run count n and inverse Minv, and its location,
+    over the model rows of each chunk of head and then, when grid_step is
+    not None, of the grid domain of the design's symmetry (g_max passes
+    _symmetry of the design's coords, scenario_sweep its CCD template's).
+    It continues from start, the maximum and location over what was scanned
+    before."""
     best, loc = start
-    grid = () if grid_step is None else _grid_models(region, grid_step, _symmetry(X))
+    grid = () if grid_step is None else _grid_models(region, grid_step, symmetry)
     for F in itertools.chain(head, grid):
         best, i = _g_step(best, _spv(n, Minv, F))
         if i >= 0:
-            loc = _location(F, i, X.shape[1])
+            loc = _location(F, i, k)
     return best, loc
 
 

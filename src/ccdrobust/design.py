@@ -29,7 +29,8 @@ __all__ = [
 _MAX_K = 12
 
 # The most (k, n0) templates _ccd_template keeps.  A k = 5 template holds
-# 3.3 KB of arrays and a k = 12 one 0.53 MB, so 16 of the widest hold 8.5 MB.
+# 3.3 KB of arrays and a k = 12 one 0.53 MB, so 16 of the widest hold 8.5 MB;
+# the symmetries a grid sweep adds to a template are under 4 KB of tuples.
 _TEMPLATES = 16
 
 
@@ -101,8 +102,10 @@ class Design:
         return value
 
 
-def _check_ccd_args(k: int, alpha: float, n0: int) -> None:
-    """The TypeError or ValueError gen_ccd raises for its arguments, if any."""
+def _check_ccd_args(k: int, alpha: float | None, n0: int) -> None:
+    """The TypeError or ValueError gen_ccd raises for its arguments, if any;
+    with alpha None, for k and n0 alone, as scenario_sweep checks them before
+    it looks up their template."""
     for name, value in (("k", k), ("n0", n0)):
         if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
             raise TypeError(f"{name} must be an integer, got {value!r}")
@@ -110,7 +113,7 @@ def _check_ccd_args(k: int, alpha: float, n0: int) -> None:
         raise TypeError(f"alpha must be a real number, got {alpha!r}")
     if not 2 <= k <= _MAX_K:
         raise ValueError(f"k must be in [2, {_MAX_K}], got {k}")
-    if not (math.isfinite(alpha) and alpha > 0):
+    if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if n0 < 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
@@ -129,6 +132,58 @@ def gen_ccd(k: int, alpha: float, n0: int) -> Design:
     return _ccd_template(int(k), int(n0)).design(float(alpha))
 
 
+# (flips, blocks): the flip-invariant axes, and a partition of the axes into
+# blocks of mutually transposable ones, each in axis order.
+_Symmetry = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
+def _symmetry(X: np.ndarray) -> _Symmetry:
+    """The product-form symmetry of a design, read exactly from its n x k
+    coordinates X: (flips, blocks), the axes whose sign flip leaves the
+    multiset of rows unchanged, and the partition of the axes into blocks
+    whose transpositions leave it unchanged, each block in axis order.
+    criteria.g_max passes a design's coords, and _CcdTemplate.symmetries a
+    CCD's and its three class deletions' coordinates at alpha = 1.
+
+    A row is keyed exactly in base b, the count of distinct values of X and
+    -X, by its value codes pos (and neg for -X) with weight w_j on axis j.
+    Flipping axis j shifts a key by (neg_j - pos_j) w_j and swapping axes a
+    and c by (pos_c - pos_a)(w_a - w_c), so one sort tests all k + k(k-1)/2.
+
+    Transposition invariance is an equivalence relation, since
+    (a c) = (a b)(b c)(a b), so each axis is compared with the first axis of
+    each block found so far; and a block's axes are all flip-invariant or
+    none, since (a b) carries the flip of a to the flip of b.  The signed
+    permutations these generate leave the SPV, the region and the grid
+    unchanged.  A symmetry not of this form (a deleted mixed-sign factorial
+    vertex is fixed by signed transpositions) contributes only its product
+    subgroup, so the search domain is larger than it could be, but correct.
+    """
+    n, k = X.shape
+    values, codes = np.unique(np.concatenate([X, -X]), return_inverse=True)
+    b = len(values)
+    dtype = np.int64 if b ** k < 2 ** 62 else object
+    pos, neg = codes.reshape(2, n, k).astype(dtype)
+    w = b ** np.arange(k - 1, -1, -1).astype(dtype)
+    a, c = np.nonzero(np.arange(k)[:, None] < np.arange(k))  # pairs a < c
+    key = pos @ w
+    keys = np.column_stack([key, key[:, None] + (neg - pos) * w,
+                            key[:, None] + (pos[:, c] - pos[:, a]) * (w[a] - w[c])])
+    keys.sort(axis=0)
+    same = (keys == keys[:, :1]).all(axis=0).tolist()
+    flips = tuple(j for j in range(k) if same[1 + j])
+    swaps = dict(zip(zip(a.tolist(), c.tolist()), same[1 + k:]))
+    blocks: list[list[int]] = []
+    for j in range(k):
+        for block in blocks:
+            if swaps[block[0], j]:
+                block.append(j)
+                break
+        else:
+            blocks.append([j])
+    return flips, tuple(tuple(block) for block in blocks)
+
+
 class _CcdTemplate:
     """The parts of gen_ccd(k, alpha, n0) that do not depend on alpha, all
     read-only; built once per (k, n0) by _ccd_template.
@@ -139,6 +194,12 @@ class _CcdTemplate:
     - first_rows: each class's first row (0, 2^k, 2^k + 2k), the one
       missing.scenario_sweep deletes, and residual_rows the rows each of
       those deletions keeps, in order.
+    - symmetries: the _symmetry of the full design and of each of those
+      deletions, computed on first use from coords, for scenario_sweep's
+      grid scans.  They hold at every alpha > 0: an axial run, with one
+      nonzero coordinate, never equals a factorial vertex or the center,
+      so scaling the axial runs maps each design's invariances onto the
+      same invariances.
     """
 
     def __init__(self, k: int, n0: int):
@@ -168,6 +229,11 @@ class _CcdTemplate:
         object.__setattr__(design, "alpha", alpha)
         design._hold(coords, self.classes.view())
         return design
+
+    @functools.cached_property
+    def symmetries(self) -> tuple[_Symmetry, ...]:
+        return tuple(_symmetry(self.coords[rows])
+                     for rows in (slice(None), *self.residual_rows))
 
 
 @functools.lru_cache(maxsize=_TEMPLATES)

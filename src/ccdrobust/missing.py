@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .criteria import (Region, _a_traces, _g_scan, _probe_rows, _spv, _v_from_moments,
                        a_trace, g_max, region_moments, v_avg)
-from .design import Design, PointClass, _ccd_template, gen_ccd
+from .design import Design, PointClass, _ccd_template, _check_ccd_args, gen_ccd
 from .linalg import SingularMatrixError
 from .model import model_matrix
 
@@ -143,18 +143,20 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
       probes take one stacked call each, the last the SPV over [full rows;
       probes] with each residual's deleted row masked;
     - with a grid, each design's G scan is continued over its grid domain by
-      the scan g_max runs (criteria._g_scan); a residual's symmetry is read
-      from the full design's coordinates at the rows the template keeps, so
-      no Design but the full one is built.
+      the scan g_max runs (criteria._g_scan), from the symmetry the template
+      keeps for that design at every alpha (_CcdTemplate.symmetries), so no
+      symmetry is computed per alpha and no Design but the full one is built.
     The loss and the efficiencies are the per-design functions' _loss and
     _efficiency; each design's G enters by its value alone.
     """
     tags = [cls.value for cls in PointClass]
+    _check_ccd_args(k, None, n0)
+    template = _ccd_template(int(k), int(n0))
+    deleted = template.first_rows
     reports = []
     for alpha in alphas:
         full = gen_ccd(k, alpha, n0)
-        template = _ccd_template(k, n0)
-        n, deleted = full.n, template.first_rows
+        n = full.n
         models = _sweep_models(full, template.residual_rows)
         Minv, live = _invert_stack(alpha, np.stack([Xd.T @ Xd for Xd in models]))
         ns = np.array([n, n - 1, n - 1, n - 1])[live]
@@ -166,8 +168,8 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
             S[j, deleted[i - 1]] = -np.inf
         g = S.max(axis=1).tolist()
         if grid_step is not None:
-            coords = [full.coords] + [full.coords[rows] for rows in template.residual_rows]
-            g = [_g_scan(ns[j], Minv[j], coords[i], region, grid_step, start=(g[j], ()))[0]
+            sym = template.symmetries
+            g = [_g_scan(ns[j], Minv[j], k, sym[i], region, grid_step, start=(g[j], ()))[0]
                  for j, i in enumerate(live)]
         rep = LossReport(alpha=alpha, a_full=a[0])
         for j, i in enumerate(live[1:], 1):

@@ -18,7 +18,7 @@ from ccdrobust import criteria, design, verify
 from ccdrobust.cli import DEFAULT_ALPHAS, main
 from ccdrobust.criteria import (Region, RegionShape, _probe_rows, _unit_sphere_rows,
                                 a_trace, criteria_report, sphere_points)
-from ccdrobust.design import Design, PointClass, canonical_probe_points, gen_ccd
+from ccdrobust.design import Design, PointClass, _symmetry, canonical_probe_points, gen_ccd
 from ccdrobust.fixtures import LOSS_TABLES, SPV_TABLES
 from ccdrobust.missing import _sweep_models, delete_rows, scenario_sweep
 from ccdrobust.model import model_matrix, num_params
@@ -98,6 +98,23 @@ def test_templates_fill_in_the_oracles_arrays(k, n0):
             assert_same_array(got, model_matrix(delete_rows(d, [row])))
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("n0", [1, 2, 4, 7])
+def test_template_symmetries_hold_at_every_alpha(k, n0):
+    # read once from the alpha = 1 coordinates, they are the symmetries of
+    # the full design and of each class deletion at every alpha (k > 8 takes
+    # seconds, and agrees through k = 12)
+    t = design._ccd_template(k, n0)
+    seeded = np.random.default_rng(2300 + 10 * k + n0).uniform(0.05, 4.0, 3).tolist()
+    for alpha in _alphas(k) + seeded:
+        d = gen_ccd(k, alpha, n0)
+        want = [_symmetry(d.coords)]
+        want += [_symmetry(d.coords[rows]) for rows in t.residual_rows]
+        want += [_symmetry(delete_rows(d, [d.rows_of_class(cls)[0]]).coords)
+                 for cls in PointClass]
+        assert list(t.symmetries) == want[:4] and want[1:4] == want[4:]
+
+
 @pytest.mark.parametrize("k", range(2, 13))
 def test_unit_sphere_rows_are_the_expanded_sphere(k):
     F = _unit_sphere_rows(k)
@@ -162,8 +179,9 @@ def test_templates_are_read_only_and_out_of_reach(ccd_templates):
 
 def test_one_template_serves_every_alpha(ccd_templates, invert_calls):
     # a k=3 sweep, 8 alphas x 4 designs factorized, and a criteria_report of
-    # a fresh full design at each alpha, from one template: each alpha of
-    # the sweep reads it twice, through gen_ccd and for its kept rows
+    # a fresh full design at each alpha, from one template: the sweep builds
+    # it once, for its kept rows, and reads it once per alpha through
+    # gen_ccd; each of the 9 reports' gen_ccd reads it once more
     reports = scenario_sweep(3, 4, DEFAULT_ALPHAS[3], CUBE1)
     assert invert_calls[0] == 32
     for rep in reports:
@@ -172,7 +190,7 @@ def test_one_template_serves_every_alpha(ccd_templates, invert_calls):
     criteria_report(gen_ccd(3, 1.681, 4))
     assert invert_calls[0] == 41
     info = ccd_templates.cache_info()
-    assert (info.misses, info.hits) == (1, 3 * len(DEFAULT_ALPHAS[3]))
+    assert (info.misses, info.hits) == (1, 2 * len(DEFAULT_ALPHAS[3]) + 1)
     # 5 runs left of a k=2 design cannot estimate p=6 parameters
     res = delete_rows(gen_ccd(2, 1.0, 4), list(range(7)))
     for attempt in (1, 2, 3):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from ccdrobust import criteria, missing
+from ccdrobust import criteria, design, missing
 from ccdrobust.cli import DEFAULT_ALPHAS
 from ccdrobust.criteria import (
     CriteriaReport,
@@ -12,6 +12,7 @@ from ccdrobust.criteria import (
     RegionShape,
     a_trace,
     criteria_report,
+    g_max,
     information_inverse,
     probe_spv,
     region_moments,
@@ -239,6 +240,18 @@ class TestScenarioSweep:
     def test_empty_alphas(self):
         assert scenario_sweep(2, 4, [], CUBE1) == []
 
+    @pytest.mark.parametrize("k,n0,exc", [(13, 4, ValueError), (1, 4, ValueError),
+                                          (3, 0, ValueError), (3.0, 4, TypeError),
+                                          (True, 4, TypeError), (3, np.float64(4), TypeError)])
+    def test_bad_layout_refused_before_the_template_cache(self, k, n0, exc, ccd_templates):
+        # the sweep looks up its (k, n0) template once, before its alphas,
+        # so k and n0 are checked first, also when there is no alpha
+        for alphas in ([], [1.5]):
+            with pytest.raises(exc, match="must be"):
+                scenario_sweep(k, n0, alphas, CUBE1)
+        info = ccd_templates.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
+
     def test_a_trace_decreases_in_alpha_k2(self):
         alphas = [1.0, 1.21, 1.414, 1.5, 2.0]
         traces = [r.a_full for r in scenario_sweep(2, 4, alphas, CUBE1)]
@@ -408,7 +421,8 @@ class TestStackedSweep:
         assert invert_calls[0] == 2 * 4
 
     def test_grid_path_builds_no_residual(self, monkeypatch):
-        # a residual's grid domain is read from the full design's kept rows
+        # a residual's grid domain is keyed by the symmetry its (k, n0)
+        # template keeps, so no residual Design is built
         calls = {"delete_rows": 0, "_grid_models": 0}
         for module, name in ((missing, "delete_rows"), (criteria, "_grid_models")):
             def counting(*args, real=getattr(module, name), name=name):
@@ -421,6 +435,35 @@ class TestStackedSweep:
             reports = scenario_sweep(3, 1, [1.3, math.sqrt(3)], region, grid_step=0.5)
             assert reports[1].inestimable == ["center"]
             assert calls == {"delete_rows": 0, "_grid_models": 4 + 3}
+
+    def test_grid_path_computes_no_symmetry_per_alpha(self, monkeypatch, ccd_templates,
+                                                      grid_cache):
+        # the template computes its four symmetries once, on the first grid
+        # sweep of its (k, n0); g_max of any design reads its own, on a grid
+        calls = []
+
+        def counting(X, real=design._symmetry):
+            calls.append(X.shape)
+            return real(X)
+        assert criteria._symmetry is design._symmetry
+        assert not hasattr(missing, "_symmetry")
+        monkeypatch.setattr(design, "_symmetry", counting)
+        monkeypatch.setattr(criteria, "_symmetry", counting)
+        for k in (3, 5):
+            n = 2 ** k + 2 * k + 4
+            reports = scenario_sweep(k, 4, [1.0, 1.7, 2.0], CUBE1, grid_step=0.5)
+            assert calls == [(n, k)] + [(n - 1, k)] * 3
+            calls.clear()
+            assert scenario_sweep(k, 4, [1.0, 1.7, 2.0], CUBE1, grid_step=0.5) == reports
+            assert calls == []
+        # the deleted (-1, -1, +1) vertex leaves x1 <-> x2 as the only
+        # symmetry, whose domain and maximum stay as they were
+        res = delete_rows(gen_ccd(3, 1.7, 4), [1])
+        assert g_max(res, CUBE1) == (14.05113396634448, (1.0, 1.0, -1.0))
+        assert calls == []
+        assert g_max(res, CUBE1, grid_step=0.5) == (33.96996033357576, (-1.0, -1.0, 1.0))
+        assert calls == [(res.n, 3)]
+        assert (CUBE1, 0.5, ((), ((0, 1), (2,)))) in grid_cache
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_one_singular_residual_flagged_rest_bit_identical(self, k, invert_calls):
