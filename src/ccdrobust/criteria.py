@@ -22,7 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import linalg
-from .design import Design, _Symmetry, _symmetry, canonical_probe_points
+from .design import Design, _Symmetry, _check_integers, _symmetry, canonical_probe_points
 from .model import expand_points, model_matrix, num_params
 
 __all__ = [
@@ -307,17 +307,12 @@ def g_max(design: Design, region: Region,
     k=5, alpha=1, step 0.2 the full design's location is (0 0 1 1 1), not
     (-1 -1 -1 0 0).
 
-    The domain depends only on (region, grid_step, symmetry), so every
-    design with the same symmetry, at any alpha, shares it: its model matrix
-    is expanded once per process and kept in _grid_cache while it fits in
-    what the domains kept before it leave of _GRID_CACHE_BYTES (32 MiB); a
-    domain that does not fit is expanded chunk by chunk on every search.  Each
-    chunk then costs one product with (X'X)^{-1} and one row sum (_spv, the
-    kernel spv_many uses).  The scan is _g_scan, which
-    missing.scenario_sweep also runs, to continue each design of its stack
-    over its grid domain.  Each call reads the design's symmetry from its
-    own coordinates and searches again; a bad step raises ValueError where
-    its grid is built (_grid_half_width).
+    The domain depends only on (region, grid_step, symmetry), so designs
+    of one symmetry share it at any alpha; _grid_models keeps its model
+    matrix while it fits in _GRID_CACHE_BYTES, else expands it on every
+    search.  Each chunk costs one product with (X'X)^{-1} and one row sum
+    (_spv).  The scan is _g_scan, which missing.scenario_sweep also runs.  A
+    bad step raises ValueError where its grid is built (_grid_half_width).
     """
     head = [model_matrix(design), _probe_rows(design)]
     symmetry = None if grid_step is None else _symmetry(design.coords)
@@ -326,16 +321,14 @@ def g_max(design: Design, region: Region,
 
 
 def _g_scan(n: int | np.ndarray, Minv: np.ndarray, k: int, symmetry: _Symmetry | None,
-            region: Region, grid_step: float | None, head: Iterable[np.ndarray] = (),
-            start: tuple = (-math.inf, ())) -> tuple[float, tuple[float, ...]]:
+            region: Region, grid_step: float | None,
+            head: Iterable[np.ndarray] = ()) -> tuple[float, tuple[float, ...]]:
     """g_max's scan, for g_max and missing.scenario_sweep: the maximum SPV of
     the k-factor design with run count n and inverse Minv, and its location,
     over the model rows of each chunk of head and then, when grid_step is
     not None, of the grid domain of the design's symmetry (g_max passes
-    _symmetry of the design's coords, scenario_sweep its CCD template's).
-    It continues from start, the maximum and location over what was scanned
-    before."""
-    best, loc = start
+    _symmetry of the design's coords, scenario_sweep its CCD template's)."""
+    best, loc = -math.inf, ()
     grid = () if grid_step is None else _grid_models(region, grid_step, symmetry)
     for F in itertools.chain(head, grid):
         best, i = _g_step(best, _spv(n, Minv, F))
@@ -360,17 +353,20 @@ def _location(F: np.ndarray, i: int, k: int) -> tuple[float, ...]:
     return tuple(F[i, 1:1 + k].tolist())
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def region_moments(region: Region, k: int) -> np.ndarray:
     """Analytic p x p region-moments matrix E[f(x) f(x)'] under the
     uniform measure on the region, computed once per (region, k) and
-    returned read-only, since every caller shares it.
+    returned read-only, since every caller shares it.  Raises TypeError for
+    a bool or non-integer k (the cache is typed, so 3.0 is not served as 3),
+    ValueError for k < 2.
 
     Cube [-a, a]^k: E[x_i^2] = a^2/3, E[x_i^4] = a^4/5,
     E[x_i^2 x_j^2] = a^4/9.  Ball of radius r: E[x_i^2] = r^2/(k+2),
     E[x_i^4] = 3 r^4/((k+2)(k+4)), E[x_i^2 x_j^2] = r^4/((k+2)(k+4)).
     Odd moments vanish by symmetry.
     """
+    _check_integers(k=k)
     if k < 2:
         raise ValueError("k must be >= 2")
     s = region.size
@@ -431,8 +427,7 @@ def sphere_points(k: int, radius: float, n: int) -> np.ndarray:
     k < 2, n < 1, or a radius that is not finite and > 0."""
     if isinstance(radius, (bool, np.bool_)):
         raise TypeError(f"radius must be a real number, got {radius!r}")
-    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
-        raise TypeError(f"n must be an integer, got {n!r}")
+    _check_integers(n=n)
     if not 2 <= k <= len(_PRIMES):
         raise ValueError(f"sphere_points supports 2 <= k <= {len(_PRIMES)}, got {k}")
     if n < 1:
@@ -484,7 +479,8 @@ def sample_region(region: Region, k: int, n: int,
     """n uniform samples from the region, drawn from
     np.random.default_rng(seed): seeded and reproducible for an int seed,
     and the next draws of the stream for a Generator, which default_rng
-    returns unchanged."""
+    returns unchanged.  Raises TypeError for a bool or non-integer k or n."""
+    _check_integers(k=k, n=n)
     rng = np.random.default_rng(seed)
     if region.shape is RegionShape.CUBOIDAL:
         return rng.uniform(-region.size, region.size, size=(n, k))
@@ -521,7 +517,10 @@ def monte_carlo_moments(region: Region, k: int, n: int,
     from the tile's model matrix F, which stays in cache, instead of from a
     chunk-sized F written once and streamed from memory twice.  Tiling
     reorders the sums only, so it moves no result by more than rounding.
+    Raises TypeError for a bool or non-integer k or n, before any sample is
+    drawn; ValueError for k < 2 or n < 2.
     """
+    _check_integers(k=k, n=n)
     if k < 2:
         raise ValueError("k must be >= 2")
     if n < 2:

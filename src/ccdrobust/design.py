@@ -47,9 +47,8 @@ class PointClass(Enum):
 class Design:
     """An immutable design with axial distance alpha: an n x k array of
     coded coordinates and the PointClass of each row, both read-only and
-    copied from what is passed in (gen_ccd's classes are a read-only view
-    of its template's).  Equality is identity.  Every design expands its
-    own model rows and probe rows, once (_memo).
+    copied from what is passed in.  Equality is identity.  Every design
+    expands its own model rows and probe rows, once (_memo).
 
     The canonical ordering is: factorial points (lexicographic over levels,
     -1 before +1), then axial pairs per axis (-alpha before +alpha, axis 1
@@ -67,12 +66,6 @@ class Design:
         if coords.ndim != 2 or classes.shape != coords.shape[:1]:
             raise ValueError(f"coords must be n x k and classes of length n, got "
                              f"shapes {coords.shape} and {classes.shape}")
-        self._hold(coords, classes)
-
-    def _hold(self, coords: np.ndarray, classes: np.ndarray) -> None:
-        """Keep coords and classes as they are, read-only, and an empty memo;
-        _CcdTemplate.design builds a design through here alone, without
-        __init__'s checks and copies."""
         coords.flags.writeable = classes.flags.writeable = False
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "classes", classes)
@@ -102,13 +95,18 @@ class Design:
         return value
 
 
+def _check_integers(**values) -> None:
+    """Raise TypeError naming the first of values that is a bool or not an integer."""
+    for name, value in values.items():
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_ccd_args(k: int, alpha: float | None, n0: int) -> None:
     """The TypeError or ValueError gen_ccd raises for its arguments, if any;
     with alpha None, for k and n0 alone, as scenario_sweep checks them before
     it looks up their template."""
-    for name, value in (("k", k), ("n0", n0)):
-        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+    _check_integers(k=k, n0=n0)
     if isinstance(alpha, (bool, np.bool_)):
         raise TypeError(f"alpha must be a real number, got {alpha!r}")
     if not 2 <= k <= _MAX_K:
@@ -138,45 +136,34 @@ _Symmetry = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 def _symmetry(X: np.ndarray) -> _Symmetry:
-    """The product-form symmetry of a design, read exactly from its n x k
-    coordinates X: (flips, blocks), the axes whose sign flip leaves the
-    multiset of rows unchanged, and the partition of the axes into blocks
-    whose transpositions leave it unchanged, each block in axis order.
-    criteria.g_max passes a design's coords, and _CcdTemplate.symmetries a
-    CCD's and its three class deletions' coordinates at alpha = 1.
-
-    A row is keyed exactly in base b, the count of distinct values of X and
-    -X, by its value codes pos (and neg for -X) with weight w_j on axis j.
-    Flipping axis j shifts a key by (neg_j - pos_j) w_j and swapping axes a
-    and c by (pos_c - pos_a)(w_a - w_c), so one sort tests all k + k(k-1)/2.
-
-    Transposition invariance is an equivalence relation, since
-    (a c) = (a b)(b c)(a b), so each axis is compared with the first axis of
-    each block found so far; and a block's axes are all flip-invariant or
-    none, since (a b) carries the flip of a to the flip of b.  The signed
-    permutations these generate leave the SPV, the region and the grid
-    unchanged.  A symmetry not of this form (a deleted mixed-sign factorial
-    vertex is fixed by signed transpositions) contributes only its product
-    subgroup, so the search domain is larger than it could be, but correct.
+    """The product-form symmetry of a design's n x k coordinates X:
+    (flips, blocks), the axes whose sign flip leaves the multiset of rows
+    unchanged and the partition of the axes into blocks whose
+    transpositions do, each in axis order.  Each candidate is applied to
+    the rows, which are then sorted and compared with X's sorted rows.
+    Since (a c) = (a b)(b c)(a b), each axis is tested against the first
+    axis of each block found so far; since (a b) carries the flip of a to
+    the flip of b, a block's axes are all flip-invariant or none.  The
+    signed permutations these generate leave the SPV, the region and the
+    grid unchanged.  A symmetry not of this form (a deleted mixed-sign
+    factorial vertex is fixed by signed transpositions) contributes only its
+    product subgroup, so the search domain is larger than it could be, but
+    correct.  criteria.g_max passes a design's coords, and
+    _CcdTemplate.symmetries a CCD's and its class deletions' at alpha = 1.
     """
-    n, k = X.shape
-    values, codes = np.unique(np.concatenate([X, -X]), return_inverse=True)
-    b = len(values)
-    dtype = np.int64 if b ** k < 2 ** 62 else object
-    pos, neg = codes.reshape(2, n, k).astype(dtype)
-    w = b ** np.arange(k - 1, -1, -1).astype(dtype)
-    a, c = np.nonzero(np.arange(k)[:, None] < np.arange(k))  # pairs a < c
-    key = pos @ w
-    keys = np.column_stack([key, key[:, None] + (neg - pos) * w,
-                            key[:, None] + (pos[:, c] - pos[:, a]) * (w[a] - w[c])])
-    keys.sort(axis=0)
-    same = (keys == keys[:, :1]).all(axis=0).tolist()
-    flips = tuple(j for j in range(k) if same[1 + j])
-    swaps = dict(zip(zip(a.tolist(), c.tolist()), same[1 + k:]))
+    k = X.shape[1]
+    rows = X[np.lexsort(X.T)]
+
+    def invariant(Y: np.ndarray) -> bool:
+        return np.array_equal(Y[np.lexsort(Y.T)], rows)
+
+    flips = tuple(j for j in range(k) if invariant(np.where(np.arange(k) == j, -X, X)))
     blocks: list[list[int]] = []
     for j in range(k):
         for block in blocks:
-            if swaps[block[0], j]:
+            axes = list(range(k))
+            axes[block[0]], axes[j] = j, block[0]
+            if invariant(X[:, axes]):
                 block.append(j)
                 break
         else:
@@ -195,11 +182,9 @@ class _CcdTemplate:
       missing.scenario_sweep deletes, and residual_rows the rows each of
       those deletions keeps, in order.
     - symmetries: the _symmetry of the full design and of each of those
-      deletions, computed on first use from coords, for scenario_sweep's
-      grid scans.  They hold at every alpha > 0: an axial run, with one
-      nonzero coordinate, never equals a factorial vertex or the center,
-      so scaling the axial runs maps each design's invariances onto the
-      same invariances.
+      deletions, computed from coords on first use, for scenario_sweep's
+      grid scans.  They hold at every alpha > 0, since an axial run (one
+      nonzero coordinate) never equals a factorial vertex or the center.
     """
 
     def __init__(self, k: int, n0: int):
@@ -221,14 +206,10 @@ class _CcdTemplate:
             a.flags.writeable = False
 
     def design(self, alpha: float) -> Design:
-        """gen_ccd(k, alpha, n0): the coordinates copied with the axial rows
-        scaled by alpha, and a read-only view of the classes."""
+        """gen_ccd(k, alpha, n0): the template's runs, the axial ones scaled by alpha."""
         coords = self.coords.copy()
         coords[self.axial] *= alpha
-        design = object.__new__(Design)
-        object.__setattr__(design, "alpha", alpha)
-        design._hold(coords, self.classes.view())
-        return design
+        return Design(alpha, coords, self.classes)
 
     @functools.cached_property
     def symmetries(self) -> tuple[_Symmetry, ...]:

@@ -142,10 +142,9 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
     - the A-traces, the V values and each design's G over its rows and the
       probes take one stacked call each, the last the SPV over [full rows;
       probes] with each residual's deleted row masked;
-    - with a grid, each design's G scan is continued over its grid domain by
-      the scan g_max runs (criteria._g_scan), from the symmetry the template
-      keeps for that design at every alpha (_CcdTemplate.symmetries), so no
-      symmetry is computed per alpha and no Design but the full one is built.
+    - with a grid, each design's G is the larger of that and the maximum
+      g_max's scan (criteria._g_scan) finds over its grid domain, from the
+      symmetry its template keeps at every alpha (_CcdTemplate.symmetries).
     The loss and the efficiencies are the per-design functions' _loss and
     _efficiency; each design's G enters by its value alone.
     """
@@ -169,7 +168,7 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
         g = S.max(axis=1).tolist()
         if grid_step is not None:
             sym = template.symmetries
-            g = [_g_scan(ns[j], Minv[j], k, sym[i], region, grid_step, start=(g[j], ()))[0]
+            g = [max(g[j], _g_scan(ns[j], Minv[j], k, sym[i], region, grid_step)[0])
                  for j, i in enumerate(live)]
         rep = LossReport(alpha=alpha, a_full=a[0])
         for j, i in enumerate(live[1:], 1):

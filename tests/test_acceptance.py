@@ -191,33 +191,41 @@ def test_criterion_08_moments_oracle():
     n, seed = 1_000_000, 5
     ok = True
     worst_sigma = 0.0
+    moments = {}
     for k in (2, 3, 4, 5):
         for shape in (RegionShape.CUBOIDAL, RegionShape.SPHERICAL):
             region = Region(shape, 1.0 if shape is RegionShape.CUBOIDAL
                             else math.sqrt(k))
             analytic = region_moments(region, k)
             mc, se = monte_carlo_moments(region, k, n, seed=seed)
+            moments[k, shape] = mc
             sig = np.abs(mc - analytic) / np.maximum(se, 1e-15)
             sig[se == 0] = 0.0
             worst_sigma = max(worst_sigma, float(sig.max()))
             ok &= bool(np.all(sig <= 3.0))
-    # v_avg vs Monte-Carlo mean of SPV, 1% relative
-    worst_rel = 0.0
+    # v_avg vs its Monte-Carlo estimate N tr(M^-1 M_mc) from the moments
+    # above, 1% relative; and spv_many's mean over a sample, exactly
+    # N tr(M^-1 F'F/m) of that sample's m model rows F, to 1e-12 relative
+    worst_rel = worst_spv = 0.0
     for k, alpha in ((2, 1.0), (3, 1.681), (4, 2.0), (5, 2.378)):
         d = gen_ccd(k, alpha, 4)
+        Minv = information_inverse(d)
         for shape in (RegionShape.CUBOIDAL, RegionShape.SPHERICAL):
             region = Region(shape, 1.0 if shape is RegionShape.CUBOIDAL
                             else math.sqrt(k))
             analytic = v_avg(d, region)
-            mc = float(np.mean([
-                spv_many(d, sample_region(region, k, 100_000, seed + i)).mean()
-                for i in range(10)]))
+            mc = d.n * float(np.trace(Minv @ moments[k, shape]))
             worst_rel = max(worst_rel, abs(mc - analytic) / analytic)
-    ok &= worst_rel < 0.01
+            pts = sample_region(region, k, 10_000, seed)
+            F = expand_points(pts)
+            exact = d.n * float(np.trace(Minv @ (F.T @ F / len(F))))
+            worst_spv = max(worst_spv, abs(float(spv_many(d, pts).mean()) - exact) / exact)
+    ok &= worst_rel < 0.01 and worst_spv <= 1e-12
     report(8, ok,
            f"moments MC oracle (10^6 samples, seed {seed}): worst "
            f"{worst_sigma:.2f} sigma <= 3; v_avg MC rel err "
-           f"{100 * worst_rel:.3f}% < 1%")
+           f"{100 * worst_rel:.3f}% < 1%; spv_many mean rel err "
+           f"{worst_spv:.1e} <= 1e-12")
 
 
 def test_criterion_09_rank_one_oracle():

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -125,13 +126,13 @@ class TestInformationInverse:
         # the key of the one function that computes it; A, G and V are
         # computed on every call
         designs = []
-        hold = Design._hold
+        post_init = Design.__post_init__
 
-        def recording(self, *args):
+        def recording(self):
             designs.append(self)
-            hold(self, *args)
+            post_init(self)
 
-        monkeypatch.setattr(Design, "_hold", recording)
+        monkeypatch.setattr(Design, "__post_init__", recording)
         sphere = Region(RegionShape.SPHERICAL, math.sqrt(3))
         for region in (CUBE1, sphere):
             for step in (None, 0.5):
@@ -421,33 +422,35 @@ def test_symmetry_truth_table(design, want):
     assert _symmetry(design.coords) == want
 
 
-def _symmetry_oracle(design):
-    """_symmetry as it was first written: each candidate sign flip and axis
-    transposition applied to the rows, which are then sorted and compared."""
-    X = design.coords
-    k = design.k
+def assert_symmetry_by_definition(X):
+    """_symmetry(X) against its definition, the multiset of rows counted
+    with Counter: an axis is in flips exactly when its sign flip leaves the
+    rows unchanged, and two axes share a block exactly when swapping them
+    does; the blocks partition the axes, each in axis order.  A row is
+    counted by the bytes of its values plus 0.0, which are equal exactly
+    when the values are (adding 0.0 turns -0.0 into 0.0), and a quarter as
+    costly as a tuple of floats; the counts compare as items, in C."""
+    flips, blocks = _symmetry(X)
+    k = X.shape[1]
 
-    def rows_sorted(A):
-        return A[np.lexsort(A.T[::-1])]
+    def counts(Y):
+        Y = np.ascontiguousarray(Y) + 0.0
+        return Counter(Y.view(f"V{8 * k}").ravel().tolist()).items()
 
-    base = rows_sorted(X)
+    rows = counts(X)
 
-    def invariant(A):
-        return np.array_equal(base, rows_sorted(A))
+    def invariant(Y):
+        return counts(Y) == rows
 
-    flips = tuple(j for j in range(k)
-                  if invariant(np.where(np.arange(k) == j, -X, X)))
-    blocks = []
     for j in range(k):
-        for block in blocks:
-            swap = list(range(k))
-            swap[block[0]], swap[j] = j, block[0]
-            if invariant(X[:, swap]):
-                block.append(j)
-                break
-        else:
-            blocks.append([j])
-    return flips, tuple(tuple(block) for block in blocks)
+        assert invariant(np.where(np.arange(k) == j, -X, X)) == (j in flips), j
+    assert sorted(j for block in blocks for j in block) == list(range(k))
+    assert all(list(block) == sorted(block) for block in blocks)
+    block_of = {j: block for block in blocks for j in block}
+    for a, c in itertools.combinations(range(k), 2):
+        axes = list(range(k))
+        axes[a], axes[c] = c, a
+        assert invariant(X[:, axes]) == (block_of[a] is block_of[c]), (a, c)
 
 
 def _closed_under_random_symmetries(rng, X, ops):
@@ -466,18 +469,16 @@ def _closed_under_random_symmetries(rng, X, ops):
 
 
 class TestSymmetryAgainstOracle:
-    """The one-sort _symmetry against the per-candidate oracle above."""
+    """_symmetry against its definition (assert_symmetry_by_definition)."""
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
     def test_every_single_deletion(self, k):
         for alpha in (0.5, 1.0, 1.3, math.sqrt(k), 2.0):
             for n0 in (1, 4):
                 full = gen_ccd(k, alpha, n0)
-                assert _symmetry(full.coords) == _symmetry_oracle(full)
+                assert_symmetry_by_definition(full.coords)
                 for row in range(full.n):
-                    residual = delete_rows(full, [row])
-                    assert _symmetry(residual.coords) == _symmetry_oracle(residual), (
-                        alpha, n0, row)
+                    assert_symmetry_by_definition(delete_rows(full, [row]).coords)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_seeded_triple_deletions(self, k):
@@ -486,7 +487,7 @@ class TestSymmetryAgainstOracle:
             full = gen_ccd(k, alpha, 2)
             for _ in range(40):
                 residual = delete_rows(full, rng.choice(full.n, 3, replace=False).tolist())
-                assert _symmetry(residual.coords) == _symmetry_oracle(residual)
+                assert_symmetry_by_definition(residual.coords)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_seeded_integer_designs(self, seed):
@@ -495,12 +496,12 @@ class TestSymmetryAgainstOracle:
             k = int(rng.integers(1, 7))
             X = rng.integers(-2, 3, (int(rng.integers(1, 9)), k)).astype(float)
             d = _with_points(_closed_under_random_symmetries(rng, X, int(rng.integers(0, 4))))
-            assert _symmetry(d.coords) == _symmetry_oracle(d)
+            assert_symmetry_by_definition(d.coords)
 
     def test_wide_keys_beyond_int64(self):
-        # k = 12 with the 64 values +-1 .. +-32: 64^12 >= 2^62, so the keys
-        # are Python ints.  In int64 arithmetic axis 0's weight, 64^11 = 2^66,
-        # would wrap to 0, and axis 0's flip would pass for a symmetry.
+        # k = 12 with the 64 values +-1 .. +-32, so a row key in base 64 would
+        # need 64^12 >= 2^62 and overflow int64, and axis 0's flip could pass
+        # for a symmetry: the rows are compared, not keyed
         rng = np.random.default_rng(12)
         X = rng.integers(1, 33, (40, 12)) * rng.choice([-1, 1], (40, 12))
         X[:, 0] = np.abs(X[:, 0])
@@ -513,9 +514,9 @@ class TestSymmetryAgainstOracle:
         X = np.vstack([X, Y])
         assert len(np.unique(np.concatenate([X, -X]))) == 64
         d = _with_points(X.astype(float))
-        want = _symmetry_oracle(d)
-        assert 0 not in want[0] and 5 in want[0] and (8, 9) in want[1]
-        assert _symmetry(d.coords) == want
+        flips, blocks = _symmetry(d.coords)
+        assert 0 not in flips and 5 in flips and (8, 9) in blocks
+        assert_symmetry_by_definition(d.coords)
 
 
 class TestGridChunks:
@@ -1045,6 +1046,47 @@ def test_sphere_points_rejects_n_not_an_integer(n):
 @pytest.mark.parametrize("n", [np.int32(5), np.uint8(5)], ids=repr)
 def test_sphere_points_accepts_numpy_integers(n):
     assert np.array_equal(sphere_points(3, 1.0, n), sphere_points(3, 1.0, 5))
+
+
+NOT_INTEGERS = [*BOOLS, 2.5, np.float64(3.0), "3"]
+
+
+@pytest.mark.parametrize("k", NOT_INTEGERS, ids=repr)
+def test_region_moments_rejects_k_not_an_integer(k):
+    M = region_moments(CUBE1, 3)  # a k equal to a cached one is checked, not served
+    with pytest.raises(TypeError, match=re.escape(f"k must be an integer, got {k!r}")):
+        region_moments(CUBE1, k)
+    assert np.array_equal(region_moments(CUBE1, np.int64(3)), M)
+
+
+@pytest.mark.parametrize("name", ["k", "n"])
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_sample_region_rejects_k_or_n_not_an_integer(name, bad):
+    args = {"k": 3, "n": 10, name: bad}
+    with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+        sample_region(CUBE1, args["k"], args["n"], 0)
+    assert np.array_equal(sample_region(CUBE1, np.int64(3), np.int32(10), 0),
+                          sample_region(CUBE1, 3, 10, 0))
+
+
+@pytest.mark.parametrize("name", ["k", "n"])
+@pytest.mark.parametrize("bad", [*NOT_INTEGERS, 10 ** 6 + 0.5], ids=repr)
+def test_monte_carlo_moments_rejects_k_or_n_not_an_integer(name, bad, monkeypatch):
+    drawn = []
+    real = criteria.sample_region
+
+    def recording(*args):
+        drawn.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(criteria, "sample_region", recording)
+    args = {"k": 3, "n": 1000, name: bad}
+    with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+        monte_carlo_moments(CUBE1, args["k"], args["n"])
+    assert drawn == []  # refused before any sample is drawn
+    for got, want in zip(monte_carlo_moments(CUBE1, np.int64(3), np.int32(1000)),
+                         monte_carlo_moments(CUBE1, 3, 1000)):
+        assert np.array_equal(got, want)
 
 
 @given(shape=st.sampled_from(RegionShape),
