@@ -327,7 +327,7 @@ def _g_scan(n: int | np.ndarray, Minv: np.ndarray, k: int, symmetry: _Symmetry |
     the k-factor design with run count n and inverse Minv, and its location,
     over the model rows of each chunk of head and then, when grid_step is
     not None, of the grid domain of the design's symmetry (g_max passes
-    _symmetry of the design's coords, scenario_sweep its CCD template's)."""
+    _symmetry of the design's coords, scenario_sweep its _sweep_symmetries)."""
     best, loc = -math.inf, ()
     grid = () if grid_step is None else _grid_models(region, grid_step, symmetry)
     for F in itertools.chain(head, grid):
@@ -423,11 +423,11 @@ def sphere_points(k: int, radius: float, n: int) -> np.ndarray:
     radius: Halton sequence mapped through the Gaussian quantile and
     normalized (equal angular spacing for k = 2).  The Halton bases are
     the first len(_PRIMES) primes, which bounds k.  Raises TypeError for a
-    bool radius or an n that is a bool or not an integer; ValueError for
+    bool radius or a k or n that is a bool or not an integer; ValueError for
     k < 2, n < 1, or a radius that is not finite and > 0."""
     if isinstance(radius, (bool, np.bool_)):
         raise TypeError(f"radius must be a real number, got {radius!r}")
-    _check_integers(n=n)
+    _check_integers(k=k, n=n)
     if not 2 <= k <= len(_PRIMES):
         raise ValueError(f"sphere_points supports 2 <= k <= {len(_PRIMES)}, got {k}")
     if n < 1:

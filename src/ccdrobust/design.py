@@ -28,9 +28,9 @@ __all__ = [
 # Halton base per factor from criteria._PRIMES, which has 12.
 _MAX_K = 12
 
-# The most (k, n0) templates _ccd_template keeps.  A k = 5 template holds
-# 3.3 KB of arrays and a k = 12 one 0.53 MB, so 16 of the widest hold 8.5 MB;
-# the symmetries a grid sweep adds to a template are under 4 KB of tuples.
+# The most (k, n0) entries _unit_ccd and missing._sweep_symmetries each keep.
+# At n0 = 4 an alpha = 1 design holds 2.2 KB of arrays at k = 5 and 0.43 MB at
+# k = 12, so 16 of the widest hold 6.9 MB; four symmetries take under 2 KB.
 _TEMPLATES = 16
 
 
@@ -105,7 +105,7 @@ def _check_integers(**values) -> None:
 def _check_ccd_args(k: int, alpha: float | None, n0: int) -> None:
     """The TypeError or ValueError gen_ccd raises for its arguments, if any;
     with alpha None, for k and n0 alone, as scenario_sweep checks them before
-    it looks up their template."""
+    any alpha."""
     _check_integers(k=k, n0=n0)
     if isinstance(alpha, (bool, np.bool_)):
         raise TypeError(f"alpha must be a real number, got {alpha!r}")
@@ -119,15 +119,19 @@ def _check_ccd_args(k: int, alpha: float | None, n0: int) -> None:
 
 def gen_ccd(k: int, alpha: float, n0: int) -> Design:
     """Build a full central composite design: a new Design on every call,
-    whose coordinates are its (k, n0) template's (_ccd_template) with the
-    axial entries scaled to +-alpha.
+    whose coordinates are those of the (k, n0) design at alpha = 1
+    (_unit_ccd) with the axial entries scaled to +-alpha.
 
     Raises TypeError for k or n0 that is a bool or not an integer, or alpha
     that is a bool; ValueError for k < 2 (the interaction term degenerates)
     or k > 12, alpha that is not finite and > 0, or n0 < 1.
     """
     _check_ccd_args(k, alpha, n0)
-    return _ccd_template(int(k), int(n0)).design(float(alpha))
+    k, alpha = int(k), float(alpha)
+    unit = _unit_ccd(k, int(n0))
+    coords = unit.coords.copy()
+    coords[2 ** k:2 ** k + 2 * k] *= alpha
+    return Design(alpha, coords, unit.classes)
 
 
 # (flips, blocks): the flip-invariant axes, and a partition of the axes into
@@ -149,7 +153,7 @@ def _symmetry(X: np.ndarray) -> _Symmetry:
     factorial vertex is fixed by signed transpositions) contributes only its
     product subgroup, so the search domain is larger than it could be, but
     correct.  criteria.g_max passes a design's coords, and
-    _CcdTemplate.symmetries a CCD's and its class deletions' at alpha = 1.
+    missing._sweep_symmetries a CCD's and its class deletions' at alpha = 1.
     """
     k = X.shape[1]
     rows = X[np.lexsort(X.T)]
@@ -171,57 +175,21 @@ def _symmetry(X: np.ndarray) -> _Symmetry:
     return flips, tuple(tuple(block) for block in blocks)
 
 
-class _CcdTemplate:
-    """The parts of gen_ccd(k, alpha, n0) that do not depend on alpha, all
-    read-only; built once per (k, n0) by _ccd_template.
-
-    - coords: the n x k coordinates at alpha = 1, whose axial rows hold
-      -1 and +1 on each axis in turn.
-    - classes: the PointClass of each row.
-    - first_rows: each class's first row (0, 2^k, 2^k + 2k), the one
-      missing.scenario_sweep deletes, and residual_rows the rows each of
-      those deletions keeps, in order.
-    - symmetries: the _symmetry of the full design and of each of those
-      deletions, computed from coords on first use, for scenario_sweep's
-      grid scans.  They hold at every alpha > 0, since an axial run (one
-      nonzero coordinate) never equals a factorial vertex or the center.
-    """
-
-    def __init__(self, k: int, n0: int):
-        nf = 2 ** k
-        n = nf + 2 * k + n0
-        coords = np.zeros((n, k))
-        # factorial row i has level +1 on axis j where bit k-1-j of i is set
-        bits = (np.arange(nf)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-        coords[:nf] = 2.0 * bits - 1.0
-        axes = np.arange(k)
-        coords[nf + 2 * axes, axes] = -1.0
-        coords[nf + 2 * axes + 1, axes] = 1.0
-        self.axial = slice(nf, nf + 2 * k)
-        self.coords = coords
-        self.classes = np.repeat(np.array(list(PointClass), dtype=object), [nf, 2 * k, n0])
-        self.first_rows = (0, nf, nf + 2 * k)
-        self.residual_rows = tuple(np.delete(np.arange(n), row) for row in self.first_rows)
-        for a in (coords, self.classes, *self.residual_rows):
-            a.flags.writeable = False
-
-    def design(self, alpha: float) -> Design:
-        """gen_ccd(k, alpha, n0): the template's runs, the axial ones scaled by alpha."""
-        coords = self.coords.copy()
-        coords[self.axial] *= alpha
-        return Design(alpha, coords, self.classes)
-
-    @functools.cached_property
-    def symmetries(self) -> tuple[_Symmetry, ...]:
-        return tuple(_symmetry(self.coords[rows])
-                     for rows in (slice(None), *self.residual_rows))
-
-
 @functools.lru_cache(maxsize=_TEMPLATES)
-def _ccd_template(k: int, n0: int) -> _CcdTemplate:
-    """gen_ccd's template for (k, n0), built once and shared by every design
-    of that (k, n0), at every alpha."""
-    return _CcdTemplate(k, n0)
+def _unit_ccd(k: int, n0: int) -> Design:
+    """The CCD gen_ccd(k, 1.0, n0) builds, whose axial rows hold -1 and +1 on
+    each axis in turn: built once per (k, n0) for gen_ccd to scale at every
+    alpha, and never returned by it."""
+    nf = 2 ** k
+    coords = np.zeros((nf + 2 * k + n0, k))
+    # factorial row i has level +1 on axis j where bit k-1-j of i is set
+    bits = (np.arange(nf)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    coords[:nf] = 2.0 * bits - 1.0
+    axes = np.arange(k)
+    coords[nf + 2 * axes, axes] = -1.0
+    coords[nf + 2 * axes + 1, axes] = 1.0
+    classes = np.repeat(np.array(list(PointClass), dtype=object), [nf, 2 * k, n0])
+    return Design(1.0, coords, classes)
 
 
 def canonical_probe_points(design: Design) -> np.ndarray:

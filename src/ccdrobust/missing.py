@@ -15,6 +15,7 @@ scaling by the full N).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,8 @@ import numpy as np
 from . import linalg
 from .criteria import (Region, _a_traces, _g_scan, _probe_rows, _spv, _v_from_moments,
                        a_trace, g_max, region_moments, v_avg)
-from .design import Design, PointClass, _ccd_template, _check_ccd_args, gen_ccd
+from .design import (_TEMPLATES, Design, PointClass, _check_ccd_args, _check_integers,
+                     _Symmetry, _symmetry, gen_ccd)
 from .linalg import SingularMatrixError
 from .model import model_matrix
 
@@ -43,8 +45,7 @@ def delete_rows(design: Design, indices: list[int]) -> Design:
     repeated ones, IndexError for one out of range.  The residual expands
     its own model rows and probe rows, each the parent's to the bit."""
     for i in indices:
-        if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
-            raise TypeError(f"row index {i!r} is not an integer")
+        _check_integers(**{"row index": i})
     if len(set(indices)) != len(indices):
         raise ValueError("deleted indices must be distinct")
     for i in indices:
@@ -134,40 +135,41 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
     to the bit to what the per-design functions (loss_precision,
     relative_g_efficiency, relative_v_efficiency) give:
     - each residual's model matrix is the full design's without the
-      class's first canonical row (0, 2^k, 2^k + 2k), taken by the rows
-      gen_ccd's (k, n0) template keeps for that deletion, column-major as
-      expand_points writes it; each X'X is formed alone;
+      class's first row in gen_ccd's order (0, 2^k, 2^k + 2k), joined
+      from the rows before and after it, column-major as expand_points
+      writes them; each X'X is formed alone;
     - the four X'X are inverted in one linalg.invert call, or, if one is
       singular, each alone, so that only a singular residual is flagged;
     - the A-traces, the V values and each design's G over its rows and the
       probes take one stacked call each, the last the SPV over [full rows;
       probes] with each residual's deleted row masked;
     - with a grid, each design's G is the larger of that and the maximum
-      g_max's scan (criteria._g_scan) finds over its grid domain, from the
-      symmetry its template keeps at every alpha (_CcdTemplate.symmetries).
+      g_max's scan (criteria._g_scan) finds over its grid domain, from its
+      symmetry, which is the same at every alpha (_sweep_symmetries).
     The loss and the efficiencies are the per-design functions' _loss and
     _efficiency; each design's G enters by its value alone.
     """
     tags = [cls.value for cls in PointClass]
     _check_ccd_args(k, None, n0)
-    template = _ccd_template(int(k), int(n0))
-    deleted = template.first_rows
+    k, n0 = int(k), int(n0)
+    deleted = (0, 2 ** k, 2 ** k + 2 * k)
     reports = []
     for alpha in alphas:
         full = gen_ccd(k, alpha, n0)
         n = full.n
-        models = _sweep_models(full, template.residual_rows)
+        X = model_matrix(full)
+        models = [X] + [np.concatenate((X[:row], X[row + 1:])) for row in deleted]
         Minv, live = _invert_stack(alpha, np.stack([Xd.T @ Xd for Xd in models]))
         ns = np.array([n, n - 1, n - 1, n - 1])[live]
         a = _a_traces(Minv).tolist()
         v = _v_from_moments(ns, Minv, region_moments(region, k)).tolist()
-        F = np.vstack([models[0], _probe_rows(full)])
+        F = np.vstack([X, _probe_rows(full)])
         S = _spv(ns, Minv, F)
         for j, i in enumerate(live[1:], 1):
             S[j, deleted[i - 1]] = -np.inf
         g = S.max(axis=1).tolist()
         if grid_step is not None:
-            sym = template.symmetries
+            sym = _sweep_symmetries(k, n0)
             g = [max(g[j], _g_scan(ns[j], Minv[j], k, sym[i], region, grid_step)[0])
                  for j, i in enumerate(live)]
         rep = LossReport(alpha=alpha, a_full=a[0])
@@ -181,12 +183,15 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
     return reports
 
 
-def _sweep_models(full: Design, kept: tuple[np.ndarray, ...]) -> list[np.ndarray]:
-    """The model matrices scenario_sweep stacks: the full design's, then
-    its rows at each index array of kept (one residual each), made
-    column-major as expand_points writes them."""
-    X = model_matrix(full)
-    return [X] + [np.asfortranarray(X[rows]) for rows in kept]
+@functools.lru_cache(maxsize=_TEMPLATES)
+def _sweep_symmetries(k: int, n0: int) -> tuple[_Symmetry, ...]:
+    """The _symmetry of gen_ccd(k, alpha, n0) and of each residual
+    scenario_sweep scores, for its grid scans.  Computed once at alpha = 1,
+    they hold at every alpha > 0, since an axial run (one nonzero
+    coordinate) never equals a factorial vertex or the center."""
+    d = gen_ccd(k, 1.0, n0)
+    return (_symmetry(d.coords),) + tuple(
+        _symmetry(np.delete(d.coords, d.rows_of_class(cls)[0], axis=0)) for cls in PointClass)
 
 
 def _invert_stack(alpha: float, M: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -30,10 +30,13 @@ def grid_cache(monkeypatch):
 
 @pytest.fixture
 def ccd_templates(monkeypatch):
-    """An empty gen_ccd template cache for the test, as the lru_cache-wrapped
-    builder gen_ccd and scenario_sweep call (its cache_info counts the
-    templates built); the process's own cache is restored after it."""
-    fresh = functools.lru_cache(maxsize=design._TEMPLATES)(design._ccd_template.__wrapped__)
-    monkeypatch.setattr(design, "_ccd_template", fresh)
-    monkeypatch.setattr(missing, "_ccd_template", fresh)
+    """Empty caches, for the test, of the alpha = 1 designs gen_ccd scales
+    (design._unit_ccd) and of scenario_sweep's grid symmetries
+    (missing._sweep_symmetries).  Returns the fresh _unit_ccd, whose
+    cache_info counts the designs built; the process's own caches are
+    restored after the test."""
+    fresh = functools.lru_cache(maxsize=design._TEMPLATES)(design._unit_ccd.__wrapped__)
+    monkeypatch.setattr(design, "_unit_ccd", fresh)
+    monkeypatch.setattr(missing, "_sweep_symmetries", functools.lru_cache(
+        maxsize=design._TEMPLATES)(missing._sweep_symmetries.__wrapped__))
     return fresh

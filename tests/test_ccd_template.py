@@ -1,11 +1,12 @@
-"""gen_ccd's (k, n0) templates against the construction they replace.
+"""gen_ccd's cached alpha = 1 designs against the construction they replace.
 
-Every design gen_ccd builds from a template is compared, byte for byte
-and with its dtype, strides, contiguity and write flags, with gen_ccd and
-expand_points as they were before templates (kept below as the oracle):
-the coordinates and classes, the model rows and probe rows the design
-expands, the three residual model matrices scenario_sweep slices by the
-rows the template keeps, and criteria_report's unit sphere rows.
+Every design gen_ccd scales from its (k, n0) design at alpha = 1
+(design._unit_ccd) is compared, byte for byte and with its dtype,
+strides, contiguity and write flags, with gen_ccd and expand_points as
+they were before that cache (kept below as the oracle): the coordinates
+and classes, the model rows and probe rows the design expands, the X'X of
+the three residuals in the stack scenario_sweep hands to linalg.invert,
+and criteria_report's unit sphere rows.
 """
 
 import math
@@ -14,13 +15,13 @@ import warnings
 import numpy as np
 import pytest
 
-from ccdrobust import criteria, design, verify
+from ccdrobust import criteria, design, linalg, missing, verify
 from ccdrobust.cli import DEFAULT_ALPHAS, main
 from ccdrobust.criteria import (Region, RegionShape, _probe_rows, _unit_sphere_rows,
                                 a_trace, criteria_report, sphere_points)
 from ccdrobust.design import Design, PointClass, _symmetry, canonical_probe_points, gen_ccd
 from ccdrobust.fixtures import LOSS_TABLES, SPV_TABLES
-from ccdrobust.missing import _sweep_models, delete_rows, scenario_sweep
+from ccdrobust.missing import delete_rows, scenario_sweep
 from ccdrobust.model import model_matrix, num_params
 
 CUBE1 = Region(RegionShape.CUBOIDAL, 1.0)
@@ -69,9 +70,19 @@ def _alphas(k):
     return [1e-300, 0.5, 1.0, math.sqrt(k), round(math.sqrt(k), 3), 3.5, 1e150]
 
 
+class _Stacked(Exception):
+    """Raised by the test's linalg.invert, to stop a sweep at its stack."""
+
+
 @pytest.mark.parametrize("k", range(2, 13))
 @pytest.mark.parametrize("n0", [1, 2, 4, 7])
-def test_templates_fill_in_the_oracles_arrays(k, n0):
+def test_templates_fill_in_the_oracles_arrays(k, n0, monkeypatch):
+    stacks = []
+
+    def capture(M):
+        stacks.append(M)
+        raise _Stacked
+    monkeypatch.setattr(linalg, "invert", capture)
     nf = 2 ** k
     for alpha in _alphas(k):
         d, want = gen_ccd(k, alpha, n0), _gen_ccd(k, alpha, n0)
@@ -88,14 +99,21 @@ def test_templates_fill_in_the_oracles_arrays(k, n0):
         assert_same_array(P, _expand_points(canonical_probe_points(want)))
         assert not P.flags.writeable
 
-        # the sweep's residuals: delete_rows' slices of the oracle's rows
-        models = _sweep_models(d, design._ccd_template(k, n0).residual_rows)
-        assert models[0] is X
-        for got, row in zip(models[1:], (0, nf, nf + 2 * k)):
-            keep = np.ones(d.n, dtype=bool)
-            keep[row] = False
-            assert_same_array(got, np.asfortranarray(X_want[keep]))
-            assert_same_array(got, model_matrix(delete_rows(d, [row])))
+        # the sweep's stack: the X'X of the full design and of delete_rows'
+        # residuals, whose rows are slices of the oracle's (at alpha = 1e150
+        # the products overflow to inf and NaN, silently here)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(_Stacked):
+                scenario_sweep(k, n0, [alpha], CUBE1)
+            M = stacks.pop()
+            assert len(M) == 4
+            assert_same_array(M[0], X.T @ X)
+            for got, row in zip(M[1:], (0, nf, nf + 2 * k)):
+                keep = np.ones(d.n, dtype=bool)
+                keep[row] = False
+                Xr = model_matrix(delete_rows(d, [row]))
+                assert_same_array(Xr, np.asfortranarray(X_want[keep]))
+                assert_same_array(got, Xr.T @ Xr)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -104,15 +122,16 @@ def test_template_symmetries_hold_at_every_alpha(k, n0):
     # read once from the alpha = 1 coordinates, they are the symmetries of
     # the full design and of each class deletion at every alpha (k > 8 takes
     # seconds, and agrees through k = 12)
-    t = design._ccd_template(k, n0)
+    symmetries = missing._sweep_symmetries(k, n0)
+    nf = 2 ** k
     seeded = np.random.default_rng(2300 + 10 * k + n0).uniform(0.05, 4.0, 3).tolist()
     for alpha in _alphas(k) + seeded:
         d = gen_ccd(k, alpha, n0)
         want = [_symmetry(d.coords)]
-        want += [_symmetry(d.coords[rows]) for rows in t.residual_rows]
+        want += [_symmetry(np.delete(d.coords, row, axis=0)) for row in (0, nf, nf + 2 * k)]
         want += [_symmetry(delete_rows(d, [d.rows_of_class(cls)[0]]).coords)
                  for cls in PointClass]
-        assert list(t.symmetries) == want[:4] and want[1:4] == want[4:]
+        assert list(symmetries) == want[:4] and want[1:4] == want[4:]
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -152,20 +171,23 @@ def test_overflowing_square_warns_where_the_model_is_first_needed(k):
 
 
 def test_templates_are_read_only_and_out_of_reach(ccd_templates):
-    d = gen_ccd(3, 1.5, 4)
+    d, d1 = gen_ccd(3, 1.5, 4), gen_ccd(3, 1.0, 4)
     t = ccd_templates(3, 4)
-    held = [t.coords, t.classes, *t.residual_rows]
+    assert t is not d and t is not d1 and (t.alpha, t.n, t.k) == (1.0, 18, 3)
+    assert_same_array(t.coords, d1.coords)
+    held = [t.coords, t.classes]
     for a in held:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
     saved = [a.copy() for a in held]
     # a design's own arrays, its classes too, are copies, which it may make
-    # writeable
-    for a in (d.coords, d.classes, _probe_rows(d), *_sweep_models(d, t.residual_rows)):
-        assert not any(np.shares_memory(a, b) for b in held)
-        a.flags.writeable = True
-        a[...] = 7.0
+    # writeable, also at alpha = 1
+    for e in (d, d1):
+        for a in (e.coords, e.classes, model_matrix(e), _probe_rows(e)):
+            assert not any(np.shares_memory(a, b) for b in held)
+            a.flags.writeable = True
+            a[...] = 7.0
     for a, b in zip(held, saved):
         assert np.array_equal(a, b)
     e, want = gen_ccd(3, 1.5, 4), _gen_ccd(3, 1.5, 4)
@@ -177,9 +199,9 @@ def test_templates_are_read_only_and_out_of_reach(ccd_templates):
 
 def test_one_template_serves_every_alpha(ccd_templates, invert_calls):
     # a k=3 sweep, 8 alphas x 4 designs factorized, and a criteria_report of
-    # a fresh full design at each alpha, from one template: the sweep builds
-    # it once, for its kept rows, and reads it once per alpha through
-    # gen_ccd; each of the 9 reports' gen_ccd reads it once more
+    # a fresh full design at each alpha, from one alpha = 1 design: the
+    # sweep's gen_ccd builds it at the first alpha and reads it at each of
+    # the other 7; each of the 9 reports' gen_ccd reads it once more
     reports = scenario_sweep(3, 4, DEFAULT_ALPHAS[3], CUBE1)
     assert invert_calls[0] == 32
     for rep in reports:
@@ -188,7 +210,7 @@ def test_one_template_serves_every_alpha(ccd_templates, invert_calls):
     criteria_report(gen_ccd(3, 1.681, 4))
     assert invert_calls[0] == 41
     info = ccd_templates.cache_info()
-    assert (info.misses, info.hits) == (1, 2 * len(DEFAULT_ALPHAS[3]) + 1)
+    assert (info.misses, info.hits) == (1, 2 * len(DEFAULT_ALPHAS[3]))
     # 5 runs left of a k=2 design cannot estimate p=6 parameters
     res = delete_rows(gen_ccd(2, 1.0, 4), list(range(7)))
     for attempt in (1, 2, 3):
@@ -199,8 +221,8 @@ def test_one_template_serves_every_alpha(ccd_templates, invert_calls):
 
 
 def test_verify_builds_one_template_per_table_layout(ccd_templates, invert_calls, capsys):
-    # 26 full fixture designs and 78 residuals factorized, and one template
-    # for each (k, n0) of the tables
+    # 26 full fixture designs and 78 residuals factorized, and one alpha = 1
+    # design for each (k, n0) of the tables
     verify._fixture_design.cache_clear()
     assert main(["verify"]) == 2
     assert invert_calls[0] == 104
@@ -210,5 +232,6 @@ def test_verify_builds_one_template_per_table_layout(ccd_templates, invert_calls
 
 
 def test_template_cache_is_bounded():
-    assert design._ccd_template.cache_info().maxsize == design._TEMPLATES
+    assert design._unit_ccd.cache_info().maxsize == design._TEMPLATES
+    assert missing._sweep_symmetries.cache_info().maxsize == design._TEMPLATES
     assert _unit_sphere_rows.cache_info().maxsize == len(criteria._PRIMES)

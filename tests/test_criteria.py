@@ -1048,6 +1048,16 @@ def test_sphere_points_accepts_numpy_integers(n):
     assert np.array_equal(sphere_points(3, 1.0, n), sphere_points(3, 1.0, 5))
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, np.float64(3.0), True], ids=repr)
+def test_sphere_points_rejects_k_not_an_integer(k):
+    pts = sphere_points(3, 1.0, 5)  # a k equal to a cached one is checked, not served
+    info = _unit_sphere_points.cache_info()
+    with pytest.raises(TypeError, match=re.escape(f"k must be an integer, got {k!r}")):
+        sphere_points(k, 1.0, 5)
+    assert _unit_sphere_points.cache_info() == info
+    assert np.array_equal(sphere_points(np.int64(3), 1.0, 5), pts)
+
+
 NOT_INTEGERS = [*BOOLS, 2.5, np.float64(3.0), "3"]
 
 

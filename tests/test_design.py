@@ -80,7 +80,7 @@ class TestGenCcd:
     def test_rejects_bad_types_before_the_template_cache(self, k, alpha, n0, name,
                                                          ccd_templates):
         # a float or bool k or n0 must not be read as the (int, int) key of
-        # a template; nothing is looked up for a refused argument
+        # an alpha = 1 design; nothing is looked up for a refused argument
         with pytest.raises(TypeError, match=f"^{name} must be"):
             gen_ccd(k, alpha, n0)
         with pytest.raises(ValueError, match="k must be in"):
@@ -135,7 +135,7 @@ class TestGenCcd:
 
     def test_a_design_is_its_arrays(self):
         # a gen_ccd design holds what a hand-built one holds, and no link to
-        # its template
+        # the alpha = 1 design it was scaled from
         d = gen_ccd(3, 1.5, 4)
         e = Design(1.5, d.coords, d.classes)
         assert set(vars(d)) == set(vars(e)) == {"alpha", "coords", "classes", "_memoized"}

@@ -70,7 +70,8 @@ class TestDeleteRows:
         # a bool would otherwise be read as row 0 or 1, and [2, True] would
         # silently delete rows 2 and 1
         d = gen_ccd(2, 1.0, 2)
-        with pytest.raises(TypeError, match=re.escape(f"row index {bad!r} is not an integer")):
+        message = re.escape(f"row index must be an integer, got {bad!r}")
+        with pytest.raises(TypeError, match=message):
             delete_rows(d, [2, bad])
 
     def test_numpy_integer_indices(self):
@@ -244,13 +245,15 @@ class TestScenarioSweep:
                                           (3, 0, ValueError), (3.0, 4, TypeError),
                                           (True, 4, TypeError), (3, np.float64(4), TypeError)])
     def test_bad_layout_refused_before_the_template_cache(self, k, n0, exc, ccd_templates):
-        # the sweep looks up its (k, n0) template once, before its alphas,
-        # so k and n0 are checked first, also when there is no alpha
+        # k and n0 are checked before any alpha, also when there is none, so
+        # neither gen_ccd's (k, n0) cache nor the grid symmetries' is touched
         for alphas in ([], [1.5]):
-            with pytest.raises(exc, match="must be"):
-                scenario_sweep(k, n0, alphas, CUBE1)
-        info = ccd_templates.cache_info()
-        assert (info.hits, info.misses) == (0, 0)
+            for grid_step in (None, 0.5):
+                with pytest.raises(exc, match="must be"):
+                    scenario_sweep(k, n0, alphas, CUBE1, grid_step)
+        for cache in (ccd_templates, missing._sweep_symmetries):
+            info = cache.cache_info()
+            assert (info.hits, info.misses) == (0, 0)
 
     def test_a_trace_decreases_in_alpha_k2(self):
         alphas = [1.0, 1.21, 1.414, 1.5, 2.0]
@@ -421,8 +424,8 @@ class TestStackedSweep:
         assert invert_calls[0] == 2 * 4
 
     def test_grid_path_builds_no_residual(self, monkeypatch):
-        # a residual's grid domain is keyed by the symmetry its (k, n0)
-        # template keeps, so no residual Design is built
+        # a residual's grid domain is keyed by the symmetry the sweep keeps
+        # for its (k, n0), so no residual Design is built
         calls = {"delete_rows": 0, "_grid_models": 0}
         for module, name in ((missing, "delete_rows"), (criteria, "_grid_models")):
             def counting(*args, real=getattr(module, name), name=name):
@@ -438,17 +441,16 @@ class TestStackedSweep:
 
     def test_grid_path_computes_no_symmetry_per_alpha(self, monkeypatch, ccd_templates,
                                                       grid_cache):
-        # the template computes its four symmetries once, on the first grid
-        # sweep of its (k, n0); g_max of any design reads its own, on a grid
+        # the sweep computes its four symmetries once, on the first grid
+        # sweep of a (k, n0); g_max of any design reads its own, on a grid
         calls = []
 
         def counting(X, real=design._symmetry):
             calls.append(X.shape)
             return real(X)
-        assert criteria._symmetry is design._symmetry
-        assert not hasattr(missing, "_symmetry")
-        monkeypatch.setattr(design, "_symmetry", counting)
-        monkeypatch.setattr(criteria, "_symmetry", counting)
+        assert criteria._symmetry is missing._symmetry is design._symmetry
+        for module in (design, criteria, missing):
+            monkeypatch.setattr(module, "_symmetry", counting)
         for k in (3, 5):
             n = 2 ** k + 2 * k + 4
             reports = scenario_sweep(k, 4, [1.0, 1.7, 2.0], CUBE1, grid_step=0.5)
