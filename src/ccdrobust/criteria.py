@@ -117,7 +117,7 @@ def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
 
 def _spv_rows(design: Design, F: np.ndarray) -> np.ndarray:
     """The design's SPV at each point whose model row is a row of F, for
-    spv_many, probe_spv and criteria_report."""
+    spv_many, probe_spv and rotatability_index."""
     return _spv(design.n, information_inverse(design), F)
 
 
@@ -327,30 +327,19 @@ def _g_scan(n: int | np.ndarray, Minv: np.ndarray, k: int, symmetry: _Symmetry |
     the k-factor design with run count n and inverse Minv, and its location,
     over the model rows of each chunk of head and then, when grid_step is
     not None, of the grid domain of the design's symmetry (g_max passes
-    _symmetry of the design's coords, scenario_sweep its _sweep_symmetries)."""
+    _symmetry of the design's coords, scenario_sweep its _sweep_symmetries).
+    The location is a model row's columns 1..k.  It moves to the chunk's
+    first value within _G_TIE_RTOL of the chunk's maximum when that exceeds
+    the running maximum by more than _G_TIE_RTOL."""
     best, loc = -math.inf, ()
     grid = () if grid_step is None else _grid_models(region, grid_step, symmetry)
     for F in itertools.chain(head, grid):
-        best, i = _g_step(best, _spv(n, Minv, F))
-        if i >= 0:
-            loc = _location(F, i, k)
+        vals = _spv(n, Minv, F)
+        top = float(vals.max())
+        if top > best * (1 + _G_TIE_RTOL):  # so top > best: an SPV is >= 0
+            loc = tuple(F[int(np.argmax(vals >= top * (1 - _G_TIE_RTOL))), 1:1 + k].tolist())
+        best = max(best, top)
     return best, loc
-
-
-def _g_step(best: float, vals: np.ndarray) -> tuple[float, int]:
-    """One chunk of g_max's scan: the running maximum after the chunk's SPVs
-    vals, and the index in vals of its new location, or -1 if it stays.  It
-    moves to the chunk's first value within _G_TIE_RTOL of the chunk's
-    maximum when that exceeds the running maximum by more than _G_TIE_RTOL."""
-    top = float(vals.max())
-    if top > best * (1 + _G_TIE_RTOL):
-        return top, int(np.argmax(vals >= top * (1 - _G_TIE_RTOL)))
-    return max(best, top), -1
-
-
-def _location(F: np.ndarray, i: int, k: int) -> tuple[float, ...]:
-    """The point whose model row is row i of F: columns 1..k."""
-    return tuple(F[i, 1:1 + k].tolist())
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -457,21 +446,22 @@ def _unit_sphere_points(k: int, n: int) -> np.ndarray:
 _ROT_POINTS = 200
 
 
-@functools.lru_cache(maxsize=len(_PRIMES))
-def _unit_sphere_rows(k: int) -> np.ndarray:
-    """The model rows of the _ROT_POINTS points on the unit sphere that
-    criteria_report's rotatability index is taken at, expanded once per k
-    and returned read-only, since every caller shares them."""
-    F = expand_points(sphere_points(k, 1.0, _ROT_POINTS))
+@functools.lru_cache(maxsize=64, typed=True)
+def _sphere_rows(k: int, radius: float) -> np.ndarray:
+    """The model rows of rotatability_index's _ROT_POINTS points on the
+    sphere of the given radius, expanded once per (k, radius) and returned
+    read-only, since every caller shares them.  sphere_points checks k and
+    the radius, so a refused one is not kept."""
+    F = expand_points(sphere_points(k, radius, _ROT_POINTS))
     F.flags.writeable = False
     return F
 
 
 def rotatability_index(design: Design, radius: float) -> float:
     """Standard deviation of SPV over _ROT_POINTS (200) points on the sphere
-    of the given radius; ~0 iff the design is rotatable at that radius."""
-    vals = spv_many(design, sphere_points(design.k, radius, _ROT_POINTS))
-    return float(np.std(vals))
+    of the given radius (sphere_points, expanded once by _sphere_rows); ~0
+    iff the design is rotatable at that radius."""
+    return float(np.std(_spv_rows(design, _sphere_rows(design.k, radius))))
 
 
 def sample_region(region: Region, k: int, n: int,
@@ -578,19 +568,15 @@ def criteria_report(design: Design, region: Region | None = None,
     v_avg is reported under both default region conventions, the unit
     cube and the sphere of radius sqrt(k); g_max uses the given region
     (unit cube when omitted) plus the design points and probes; the
-    rotatability index is taken on the unit sphere.
-
-    One SPV pass, over [probes; the unit sphere's points], gives the probe
-    SPVs and the rotatability index, each equal to the bit to what
-    probe_spv and rotatability_index return.  The sphere's model rows are
-    expanded once per k (_unit_sphere_rows).
+    rotatability index is taken on the unit sphere.  Each criterion is its
+    public function's value: probe_spv, g_max, a_trace, v_avg and
+    rotatability_index.
     """
     if region is None:
         region = Region(RegionShape.CUBOIDAL, 1.0)
     k = design.k
-    S = _spv_rows(design, np.vstack([_probe_rows(design), _unit_sphere_rows(k)]))
+    f, a, c = probe_spv(design)
     gmax, loc = g_max(design, region, grid_step)
-    f, a, c = S[:3].tolist()
     return CriteriaReport(
         alpha=design.alpha,
         a_trace=a_trace(design),
@@ -602,5 +588,5 @@ def criteria_report(design: Design, region: Region | None = None,
         g_eff=num_params(k) / gmax,
         v_avg_cuboidal=v_avg(design, Region(RegionShape.CUBOIDAL, 1.0)),
         v_avg_spherical=v_avg(design, Region(RegionShape.SPHERICAL, math.sqrt(k))),
-        rotatability_index=float(np.std(S[3:])),
+        rotatability_index=rotatability_index(design, 1.0),
     )

@@ -28,9 +28,9 @@ __all__ = [
 # Halton base per factor from criteria._PRIMES, which has 12.
 _MAX_K = 12
 
-# The most (k, n0) entries _unit_ccd and missing._sweep_symmetries each keep.
-# At n0 = 4 an alpha = 1 design holds 2.2 KB of arrays at k = 5 and 0.43 MB at
-# k = 12, so 16 of the widest hold 6.9 MB; four symmetries take under 2 KB.
+# The most (k, n0) entries _unit_ccd keeps.  At n0 = 4 an alpha = 1 design
+# holds 2.2 KB of arrays at k = 5 and 0.43 MB at k = 12, so 16 of the widest
+# hold 6.9 MB.
 _TEMPLATES = 16
 
 
@@ -152,8 +152,8 @@ def _symmetry(X: np.ndarray) -> _Symmetry:
     grid unchanged.  A symmetry not of this form (a deleted mixed-sign
     factorial vertex is fixed by signed transpositions) contributes only its
     product subgroup, so the search domain is larger than it could be, but
-    correct.  criteria.g_max passes a design's coords, and
-    missing._sweep_symmetries a CCD's and its class deletions' at alpha = 1.
+    correct.  criteria.g_max passes a design's coords; for a CCD and its
+    class deletions, missing._sweep_symmetries states the values.
     """
     k = X.shape[1]
     rows = X[np.lexsort(X.T)]

@@ -15,7 +15,6 @@ scaling by the full N).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +22,7 @@ import numpy as np
 from . import linalg
 from .criteria import (Region, _a_traces, _g_scan, _probe_rows, _spv, _v_from_moments,
                        a_trace, g_max, region_moments, v_avg)
-from .design import (_TEMPLATES, Design, PointClass, _check_ccd_args, _check_integers,
-                     _Symmetry, _symmetry, gen_ccd)
+from .design import Design, PointClass, _Symmetry, _check_ccd_args, _check_integers, gen_ccd
 from .linalg import SingularMatrixError
 from .model import model_matrix
 
@@ -169,7 +167,7 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
             S[j, deleted[i - 1]] = -np.inf
         g = S.max(axis=1).tolist()
         if grid_step is not None:
-            sym = _sweep_symmetries(k, n0)
+            sym = _sweep_symmetries(k)
             g = [max(g[j], _g_scan(ns[j], Minv[j], k, sym[i], region, grid_step)[0])
                  for j, i in enumerate(live)]
         rep = LossReport(alpha=alpha, a_full=a[0])
@@ -183,15 +181,16 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
     return reports
 
 
-@functools.lru_cache(maxsize=_TEMPLATES)
-def _sweep_symmetries(k: int, n0: int) -> tuple[_Symmetry, ...]:
-    """The _symmetry of gen_ccd(k, alpha, n0) and of each residual
-    scenario_sweep scores, for its grid scans.  Computed once at alpha = 1,
-    they hold at every alpha > 0, since an axial run (one nonzero
-    coordinate) never equals a factorial vertex or the center."""
-    d = gen_ccd(k, 1.0, n0)
-    return (_symmetry(d.coords),) + tuple(
-        _symmetry(np.delete(d.coords, d.rows_of_class(cls)[0], axis=0)) for cls in PointClass)
+def _sweep_symmetries(k: int) -> tuple[_Symmetry, ...]:
+    """The _symmetry of gen_ccd(k, alpha, n0) and of the residuals
+    scenario_sweep scores, from Box and Hunter's (1957) CCD layout: every
+    flip and swap for the full design and without a center run; the swaps
+    without row 0, the (-1, ..., -1) vertex; the flips and swaps of axes
+    2..k without row 2^k, (-alpha, 0, ..., 0).  n0 and alpha > 0 do not
+    matter: center runs sit at the origin, and an axial run has one nonzero
+    coordinate, so it never equals a vertex or the center."""
+    axes = tuple(range(k))
+    return (axes, (axes,)), ((), (axes,)), (axes[1:], ((0,), axes[1:])), (axes, (axes,))
 
 
 def _invert_stack(alpha: float, M: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from ccdrobust import criteria, design, linalg, missing
+from ccdrobust import criteria, design, linalg
 
 
 @pytest.fixture
@@ -30,13 +30,10 @@ def grid_cache(monkeypatch):
 
 @pytest.fixture
 def ccd_templates(monkeypatch):
-    """Empty caches, for the test, of the alpha = 1 designs gen_ccd scales
-    (design._unit_ccd) and of scenario_sweep's grid symmetries
-    (missing._sweep_symmetries).  Returns the fresh _unit_ccd, whose
-    cache_info counts the designs built; the process's own caches are
-    restored after the test."""
+    """An empty cache, for the test, of the alpha = 1 designs gen_ccd scales
+    (design._unit_ccd).  Returns the fresh _unit_ccd, whose cache_info
+    counts the designs built; the process's own cache is restored after the
+    test."""
     fresh = functools.lru_cache(maxsize=design._TEMPLATES)(design._unit_ccd.__wrapped__)
     monkeypatch.setattr(design, "_unit_ccd", fresh)
-    monkeypatch.setattr(missing, "_sweep_symmetries", functools.lru_cache(
-        maxsize=design._TEMPLATES)(missing._sweep_symmetries.__wrapped__))
     return fresh

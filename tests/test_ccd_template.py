@@ -6,7 +6,7 @@ strides, contiguity and write flags, with gen_ccd and expand_points as
 they were before that cache (kept below as the oracle): the coordinates
 and classes, the model rows and probe rows the design expands, the X'X of
 the three residuals in the stack scenario_sweep hands to linalg.invert,
-and criteria_report's unit sphere rows.
+and rotatability_index's sphere rows.
 """
 
 import math
@@ -17,8 +17,8 @@ import pytest
 
 from ccdrobust import criteria, design, linalg, missing, verify
 from ccdrobust.cli import DEFAULT_ALPHAS, main
-from ccdrobust.criteria import (Region, RegionShape, _probe_rows, _unit_sphere_rows,
-                                a_trace, criteria_report, sphere_points)
+from ccdrobust.criteria import (Region, RegionShape, _probe_rows, _sphere_rows, a_trace,
+                                criteria_report, sphere_points)
 from ccdrobust.design import Design, PointClass, _symmetry, canonical_probe_points, gen_ccd
 from ccdrobust.fixtures import LOSS_TABLES, SPV_TABLES
 from ccdrobust.missing import delete_rows, scenario_sweep
@@ -119,10 +119,10 @@ def test_templates_fill_in_the_oracles_arrays(k, n0, monkeypatch):
 @pytest.mark.parametrize("k", range(2, 9))
 @pytest.mark.parametrize("n0", [1, 2, 4, 7])
 def test_template_symmetries_hold_at_every_alpha(k, n0):
-    # read once from the alpha = 1 coordinates, they are the symmetries of
-    # the full design and of each class deletion at every alpha (k > 8 takes
-    # seconds, and agrees through k = 12)
-    symmetries = missing._sweep_symmetries(k, n0)
+    # stated for k alone, they are the symmetries of the full design and of
+    # each class deletion at every n0 and alpha (k > 8 takes seconds, and
+    # agrees through k = 12)
+    symmetries = missing._sweep_symmetries(k)
     nf = 2 ** k
     seeded = np.random.default_rng(2300 + 10 * k + n0).uniform(0.05, 4.0, 3).tolist()
     for alpha in _alphas(k) + seeded:
@@ -136,10 +136,11 @@ def test_template_symmetries_hold_at_every_alpha(k, n0):
 
 @pytest.mark.parametrize("k", range(2, 13))
 def test_unit_sphere_rows_are_the_expanded_sphere(k):
-    F = _unit_sphere_rows(k)
-    assert_same_array(F, _expand_points(sphere_points(k, 1.0, criteria._ROT_POINTS)))
-    assert not F.flags.writeable
-    assert _unit_sphere_rows(k) is F
+    for radius in (1.0, 1.2):
+        F = _sphere_rows(k, radius)
+        assert_same_array(F, _expand_points(sphere_points(k, radius, criteria._ROT_POINTS)))
+        assert not F.flags.writeable
+        assert _sphere_rows(k, radius) is F
 
 
 @pytest.mark.parametrize("k", [2, 5])
@@ -233,5 +234,4 @@ def test_verify_builds_one_template_per_table_layout(ccd_templates, invert_calls
 
 def test_template_cache_is_bounded():
     assert design._unit_ccd.cache_info().maxsize == design._TEMPLATES
-    assert missing._sweep_symmetries.cache_info().maxsize == design._TEMPLATES
-    assert _unit_sphere_rows.cache_info().maxsize == len(criteria._PRIMES)
+    assert _sphere_rows.cache_info().maxsize == 64

@@ -18,6 +18,7 @@ from ccdrobust.criteria import (
     RegionShape,
     _grid_chunks,
     _grid_half_width,
+    _sphere_rows,
     _symmetry,
     _unit_sphere_points,
     a_trace,
@@ -942,6 +943,24 @@ class TestRotatability:
         with pytest.raises(ValueError, match="radius must be finite and > 0"):
             rotatability_index(gen_ccd(2, 1.0, 4), radius)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_index_is_the_std_of_spv_many_on_the_sphere(self, k):
+        d = gen_ccd(k, 1.5, 4)
+        for radius in (1.0, 1.2, math.sqrt(k)):
+            want = float(np.std(spv_many(d, sphere_points(k, radius, 200))))
+            assert repr(rotatability_index(d, radius)) == repr(want)
+
+    @pytest.mark.parametrize("radius", [True, np.True_, math.nan, -1.0], ids=repr)
+    def test_refused_radius_is_not_kept(self, radius):
+        # (3, 1.0) is kept first, and True == 1.0: the cache is typed
+        d = gen_ccd(3, 1.5, 4)
+        rotatability_index(d, 1.0)
+        info = _sphere_rows.cache_info()
+        assert info.currsize < info.maxsize
+        with pytest.raises((TypeError, ValueError), match="radius must be"):
+            rotatability_index(d, radius)
+        assert _sphere_rows.cache_info().currsize == info.currsize
+
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_sphere_points_memo_matches_fresh(self, k):
         cached = _unit_sphere_points(k, 200)
@@ -989,6 +1008,16 @@ class TestCriteriaReport:
         d = rep.as_dict()
         assert list(d) == list(rep.FIELDS)
         assert d["g_max_location"].startswith("(")
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_rotatability_index_is_the_functions(self, k):
+        for alpha in (1.0, 2 ** (k / 4), 1.5):
+            d = gen_ccd(k, alpha, 4)
+            rep = criteria_report(d)
+            assert repr(rep.rotatability_index) == repr(rotatability_index(d, 1.0))
+            assert repr(rep.rotatability_index) == repr(
+                rotatability_index(gen_ccd(k, alpha, 4), 1.0))
+            assert (rep.spv_factorial, rep.spv_axial, rep.spv_center) == probe_spv(d)
 
 
 def test_region_validation():

@@ -246,14 +246,13 @@ class TestScenarioSweep:
                                           (True, 4, TypeError), (3, np.float64(4), TypeError)])
     def test_bad_layout_refused_before_the_template_cache(self, k, n0, exc, ccd_templates):
         # k and n0 are checked before any alpha, also when there is none, so
-        # neither gen_ccd's (k, n0) cache nor the grid symmetries' is touched
+        # gen_ccd's (k, n0) cache is not touched
         for alphas in ([], [1.5]):
             for grid_step in (None, 0.5):
                 with pytest.raises(exc, match="must be"):
                     scenario_sweep(k, n0, alphas, CUBE1, grid_step)
-        for cache in (ccd_templates, missing._sweep_symmetries):
-            info = cache.cache_info()
-            assert (info.hits, info.misses) == (0, 0)
+        info = ccd_templates.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
 
     def test_a_trace_decreases_in_alpha_k2(self):
         alphas = [1.0, 1.21, 1.414, 1.5, 2.0]
@@ -441,21 +440,19 @@ class TestStackedSweep:
 
     def test_grid_path_computes_no_symmetry_per_alpha(self, monkeypatch, ccd_templates,
                                                       grid_cache):
-        # the sweep computes its four symmetries once, on the first grid
-        # sweep of a (k, n0); g_max of any design reads its own, on a grid
+        # the sweep computes no symmetry, since _sweep_symmetries states its
+        # four; g_max of any design computes its own, on a grid
         calls = []
 
         def counting(X, real=design._symmetry):
             calls.append(X.shape)
             return real(X)
-        assert criteria._symmetry is missing._symmetry is design._symmetry
-        for module in (design, criteria, missing):
+        assert criteria._symmetry is design._symmetry
+        for module in (design, criteria):
             monkeypatch.setattr(module, "_symmetry", counting)
         for k in (3, 5):
-            n = 2 ** k + 2 * k + 4
             reports = scenario_sweep(k, 4, [1.0, 1.7, 2.0], CUBE1, grid_step=0.5)
-            assert calls == [(n, k)] + [(n - 1, k)] * 3
-            calls.clear()
+            assert calls == []
             assert scenario_sweep(k, 4, [1.0, 1.7, 2.0], CUBE1, grid_step=0.5) == reports
             assert calls == []
         # the deleted (-1, -1, +1) vertex leaves x1 <-> x2 as the only
