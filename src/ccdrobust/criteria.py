@@ -348,7 +348,7 @@ def region_moments(region: Region, k: int) -> np.ndarray:
     uniform measure on the region, computed once per (region, k) and
     returned read-only, since every caller shares it.  Raises TypeError for
     a bool or non-integer k (the cache is typed, so 3.0 is not served as 3),
-    ValueError for k < 2.
+    ValueError for k < 2 or a size whose 3 size^4 overflows.
 
     Cube [-a, a]^k: E[x_i^2] = a^2/3, E[x_i^4] = a^4/5,
     E[x_i^2 x_j^2] = a^4/9.  Ball of radius r: E[x_i^2] = r^2/(k+2),
@@ -359,6 +359,8 @@ def region_moments(region: Region, k: int) -> np.ndarray:
     if k < 2:
         raise ValueError("k must be >= 2")
     s = region.size
+    if not math.isfinite(3 * s * s * s * s):  # the sphere's m4 numerator, the largest
+        raise ValueError(f"region size {s!r} is too large: its moments overflow")
     if region.shape is RegionShape.CUBOIDAL:
         m2, m4, m22 = s ** 2 / 3, s ** 4 / 5, s ** 4 / 9
     else:
@@ -385,14 +387,19 @@ def v_avg(design: Design, region: Region) -> float:
     """Average SPV over the region:
     N * trace((X'X)^{-1} E[f f']) under the uniform measure on R."""
     return float(_v_from_moments(design.n, information_inverse(design),
-                                 region_moments(region, design.k)))
+                                 region_moments(region, design.k), region))
 
 
-def _v_from_moments(n: int | np.ndarray, Minv: np.ndarray, M: np.ndarray):
-    """n * trace(M^{-1} M_R) for a p x p moments matrix M_R: the V-average
-    formula, shared by v_avg, scenario_sweep (a stack of d inverses and d
-    run counts) and verify's printed-convention cells."""
-    return n * np.trace(Minv @ M, axis1=-2, axis2=-1)
+def _v_from_moments(n: int | np.ndarray, Minv: np.ndarray, M: np.ndarray, region: Region):
+    """n * trace(M^{-1} M_R) for a p x p moments matrix M_R of region: the
+    V-average formula, shared by v_avg, scenario_sweep (a stack of d inverses
+    and d run counts) and verify's printed-convention cells.  Raises
+    ValueError naming the region's size when a value is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = n * np.trace(Minv @ M, axis1=-2, axis2=-1)
+    if not np.isfinite(v).all():
+        raise ValueError(f"V over the region of size {region.size!r} is not finite")
+    return v
 
 
 def _radical_inverse(i: int, base: int) -> float:

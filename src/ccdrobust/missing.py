@@ -160,7 +160,7 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
         Minv, live = _invert_stack(alpha, np.stack([Xd.T @ Xd for Xd in models]))
         ns = np.array([n, n - 1, n - 1, n - 1])[live]
         a = _a_traces(Minv).tolist()
-        v = _v_from_moments(ns, Minv, region_moments(region, k)).tolist()
+        v = _v_from_moments(ns, Minv, region_moments(region, k), region).tolist()
         F = np.vstack([X, _probe_rows(full)])
         S = _spv(ns, Minv, F)
         for j, i in enumerate(live[1:], 1):

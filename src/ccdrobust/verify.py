@@ -114,13 +114,14 @@ def _verify_loss_table(tid: str) -> list[CellCheck]:
 def _paper_v_average(design: Design, k: int) -> float:
     """V under the convention that reproduces the printed averages:
     unit-cube moments, with the interaction block dropped for k >= 4."""
-    M = region_moments(Region(RegionShape.CUBOIDAL, 1.0), k)
+    cube = Region(RegionShape.CUBOIDAL, 1.0)
+    M = region_moments(cube, k)
     if k >= 4:
         ni = k * (k - 1) // 2
         M = M.copy()
         M[-ni:, :] = 0.0
         M[:, -ni:] = 0.0
-    return float(_v_from_moments(design.n, information_inverse(design), M))
+    return float(_v_from_moments(design.n, information_inverse(design), M, cube))
 
 
 def _verify_spv_table(tid: str) -> list[CellCheck]:

@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -100,6 +101,30 @@ def test_rejected_sweep_creates_no_out_directory(command, args, message, tmp_pat
     assert main(command + args + ["--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+_OVERFLOWING_REGIONS = [
+    (["--region-size", "1e77"], "region size 1e+77 is too large: its moments overflow"),
+    (["--region-size", "1e100"], "region size 1e+100 is too large: its moments overflow"),
+    (["--region", "sphere", "--region-size", "1e100"],
+     "region size 1e+100 is too large: its moments overflow"),
+    (["--k", "12", "--region-size", "3e76"], "V over the region of size 3e+76 is not finite"),
+]
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["plot", "--metric", "re_v"]],
+                         ids=["sweep", "plot"])
+@pytest.mark.parametrize("args, message", _OVERFLOWING_REGIONS,
+                         ids=[" ".join(args) for args, _ in _OVERFLOWING_REGIONS])
+def test_overflowing_region_exits_1_naming_its_size(command, args, message, tmp_path,
+                                                    monkeypatch, capsys):
+    # was an OverflowError traceback, or at 1e77 exit 0 with V cells nan and inf
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(command + ["--alphas", "1"] + args) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 _IGNORED_FLAGS = [

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -838,6 +839,18 @@ class TestRegionMoments:
         assert np.array_equal(M, region_moments.__wrapped__(region, k))
         assert M.tobytes() == self.entrywise(region, k).tobytes()
 
+    @pytest.mark.parametrize("shape", list(RegionShape))
+    @pytest.mark.parametrize("size", [1e77, 1e100, 1e300], ids=repr)
+    def test_overflowing_size_refused_naming_it(self, shape, size):
+        # was an OverflowError from size ** 4, or at 1e77 a fourth moment
+        # that made V nan; (max / 3) ** (1 / 4) = 8.80e76 is the bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"region size {size!r} is too large: its moments overflow")):
+                region_moments(Region(shape, size), 2)
+            assert np.isfinite(region_moments(Region(shape, 8.7e76), 12)).all()
+
 
 class TestMonteCarloMoments:
     @staticmethod
@@ -921,6 +934,24 @@ class TestVAvg:
         pts = sample_region(region, 2, 200_000, seed=3)
         mc = spv_many(d, pts).mean()
         assert mc == pytest.approx(analytic, rel=0.01)
+
+    @pytest.mark.parametrize("shape", list(RegionShape))
+    def test_overflowing_v_refused_naming_the_size(self, shape):
+        # the moments are finite, N tr(M^-1 M_R) is not: V was inf or nan,
+        # with a RuntimeWarning
+        full = gen_ccd(2, 0.01, 4)
+        region = Region(shape, 1e76)
+        assert np.isfinite(region_moments(region, 2)).all()
+        message = re.escape("V over the region of size 1e+76 is not finite")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                v_avg(full, region)
+            with pytest.raises(ValueError, match=message):
+                relative_v_efficiency(full, delete_rows(full, [0]), region)
+            with pytest.raises(ValueError, match=message):
+                scenario_sweep(2, 4, [0.01], region)
+            assert math.isfinite(v_avg(full, Region(shape, 1e75)))
 
 
 class TestRotatability:
