@@ -397,7 +397,7 @@ def _v_from_moments(n: int | np.ndarray, Minv: np.ndarray, M: np.ndarray, region
     ValueError naming the region's size when a value is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         v = n * np.trace(Minv @ M, axis1=-2, axis2=-1)
-    if not np.isfinite(v).all():
+    if not all(map(math.isfinite, v.flat)):
         raise ValueError(f"V over the region of size {region.size!r} is not finite")
     return v
 
