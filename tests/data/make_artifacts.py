@@ -26,7 +26,8 @@ MANIFEST = Path(__file__).with_name("artifacts.json")
 # The CLI runs whose artifacts are pinned: the table sweeps, grid sweeps over
 # a cube and a ball, the widest design with and without a grid, a stack with
 # a singular residual with and without a grid, both plot kinds, generate and
-# verify.  The fine-grid sweeps are left out for their time.
+# verify; then the refusals, each of which exits 1 with one error line and
+# writes no file.  The fine-grid sweeps are left out for their time.
 COMMANDS = (
     ["sweep", "--k", "2"],
     ["sweep", "--k", "3"],
@@ -43,6 +44,14 @@ COMMANDS = (
     ["plot", "--k", "5", "--metric", "re_g", "--grid-step", "0.25"],
     ["generate", "--k", "3", "--alpha", "1.682"],
     ["verify"],
+    ["sweep", "--k", "13", "--alphas", "1"],
+    ["sweep", "--k", "3", "--n0", "0"],
+    ["sweep", "--alphas", "0,1"],
+    ["sweep", "--grid-step", "-1"],
+    ["sweep", "--alphas", "nan"],
+    ["sweep", "--region-size", "inf"],
+    ["generate", "--k", "2", "--alpha", "nan"],
+    ["sweep", "--k", "2", "--alphas", "1", "--region-size", "1e77"],
 )
 
 
