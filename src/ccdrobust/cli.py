@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .criteria import (CriteriaReport, Region, RegionShape, _grid_half_width,
                        criteria_report)
-from .design import PointClass, _check_ccd_args, design_to_csv, gen_ccd
+from .design import PointClass, _check_ccd_args, _check_positive, design_to_csv, gen_ccd
 from .fixtures import ANNOTATIONS, LOSS_TABLES, SPV_TABLES
 from .linalg import SingularMatrixError
 from .missing import LossReport, scenario_sweep
@@ -69,20 +69,9 @@ def _region_from_args(args, k: int) -> Region:
     return Region(shape, size)
 
 
-def _finite(text: str) -> float:
-    """argparse type: a finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _finite_list(text: str) -> list[float]:
-    """argparse type: comma-separated finite floats."""
-    return [_finite(v) for v in text.replace(" ", "").split(",") if v]
+def _float_list(text: str) -> list[float]:
+    """argparse type: comma-separated floats, checked where they are used."""
+    return [float(v) for v in text.replace(" ", "").split(",") if v]
 
 
 def _alphas_from_args(args) -> list[float]:
@@ -96,6 +85,7 @@ def _alphas_from_args(args) -> list[float]:
         raise ValueError(f"no default alpha grid for k={args.k}; pass --alphas")
     if not vals:
         raise ValueError("empty alpha grid")
+    vals = [_check_positive("alpha", a) for a in vals]  # a NaN is named, not misordered
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValueError("alphas must be ascending, each given once")
     return vals
@@ -141,8 +131,7 @@ def _sweep_from_args(args) -> tuple[Region, Path, list[LossReport]]:
     fails before any work is done."""
     alphas = _alphas_from_args(args)
     region = _region_from_args(args, args.k)
-    for alpha in alphas:
-        _check_ccd_args(args.k, alpha, args.n0)
+    _check_ccd_args(args.k, None, args.n0)
     if args.grid_step is not None:
         _grid_half_width(region, args.grid_step, args.k)
     outdir = Path(args.out or ".")
@@ -225,14 +214,14 @@ def cmd_plot(args) -> int:
 _OPTIONS = {
     "--k": dict(type=int, default=2, help="number of factors"),
     "--n0": dict(type=int, default=4, help="number of center points"),
-    "--alpha": dict(type=_finite, help="axial distance"),
-    "--alphas": dict(type=_finite_list,
+    "--alpha": dict(type=float, help="axial distance"),
+    "--alphas": dict(type=_float_list,
                      help="comma-separated ascending axial distances"),
     "--region": dict(choices=("cube", "sphere"), default="cube"),
-    "--region-size": dict(type=_finite,
+    "--region-size": dict(type=float,
                           help="cube half-width or sphere radius "
                                "(default 1 for cube, sqrt(k) for sphere)"),
-    "--grid-step": dict(type=_finite,
+    "--grid-step": dict(type=float,
                         help="G-max evaluation grid spacing; omit to use "
                              "design+probe points only"),
     "--metric": dict(choices=tuple(_METRICS)),

@@ -22,7 +22,8 @@ from statistics import NormalDist
 import numpy as np
 
 from . import linalg
-from .design import Design, _Symmetry, _check_integers, _symmetry, canonical_probe_points
+from .design import (Design, _Symmetry, _check_integers, _check_positive, _symmetry,
+                     canonical_probe_points)
 from .model import expand_points, model_matrix, num_params
 
 __all__ = [
@@ -54,8 +55,8 @@ class Region:
     """Region of interest: a cube [-a, a]^k (size = half-width a) or a
     ball of radius r (size = r), both centered at the origin.  contains
     admits points up to 1e-12 outside either, measured in distance.
-    Raises TypeError for a shape that is not a RegionShape or a size that is
-    a bool, ValueError for a size that is not finite and > 0."""
+    Raises TypeError for a shape that is not a RegionShape; the size is
+    stored as the float design._check_positive returns for it."""
 
     shape: RegionShape
     size: float
@@ -63,10 +64,7 @@ class Region:
     def __post_init__(self):
         if not isinstance(self.shape, RegionShape):
             raise TypeError(f"region shape must be a RegionShape, got {self.shape!r}")
-        if isinstance(self.size, (bool, np.bool_)):
-            raise TypeError(f"region size must be a real number, got {self.size!r}")
-        if not (math.isfinite(self.size) and self.size > 0):
-            raise ValueError(f"region size must be finite and > 0, got {self.size}")
+        object.__setattr__(self, "size", _check_positive("region size", self.size))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -163,11 +161,10 @@ _grid_lock = threading.Lock()
 def _grid_half_width(region: Region, step: float, k: int) -> int:
     """n1, the largest index whose axis value n1*step Region.contains accepts:
     the k-dimensional G grid at this step has the axis values -n1*step ..
-    n1*step, so a cube's grid lies in the cube by construction.  Raises
-    ValueError, before anything is allocated, for a step that is not finite
-    and > 0 or a box of more than _MAX_GRID_POINTS points."""
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError("grid_step must be finite and > 0")
+    n1*step, so a cube's grid lies in the cube by construction.  Raises,
+    before anything is allocated, what design._check_positive raises for the
+    step, and ValueError for a box of more than _MAX_GRID_POINTS points."""
+    step = _check_positive("grid_step", step)
     n1 = int(min(region.size / step, _MAX_GRID_POINTS))  # no int(inf)
     while n1 > 0 and not region.contains(np.array([[n1 * step]]))[0]:
         n1 -= 1
@@ -249,11 +246,9 @@ def _grid_models(region: Region, step: float,
     """The model matrix of _grid_chunks' domain, one read-only chunk per
     chunk of points; the points are its columns 1..k.  Served from
     _grid_cache when the domain is there, else expanded as it is streamed
-    and kept if it fits in the bytes the kept domains leave.  Raises
-    TypeError for a bool step, before the lookup, since True == 1.0 as a
-    key."""
-    if isinstance(step, (bool, np.bool_)):
-        raise TypeError(f"grid_step must be a real number, got {step!r}")
+    and kept if it fits in the bytes the kept domains leave.  The key holds
+    the step's float from design._check_positive, taken before the lookup."""
+    step = _check_positive("grid_step", step)
     key = (region, step, symmetry)
     with _grid_lock:
         cached = _grid_cache.get(key)
@@ -418,25 +413,16 @@ def sphere_points(k: int, radius: float, n: int) -> np.ndarray:
     """n deterministic, well-spread points on the sphere of the given
     radius: Halton sequence mapped through the Gaussian quantile and
     normalized (equal angular spacing for k = 2).  The Halton bases are
-    the first len(_PRIMES) primes, which bounds k.  Raises TypeError for a
-    bool radius or a k or n that is a bool or not an integer; ValueError for
-    k < 2, n < 1, or a radius that is not finite and > 0."""
-    if isinstance(radius, (bool, np.bool_)):
-        raise TypeError(f"radius must be a real number, got {radius!r}")
+    the first len(_PRIMES) primes, which bounds k.  A new array on every
+    call.  Raises what design._check_positive raises for the radius, then
+    TypeError for a k or n that is a bool or not an integer, ValueError for
+    k < 2 or n < 1."""
+    radius = _check_positive("radius", radius)
     _check_integers(k=k, n=n)
     if not 2 <= k <= len(_PRIMES):
         raise ValueError(f"sphere_points supports 2 <= k <= {len(_PRIMES)}, got {k}")
     if n < 1:
         raise ValueError(f"sphere_points needs n >= 1, got {n}")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and > 0, got {radius}")
-    return radius * _unit_sphere_points(k, n)
-
-
-@functools.lru_cache(maxsize=64)
-def _unit_sphere_points(k: int, n: int) -> np.ndarray:
-    """sphere_points on the unit sphere, computed once per (k, n) and
-    returned read-only, since every caller shares it."""
     if k == 2:
         theta = 2 * math.pi * np.arange(n) / n
         g = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -445,20 +431,20 @@ def _unit_sphere_points(k: int, n: int) -> np.ndarray:
         g = np.array([[ppf(_radical_inverse(i + 1, _PRIMES[d])) for d in range(k)]
                       for i in range(n)])
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-    g.flags.writeable = False
-    return g
+    return radius * g
 
 
 # rotatability_index's points on the sphere.
 _ROT_POINTS = 200
 
 
-@functools.lru_cache(maxsize=64, typed=True)
+@functools.lru_cache(maxsize=64)
 def _sphere_rows(k: int, radius: float) -> np.ndarray:
     """The model rows of rotatability_index's _ROT_POINTS points on the
     sphere of the given radius, expanded once per (k, radius) and returned
-    read-only, since every caller shares them.  sphere_points checks k and
-    the radius, so a refused one is not kept."""
+    read-only, since every caller shares them.  The radius is the float
+    rotatability_index's _check_positive returns, so a refused one is not
+    kept and no key is a bool or an array."""
     F = expand_points(sphere_points(k, radius, _ROT_POINTS))
     F.flags.writeable = False
     return F
@@ -466,8 +452,9 @@ def _sphere_rows(k: int, radius: float) -> np.ndarray:
 
 def rotatability_index(design: Design, radius: float) -> float:
     """Standard deviation of SPV over _ROT_POINTS (200) points on the sphere
-    of the given radius (sphere_points, expanded once by _sphere_rows); ~0
-    iff the design is rotatable at that radius."""
+    of the given radius (checked by design._check_positive; sphere_points,
+    expanded once by _sphere_rows); ~0 iff the design is rotatable there."""
+    radius = _check_positive("radius", radius)
     return float(np.std(_spv_rows(design, _sphere_rows(design.k, radius))))
 
 

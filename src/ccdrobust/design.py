@@ -102,19 +102,29 @@ def _check_integers(**values) -> None:
             raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_ccd_args(k: int, alpha: float | None, n0: int) -> None:
-    """The TypeError or ValueError gen_ccd raises for its arguments, if any;
-    with alpha None, for k and n0 alone, as scenario_sweep checks them before
+def _check_positive(name: str, value) -> float:
+    """value as a float, checked before any cache sees it: the rule for alpha,
+    a region's size, a sphere's radius and a grid step.  Raises TypeError
+    for a bool, ValueError for a value that is not finite and > 0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return float(value)
+
+
+def _check_ccd_args(k: int, alpha: float | None, n0: int) -> float | None:
+    """alpha as a float, after raising the TypeError or ValueError gen_ccd
+    raises for its arguments, if any, in the order k, alpha (_check_positive),
+    n0; with alpha None, k and n0 alone, as scenario_sweep checks them before
     any alpha."""
     _check_integers(k=k, n0=n0)
-    if isinstance(alpha, (bool, np.bool_)):
-        raise TypeError(f"alpha must be a real number, got {alpha!r}")
     if not 2 <= k <= _MAX_K:
         raise ValueError(f"k must be in [2, {_MAX_K}], got {k}")
-    if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    alpha = None if alpha is None else _check_positive("alpha", alpha)
     if n0 < 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
+    return alpha
 
 
 def gen_ccd(k: int, alpha: float, n0: int) -> Design:
@@ -126,8 +136,8 @@ def gen_ccd(k: int, alpha: float, n0: int) -> Design:
     that is a bool; ValueError for k < 2 (the interaction term degenerates)
     or k > 12, alpha that is not finite and > 0, or n0 < 1.
     """
-    _check_ccd_args(k, alpha, n0)
-    k, alpha = int(k), float(alpha)
+    alpha = _check_ccd_args(k, alpha, n0)
+    k = int(k)
     unit = _unit_ccd(k, int(n0))
     coords = unit.coords.copy()
     coords[2 ** k:2 ** k + 2 * k] *= alpha

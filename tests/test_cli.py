@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -81,7 +82,7 @@ def test_out_under_existing_file_exits_1_naming_it(command, tmp_path, monkeypatc
 
 
 _REJECTED_SWEEPS = [
-    (["--grid-step", "-1"], "grid_step must be finite and > 0"),
+    (["--grid-step", "-1"], "grid_step must be finite and > 0, got -1.0"),
     (["--k", "5", "--grid-step", "0.001"], "use a coarser grid step"),
     (["--n0", "0"], "n0 must be >= 1, got 0"),
     (["--k", "13", "--alphas", "1"], "k must be in [2, 12], got 13"),
@@ -100,6 +101,30 @@ def test_rejected_sweep_creates_no_out_directory(command, args, message, tmp_pat
     out = tmp_path / "out"
     assert main(command + args + ["--out", str(out)]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The name the library's messages give the value of each real-valued option.
+_NAMES = {"--alpha": "alpha", "--alphas": "alpha", "--region-size": "region size",
+          "--grid-step": "grid_step"}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, key", [
+    (["generate"], "alpha"), (["sweep"], "alpha"), (["sweep"], "alphas"),
+    (["sweep"], "region-size"), (["sweep"], "grid-step"),
+    (["plot", "--metric", "re_g"], "grid-step"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_non_finite_config_value_exits_1_naming_it(command, key, bad, tmp_path,
+                                                   monkeypatch, capsys):
+    # refused as the same flag is, before --out is created or anything inverted
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={bad}\n")
+    out = tmp_path / "out"
+    monkeypatch.setattr(linalg, "invert", mock.Mock(side_effect=AssertionError))
+    assert main(["--config", str(cfg)] + command + ["--k", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {_NAMES['--' + key]} must be finite and > 0, got {float(bad)}"]
     assert not out.exists()
 
 
@@ -256,13 +281,17 @@ class TestSweep:
            finite=st.lists(st.floats(0.5, 3.0), max_size=3))
     @settings(max_examples=40, deadline=None)
     def test_non_finite_flag_exits_1_naming_it(self, flag, bad, finite):
-        # rejected while parsing: the linear algebra is never reached
+        # refused by the library's rule before --out is created: the linear
+        # algebra is never reached
         value = ",".join([repr(a) for a in finite] + [bad]) if flag == "--alphas" else bad
         err = io.StringIO()
-        with (contextlib.redirect_stderr(err),
+        with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err),
               mock.patch.object(linalg, "invert", side_effect=AssertionError)):
-            assert main(["sweep", "--k", "2", f"{flag}={value}"]) == 1
-        assert f"argument {flag}: expected a finite number" in err.getvalue()
+            out = Path(tmp) / "out"
+            assert main(["sweep", "--k", "2", f"{flag}={value}", "--out", str(out)]) == 1
+            assert not out.exists()
+        assert err.getvalue().splitlines() == [
+            f"error: {_NAMES[flag]} must be finite and > 0, got {float(bad)}"]
 
     def test_long_csv_round_trip(self, tmp_path):
         assert main(["sweep", "--k", "2", "--alphas", "1.0,2.0",
@@ -453,8 +482,11 @@ class TestConfigFile:
             (tmp_path / "loss_k3.csv").read_text())))
         assert [float(r["alpha"]) for r in rows] == [1.0, 2.0]
         cfg.write_text("alphas=1.0,nan\n")
-        assert main(["--config", str(cfg), "sweep", "--out", str(tmp_path)]) == 1
-        assert "argument --alphas" in capsys.readouterr().err
+        capsys.readouterr()
+        with mock.patch.object(linalg, "invert", side_effect=AssertionError):
+            assert main(["--config", str(cfg), "sweep", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: alpha must be finite and > 0, got nan"]
 
 
 def _swept_alphas(out):

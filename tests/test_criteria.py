@@ -21,7 +21,6 @@ from ccdrobust.criteria import (
     _grid_half_width,
     _sphere_rows,
     _symmetry,
-    _unit_sphere_points,
     a_trace,
     criteria_report,
     g_max,
@@ -983,7 +982,8 @@ class TestRotatability:
 
     @pytest.mark.parametrize("radius", [True, np.True_, math.nan, -1.0], ids=repr)
     def test_refused_radius_is_not_kept(self, radius):
-        # (3, 1.0) is kept first, and True == 1.0: the cache is typed
+        # (3, 1.0) is kept first, and True == 1.0: the radius is checked
+        # and made a float before the cache sees it
         d = gen_ccd(3, 1.5, 4)
         rotatability_index(d, 1.0)
         info = _sphere_rows.cache_info()
@@ -994,15 +994,13 @@ class TestRotatability:
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_sphere_points_memo_matches_fresh(self, k):
-        cached = _unit_sphere_points(k, 200)
-        assert np.array_equal(cached, _unit_sphere_points.__wrapped__(k, 200))
-        assert np.array_equal(sphere_points(k, 1.7, 200), 1.7 * cached)
+        # each call computes the points, and the radius scales them
+        unit = sphere_points(k, 1.0, 200)
+        assert np.array_equal(unit, sphere_points(k, 1.0, 200))
+        assert np.array_equal(sphere_points(k, 1.7, 200), 1.7 * unit)
 
     def test_sphere_points_memo_is_read_only(self):
-        cached = _unit_sphere_points(3, 200)
-        assert not cached.flags.writeable
-        with pytest.raises(ValueError):
-            cached[0, 0] = 0.0
+        # a caller's edit does not reach the next call
         pts = sphere_points(3, 1.0, 200)
         pts[0, 0] = 99.0
         assert sphere_points(3, 1.0, 200)[0, 0] != 99.0
@@ -1097,6 +1095,62 @@ def test_sphere_radius_rejects_bool(radius):
         sphere_points(3, radius, 5)
 
 
+def _full_and_residual():
+    full = gen_ccd(2, 1.0, 4)
+    return full, delete_rows(full, [0])
+
+
+# Every public entry that takes a real-valued argument: the name its messages
+# give the argument, and a call with the value x.
+_REAL_ARGUMENTS = {
+    "gen_ccd alpha": ("alpha", lambda x: gen_ccd(2, x, 4)),
+    "Region size": ("region size", lambda x: Region(RegionShape.CUBOIDAL, x)),
+    "sphere_points radius": ("radius", lambda x: sphere_points(3, x, 5)),
+    "rotatability_index radius": ("radius",
+                                  lambda x: rotatability_index(gen_ccd(3, 1.5, 4), x)),
+    "g_max grid_step": ("grid_step", lambda x: g_max(gen_ccd(2, 1.0, 4), CUBE1, x)),
+    "criteria_report grid_step": ("grid_step",
+                                  lambda x: criteria_report(gen_ccd(2, 1.0, 4), CUBE1, x)),
+    "relative_g_efficiency grid_step": (
+        "grid_step", lambda x: relative_g_efficiency(*_full_and_residual(), CUBE1, x)),
+    "scenario_sweep grid_step": ("grid_step",
+                                 lambda x: scenario_sweep(2, 4, [1.0], CUBE1, grid_step=x)),
+}
+
+
+def _exact(value) -> str:
+    """repr, with every float of an array printed in full."""
+    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+        return repr(value)
+
+
+@pytest.mark.parametrize("entry", list(_REAL_ARGUMENTS))
+class TestOneRuleForRealArguments:
+    """design._check_positive's rule, shared by every real-valued argument."""
+
+    @pytest.mark.parametrize("value", [True, np.True_], ids=repr)
+    def test_bool_refused(self, entry, value, grid_cache):
+        name, call = _REAL_ARGUMENTS[entry]
+        call(1.0)  # True == 1.0: a kept 1.0 must not serve it
+        with pytest.raises(TypeError, match=re.escape(
+                f"{name} must be a real number, got {value!r}")):
+            call(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0], ids=repr)
+    def test_not_finite_and_positive_refused(self, entry, value, grid_cache):
+        name, call = _REAL_ARGUMENTS[entry]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be finite and > 0, got {value}")):
+            call(value)
+
+    @pytest.mark.parametrize("value", [1, np.float64(1.0), np.array(1.0)], ids=repr)
+    def test_real_number_taken_as_its_float(self, entry, value, grid_cache):
+        # the float is what a Region keeps and what the caches of the radius,
+        # the size and the step key on
+        _, call = _REAL_ARGUMENTS[entry]
+        assert _exact(call(value)) == _exact(call(1.0))
+
+
 @pytest.mark.parametrize("n", [*BOOLS, 2.0, np.float64(5.0), "5"], ids=repr)
 def test_sphere_points_rejects_n_not_an_integer(n):
     with pytest.raises(TypeError, match=re.escape(f"n must be an integer, got {n!r}")):
@@ -1110,11 +1164,9 @@ def test_sphere_points_accepts_numpy_integers(n):
 
 @pytest.mark.parametrize("k", [2.5, 3.0, np.float64(3.0), True], ids=repr)
 def test_sphere_points_rejects_k_not_an_integer(k):
-    pts = sphere_points(3, 1.0, 5)  # a k equal to a cached one is checked, not served
-    info = _unit_sphere_points.cache_info()
+    pts = sphere_points(3, 1.0, 5)  # a k equal to a valid one is checked, not coerced
     with pytest.raises(TypeError, match=re.escape(f"k must be an integer, got {k!r}")):
         sphere_points(k, 1.0, 5)
-    assert _unit_sphere_points.cache_info() == info
     assert np.array_equal(sphere_points(np.int64(3), 1.0, 5), pts)
 
 
