@@ -85,7 +85,7 @@ def _alphas_from_args(args) -> list[float]:
         raise ValueError(f"no default alpha grid for k={args.k}; pass --alphas")
     if not vals:
         raise ValueError("empty alpha grid")
-    vals = [_check_positive("alpha", a) for a in vals]  # a NaN is named, not misordered
+    vals = [_check_positive("alpha", a) for a in vals]  # before the order: an inf is named
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValueError("alphas must be ascending, each given once")
     return vals
