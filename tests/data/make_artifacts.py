@@ -27,7 +27,8 @@ MANIFEST = Path(__file__).with_name("artifacts.json")
 # a cube and a ball, the widest design with and without a grid, a stack with
 # a singular residual with and without a grid, both plot kinds, generate and
 # verify; then the refusals, each of which exits 1 with one error line and
-# writes no file.  The fine-grid sweeps are left out for their time.
+# writes no file; then `--alpha` given to sweep and plot, alone and before an
+# `--alphas`.  The fine-grid sweeps are left out for their time.
 COMMANDS = (
     ["sweep", "--k", "2"],
     ["sweep", "--k", "3"],
@@ -52,6 +53,9 @@ COMMANDS = (
     ["sweep", "--region-size", "inf"],
     ["generate", "--k", "2", "--alpha", "nan"],
     ["sweep", "--k", "2", "--alphas", "1", "--region-size", "1e77"],
+    ["sweep", "--k", "2", "--alpha", "1.5"],
+    ["plot", "--k", "2", "--metric", "loss", "--alpha", "1.5"],
+    ["sweep", "--k", "2", "--alpha", "1", "--alphas", "2"],
 )
 
 
