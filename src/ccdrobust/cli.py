@@ -77,8 +77,6 @@ def _float_list(text: str) -> list[float]:
 def _alphas_from_args(args) -> list[float]:
     if args.alphas is not None:
         vals = args.alphas
-    elif args.alpha is not None:
-        vals = [args.alpha]
     elif args.k in DEFAULT_ALPHAS:
         vals = DEFAULT_ALPHAS[args.k]
     else:
@@ -230,8 +228,8 @@ _OPTIONS = {
     "tables": dict(nargs="*", help="table ids, e.g. 1a 2b (default: all)"),
 }
 
-_SWEEP_OPTIONS = ("--k", "--n0", "--alpha", "--alphas", "--region",
-                  "--region-size", "--grid-step", "--out")
+_SWEEP_OPTIONS = ("--k", "--n0", "--alphas", "--region", "--region-size",
+                  "--grid-step", "--out")
 
 # Each command: its function, its summary, the options it reads, and the
 # option it needs (checked after parsing, since a config may supply it).
@@ -263,11 +261,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         dests = commands[p] = set()
-        # --alpha or --alphas, where a command takes both
-        alpha = p.add_mutually_exclusive_group() if "--alphas" in flags else p
         for flag in flags:
-            target = alpha if flag in ("--alpha", "--alphas") else p
-            dest = target.add_argument(flag, **_OPTIONS[flag]).dest
+            dest = p.add_argument(flag, **_OPTIONS[flag]).dest
             if flag.startswith("--"):  # positionals are not config keys
                 dests.add(dest)
     return parser, commands
@@ -295,10 +290,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"config error: {key} must be one of {list(choices)}, "
                       f"got {value!r}", file=sys.stderr)
                 return 1
-        # An explicit --alpha or --alphas (this parse saw no config) replaces both.
-        flags = vars(args)
-        if flags.get("alpha") is not None or flags.get("alphas") is not None:
-            config = {key: v for key, v in config.items() if key not in ("alpha", "alphas")}
         # Re-parse with config values as defaults; explicit flags win, and
         # argparse converts string defaults through each option's type.
         for p, dests in commands.items():

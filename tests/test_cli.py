@@ -111,8 +111,8 @@ _NAMES = {"--alpha": "alpha", "--alphas": "alpha", "--region-size": "region size
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command, key", [
-    (["generate"], "alpha"), (["sweep"], "alpha"), (["sweep"], "alphas"),
-    (["sweep"], "region-size"), (["sweep"], "grid-step"),
+    (["generate"], "alpha"), (["sweep"], "alphas"), (["sweep"], "region-size"),
+    (["sweep"], "grid-step"), (["plot", "--metric", "re_g"], "alphas"),
     (["plot", "--metric", "re_g"], "grid-step"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_non_finite_config_value_exits_1_naming_it(command, key, bad, tmp_path,
@@ -501,13 +501,11 @@ _ALPHA_COMMANDS = {"sweep": ["sweep", "--k", "2"],
 
 class TestAlphaPrecedence:
     @pytest.mark.parametrize("command", list(_ALPHA_COMMANDS))
-    def test_both_flags_exit_1(self, command, tmp_path, capsys):
-        out = tmp_path / "out"
+    def test_alpha_is_alphas_and_the_last_one_wins(self, command, tmp_path):
+        # --alpha is argparse's prefix of --alphas, repeated like --k 2 --k 3
         assert main(_ALPHA_COMMANDS[command] + ["--alpha", "2", "--alphas", "1,1.5",
-                                                "--out", str(out)]) == 1
-        assert ("argument --alphas: not allowed with argument --alpha"
-                in capsys.readouterr().err)
-        assert not out.exists()
+                                                "--out", str(tmp_path)]) == 0
+        assert _swept_alphas(tmp_path) == [1.0, 1.5]
 
     @pytest.mark.parametrize("command", list(_ALPHA_COMMANDS))
     def test_config_repeated_alpha_exits_1(self, command, tmp_path, capsys):
@@ -539,6 +537,15 @@ class TestAlphaPrecedence:
                     + ["--out", str(tmp_path)]) == 0
         assert _swept_alphas(tmp_path) == [1.0, 2.0]
 
+    @pytest.mark.parametrize("command", list(_ALPHA_COMMANDS))
+    def test_config_alpha_alone_is_ignored(self, command, tmp_path):
+        # alpha= is generate's key; sweep and plot read alphas= or the default grid
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=3\n")
+        assert main(["--config", str(cfg)] + _ALPHA_COMMANDS[command]
+                    + ["--out", str(tmp_path)]) == 0
+        assert _swept_alphas(tmp_path) == cli.DEFAULT_ALPHAS[2]
+
 
 class TestDefaultAlphas:
     def test_one_ascending_grid_per_table_k(self):
@@ -549,11 +556,11 @@ class TestDefaultAlphas:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_ascending_is_the_one_order_accepted(self, k):
         alphas = cli.DEFAULT_ALPHAS[k]
-        assert cli._alphas_from_args(argparse.Namespace(alphas=None, alpha=None, k=k)) \
+        assert cli._alphas_from_args(argparse.Namespace(alphas=None, k=k)) \
             == alphas
         for order in (alphas[::-1], alphas[1:] + alphas[:1], alphas[:1] + alphas):
             with pytest.raises(ValueError, match="alphas must be ascending"):
-                cli._alphas_from_args(argparse.Namespace(alphas=order, alpha=None, k=k))
+                cli._alphas_from_args(argparse.Namespace(alphas=order, k=k))
 
 
 @pytest.mark.parametrize("module", ["ccdrobust"] + [
