@@ -105,10 +105,17 @@ def _check_integers(**values) -> None:
 def _check_positive(name: str, value) -> float:
     """value as a float, checked before any cache sees it: the rule for alpha,
     a region's size, a sphere's radius and a grid step.  Raises TypeError
-    for a bool, ValueError for a value that is not finite and > 0."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
-    if not (math.isfinite(value) and value > 0):
+    for a bool, a string, a numpy value that is not a 0-d integer or float,
+    or anything else math.isfinite cannot take; ValueError for a value that
+    is not finite and > 0."""
+    kind = getattr(getattr(value, "dtype", None), "kind", "f")
+    try:
+        if isinstance(value, bool) or kind not in "iuf" or getattr(value, "ndim", 0):
+            raise TypeError
+        finite = math.isfinite(value)
+    except TypeError:
+        raise TypeError(f"{name} must be a real number, got {value!r}") from None
+    if not (finite and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
     return float(value)
 

@@ -1128,7 +1128,9 @@ def _exact(value) -> str:
 class TestOneRuleForRealArguments:
     """design._check_positive's rule, shared by every real-valued argument."""
 
-    @pytest.mark.parametrize("value", [True, np.True_], ids=repr)
+    # a bool, then every other value that is not a real number
+    @pytest.mark.parametrize("value", [True, np.True_, np.array(True), "1", [1.0],
+                                       np.array([1.0])], ids=repr)
     def test_bool_refused(self, entry, value, grid_cache):
         name, call = _REAL_ARGUMENTS[entry]
         call(1.0)  # True == 1.0: a kept 1.0 must not serve it
