@@ -556,8 +556,7 @@ class TestDefaultAlphas:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_ascending_is_the_one_order_accepted(self, k):
         alphas = cli.DEFAULT_ALPHAS[k]
-        assert cli._alphas_from_args(argparse.Namespace(alphas=None, k=k)) \
-            == alphas
+        assert cli._alphas_from_args(argparse.Namespace(alphas=None, k=k)) == alphas
         for order in (alphas[::-1], alphas[1:] + alphas[:1], alphas[:1] + alphas):
             with pytest.raises(ValueError, match="alphas must be ascending"):
                 cli._alphas_from_args(argparse.Namespace(alphas=order, k=k))
