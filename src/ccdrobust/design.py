@@ -115,6 +115,8 @@ def _check_positive(name: str, value) -> float:
         finite = math.isfinite(value)
     except TypeError:
         raise TypeError(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:  # an int too large for a float
+        finite = False
     if not (finite and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
     return float(value)
