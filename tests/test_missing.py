@@ -377,6 +377,30 @@ class TestStackedSweep:
             assert (_bits(criteria_report(full, CUBE1), CriteriaReport.FIELDS)
                     == _bits(_Alone(full).report(), CriteriaReport.FIELDS)), rep.alpha
 
+    def test_residual_rows_stay_column_major(self, monkeypatch):
+        # each residual's X'X is formed from rows laid out column-major, as
+        # expand_points writes them: a BLAS may round X'X of a C-order copy
+        # differently, so the artifacts would pass here and move elsewhere
+        layouts = []
+
+        class Rows(np.ndarray):
+            def __matmul__(self, other):
+                layouts.append(other.flags.f_contiguous)
+                return np.asarray(self) @ np.asarray(other)
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def concatenate(self, *args, **kwargs):
+                return np.concatenate(*args, **kwargs).view(Rows)
+
+        monkeypatch.setattr(missing, "np", Numpy())
+        for k in (2, 5, 12):
+            layouts.clear()
+            scenario_sweep(k, 1, [2.0], CUBE1)
+            assert layouts == [True] * 3, k
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_report_of_residual_whose_g_is_at_a_probe(self, k):
         # without its one center run a design's G is at the center probe,
