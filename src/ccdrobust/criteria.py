@@ -22,7 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import linalg
-from .design import (Design, _Symmetry, _check_integers, _check_positive, _symmetry,
+from .design import (Design, _MAX_K, _Symmetry, _check_integer, _check_positive, _symmetry,
                      canonical_probe_points)
 from .model import expand_points, model_matrix, num_params
 
@@ -341,18 +341,16 @@ def _g_scan(n: int | np.ndarray, Minv: np.ndarray, k: int, symmetry: _Symmetry |
 def region_moments(region: Region, k: int) -> np.ndarray:
     """Analytic p x p region-moments matrix E[f(x) f(x)'] under the
     uniform measure on the region, computed once per (region, k) and
-    returned read-only, since every caller shares it.  Raises TypeError for
-    a bool or non-integer k (the cache is typed, so 3.0 is not served as 3),
-    ValueError for k < 2 or a size whose 3 size^4 overflows.
+    returned read-only, since every caller shares it.  k is checked by
+    design._check_integer (k >= 2; the cache is typed, so 3.0 is not served
+    as 3), and a size whose 3 size^4 overflows is a ValueError.
 
     Cube [-a, a]^k: E[x_i^2] = a^2/3, E[x_i^4] = a^4/5,
     E[x_i^2 x_j^2] = a^4/9.  Ball of radius r: E[x_i^2] = r^2/(k+2),
     E[x_i^4] = 3 r^4/((k+2)(k+4)), E[x_i^2 x_j^2] = r^4/((k+2)(k+4)).
     Odd moments vanish by symmetry.
     """
-    _check_integers(k=k)
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = _check_integer("k", k, 2)
     s = region.size
     if not math.isfinite(3 * s * s * s * s):  # the sphere's m4 numerator, the largest
         raise ValueError(f"region size {s!r} is too large: its moments overflow")
@@ -413,16 +411,12 @@ def sphere_points(k: int, radius: float, n: int) -> np.ndarray:
     """n deterministic, well-spread points on the sphere of the given
     radius: Halton sequence mapped through the Gaussian quantile and
     normalized (equal angular spacing for k = 2).  The Halton bases are
-    the first len(_PRIMES) primes, which bounds k.  A new array on every
-    call.  Raises what design._check_positive raises for the radius, then
-    TypeError for a k or n that is a bool or not an integer, ValueError for
-    k < 2 or n < 1."""
+    the first len(_PRIMES) primes, which bounds k (design._MAX_K).  A new
+    array on every call.  The radius is checked by design._check_positive,
+    then k and n by design._check_integer (2 <= k <= _MAX_K, n >= 1)."""
     radius = _check_positive("radius", radius)
-    _check_integers(k=k, n=n)
-    if not 2 <= k <= len(_PRIMES):
-        raise ValueError(f"sphere_points supports 2 <= k <= {len(_PRIMES)}, got {k}")
-    if n < 1:
-        raise ValueError(f"sphere_points needs n >= 1, got {n}")
+    k = _check_integer("k", k, 2, _MAX_K)
+    n = _check_integer("n", n, 1)
     if k == 2:
         theta = 2 * math.pi * np.arange(n) / n
         g = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -463,8 +457,10 @@ def sample_region(region: Region, k: int, n: int,
     """n uniform samples from the region, drawn from
     np.random.default_rng(seed): seeded and reproducible for an int seed,
     and the next draws of the stream for a Generator, which default_rng
-    returns unchanged.  Raises TypeError for a bool or non-integer k or n."""
-    _check_integers(k=k, n=n)
+    returns unchanged.  k and n are checked by design._check_integer
+    (k >= 1, n >= 0)."""
+    k = _check_integer("k", k, 1)
+    n = _check_integer("n", n, 0)
     rng = np.random.default_rng(seed)
     if region.shape is RegionShape.CUBOIDAL:
         return rng.uniform(-region.size, region.size, size=(n, k))
@@ -501,14 +497,11 @@ def monte_carlo_moments(region: Region, k: int, n: int,
     from the tile's model matrix F, which stays in cache, instead of from a
     chunk-sized F written once and streamed from memory twice.  Tiling
     reorders the sums only, so it moves no result by more than rounding.
-    Raises TypeError for a bool or non-integer k or n, before any sample is
-    drawn; ValueError for k < 2 or n < 2.
+    k and n are checked by design._check_integer (k >= 2, and n >= 2 for a
+    standard error) before any sample is drawn.
     """
-    _check_integers(k=k, n=n)
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if n < 2:
-        raise ValueError(f"n must be >= 2 for a standard error, got {n}")
+    k = _check_integer("k", k, 2)
+    n = _check_integer("n", n, 2)
     p = num_params(k)
     total = np.zeros((p, p))
     total_sq = np.zeros((p, p))

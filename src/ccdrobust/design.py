@@ -28,9 +28,13 @@ __all__ = [
 # Halton base per factor from criteria._PRIMES, which has 12.
 _MAX_K = 12
 
+# The most center runs, refused before _unit_ccd builds anything: at k = 12
+# and n0 = 10,000 a design has 14,120 runs, whose model matrix takes 10.3 MB.
+_MAX_N0 = 10_000
+
 # The most (k, n0) entries _unit_ccd keeps.  At n0 = 4 an alpha = 1 design
 # holds 2.2 KB of arrays at k = 5 and 0.43 MB at k = 12, so 16 of the widest
-# hold 6.9 MB.
+# hold 6.9 MB; at n0 = _MAX_N0, 1.5 MB at k = 12 and 23.5 MB for 16.
 _TEMPLATES = 16
 
 
@@ -45,10 +49,10 @@ class PointClass(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Design:
-    """An immutable design with axial distance alpha: an n x k array of
-    coded coordinates and the PointClass of each row, both read-only and
-    copied from what is passed in.  Equality is identity.  Every design
-    expands its own model rows and probe rows, once (_memo).
+    """An immutable design with axial distance alpha (_check_positive's
+    float), an n x k array of coded coordinates and the PointClass of each
+    row, both read-only and copied from what is passed in.  Equality is
+    identity.  Each design expands its own model and probe rows once (_memo).
 
     The canonical ordering is: factorial points (lexicographic over levels,
     -1 before +1), then axial pairs per axis (-alpha before +alpha, axis 1
@@ -61,6 +65,7 @@ class Design:
     classes: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", _check_positive("alpha", self.alpha))
         coords = np.array(self.coords, dtype=float)
         classes = np.array(self.classes, dtype=object)
         if coords.ndim != 2 or classes.shape != coords.shape[:1]:
@@ -95,11 +100,17 @@ class Design:
         return value
 
 
-def _check_integers(**values) -> None:
-    """Raise TypeError naming the first of values that is a bool or not an integer."""
-    for name, value in values.items():
-        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+def _check_integer(name: str, value, low: float, high: int | None = None) -> int:
+    """value as an int, checked before any cache sees it: the rule for k, n0,
+    a sample count and a row index.  Raises TypeError for a bool or a value
+    not an integer (numpy's are), ValueError for one outside [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 def _check_positive(name: str, value) -> float:
@@ -122,18 +133,13 @@ def _check_positive(name: str, value) -> float:
     return float(value)
 
 
-def _check_ccd_args(k: int, alpha: float | None, n0: int) -> float | None:
-    """alpha as a float, after raising the TypeError or ValueError gen_ccd
-    raises for its arguments, if any, in the order k, alpha (_check_positive),
-    n0; with alpha None, k and n0 alone, as scenario_sweep checks them before
-    any alpha."""
-    _check_integers(k=k, n0=n0)
-    if not 2 <= k <= _MAX_K:
-        raise ValueError(f"k must be in [2, {_MAX_K}], got {k}")
+def _check_ccd_args(k, alpha, n0) -> tuple[int, float | None, int]:
+    """k, alpha and n0 as an int, a float and an int, checked in that order
+    by _check_integer and _check_positive; with alpha None, k and n0 alone,
+    as scenario_sweep checks them before any alpha."""
+    k = _check_integer("k", k, 2, _MAX_K)
     alpha = None if alpha is None else _check_positive("alpha", alpha)
-    if n0 < 1:
-        raise ValueError(f"n0 must be >= 1, got {n0}")
-    return alpha
+    return k, alpha, _check_integer("n0", n0, 1, _MAX_N0)
 
 
 def gen_ccd(k: int, alpha: float, n0: int) -> Design:
@@ -143,11 +149,10 @@ def gen_ccd(k: int, alpha: float, n0: int) -> Design:
 
     Raises TypeError for k or n0 that is a bool or not an integer, or alpha
     that is a bool; ValueError for k < 2 (the interaction term degenerates)
-    or k > 12, alpha that is not finite and > 0, or n0 < 1.
+    or k > 12, alpha that is not finite and > 0, or n0 outside [1, 10,000].
     """
-    alpha = _check_ccd_args(k, alpha, n0)
-    k = int(k)
-    unit = _unit_ccd(k, int(n0))
+    k, alpha, n0 = _check_ccd_args(k, alpha, n0)
+    unit = _unit_ccd(k, n0)
     coords = unit.coords.copy()
     coords[2 ** k:2 ** k + 2 * k] *= alpha
     return Design(alpha, coords, unit.classes)

@@ -15,6 +15,7 @@ scaling by the full N).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import linalg
 from .criteria import (Region, _a_traces, _g_scan, _probe_rows, _spv, _v_from_moments,
                        a_trace, g_max, region_moments, v_avg)
-from .design import Design, PointClass, _Symmetry, _check_ccd_args, _check_integers, gen_ccd
+from .design import Design, PointClass, _Symmetry, _check_ccd_args, _check_integer, gen_ccd
 from .linalg import SingularMatrixError
 from .model import model_matrix
 
@@ -42,15 +43,14 @@ def delete_rows(design: Design, indices: list[int]) -> Design:
     TypeError for an index that is a bool or not an integer, ValueError for
     repeated ones, IndexError for one out of range.  The residual expands
     its own model rows and probe rows, each the parent's to the bit."""
-    for i in indices:
-        _check_integers(**{"row index": i})
+    indices = [_check_integer("row index", i, -math.inf) for i in indices]
     if len(set(indices)) != len(indices):
         raise ValueError("deleted indices must be distinct")
     for i in indices:
         if not 0 <= i < design.n:
             raise IndexError(f"row index {i} out of range for n={design.n}")
     keep = np.ones(design.n, dtype=bool)
-    keep[list(indices)] = False
+    keep[indices] = False
     return Design(design.alpha, design.coords[keep], design.classes[keep])
 
 
@@ -148,8 +148,7 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
     _efficiency; each design's G enters by its value alone.
     """
     tags = [cls.value for cls in PointClass]
-    _check_ccd_args(k, None, n0)
-    k, n0 = int(k), int(n0)
+    k, _, n0 = _check_ccd_args(k, None, n0)
     deleted = (0, 2 ** k, 2 ** k + 2 * k)
     reports = []
     for alpha in alphas:

@@ -53,6 +53,7 @@ COMMANDS = (
     ["sweep", "--region-size", "inf"],
     ["generate", "--k", "2", "--alpha", "nan"],
     ["generate", "--k", "2", "--alpha", "1", "--n0", "1000000000000000000000000000000"],
+    ["sweep", "--k", "2", "--n0", "1000000000000"],
     ["sweep", "--k", "2", "--alphas", "1", "--region-size", "1e77"],
     ["sweep", "--k", "2", "--alpha", "1.5"],
     ["plot", "--k", "2", "--metric", "loss", "--alpha", "1.5"],

@@ -80,7 +80,8 @@ def test_out_under_existing_file_exits_1_naming_it(command, tmp_path, monkeypatc
 _REJECTED_SWEEPS = [
     (["--grid-step", "-1"], "grid_step must be finite and > 0, got -1.0"),
     (["--k", "5", "--grid-step", "0.001"], "use a coarser grid step"),
-    (["--n0", "0"], "n0 must be >= 1, got 0"),
+    (["--n0", "0"], "n0 must be in [1, 10000], got 0"),
+    (["--n0", "10001"], "n0 must be in [1, 10000], got 10001"),
     (["--k", "13", "--alphas", "1"], "k must be in [2, 12], got 13"),
     (["--k", "1", "--alphas", "1"], "k must be in [2, 12], got 1"),
     (["--alphas", "0,1"], "alpha must be finite and > 0, got 0.0"),
@@ -97,6 +98,19 @@ def test_rejected_sweep_creates_no_out_directory(command, args, message, tmp_pat
     out = tmp_path / "out"
     assert main(command + args + ["--out", str(out)]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["plot", "--metric", "loss"]],
+                         ids=["sweep", "plot"])
+@pytest.mark.parametrize("n0", ["1000000000000", "1000000000000000000000000000000"])
+def test_huge_n0_refused_before_anything_is_allocated(command, n0, tmp_path, monkeypatch,
+                                                      capsys):
+    out = tmp_path / "out"
+    monkeypatch.setattr(linalg, "invert", mock.Mock(side_effect=AssertionError))
+    assert main(command + ["--k", "2", "--n0", n0, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: n0 must be in [1, 10000], got {n0}"]
     assert not out.exists()
 
 

@@ -32,7 +32,8 @@ from ccdrobust.criteria import (
     spv_many,
     v_avg,
 )
-from ccdrobust.design import Design, PointClass, canonical_probe_points, gen_ccd
+from ccdrobust.design import (_MAX_K, _MAX_N0, Design, PointClass, canonical_probe_points,
+                              gen_ccd)
 from ccdrobust.linalg import SingularMatrixError
 from ccdrobust.missing import (delete_rows, relative_g_efficiency, relative_v_efficiency,
                                scenario_sweep)
@@ -864,15 +865,6 @@ class TestMonteCarloMoments:
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
-    @pytest.mark.parametrize("n", [1, 0, -3])
-    def test_rejects_fewer_than_two_samples(self, n):
-        with pytest.raises(ValueError, match="n must be >= 2"):
-            monte_carlo_moments(CUBE1, 3, n)
-
-    def test_rejects_k_below_two(self):
-        with pytest.raises(ValueError, match="k must be >= 2"):
-            monte_carlo_moments(CUBE1, 1, 1000)
-
     @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
     def test_tiles_only_reorder_the_sums(self, shape, monkeypatch):
         # crosses a chunk boundary and leaves partial tiles in both chunks
@@ -1006,15 +998,15 @@ class TestRotatability:
     def test_sphere_points_bounds_k(self):
         pts = sphere_points(12, 2.0, 50)
         assert np.allclose(np.linalg.norm(pts, axis=1), 2.0)
-        with pytest.raises(ValueError, match="k <= 12"):
+        with pytest.raises(ValueError, match=re.escape("k must be in [2, 12], got 13")):
             sphere_points(13, 1.0, 50)
 
     @pytest.mark.parametrize("args,message", [
-        ((1, 1.0, 3), "2 <= k <= 12, got 1"),
-        ((0, 1.0, 3), "2 <= k <= 12, got 0"),
-        ((2, 1.0, 0), "n >= 1, got 0"),
-        ((3, 1.0, 0), "n >= 1, got 0"),
-        ((3, 1.0, -2), "n >= 1, got -2"),
+        ((1, 1.0, 3), "k must be in [2, 12], got 1"),
+        ((0, 1.0, 3), "k must be in [2, 12], got 0"),
+        ((2, 1.0, 0), "n must be >= 1, got 0"),
+        ((3, 1.0, 0), "n must be >= 1, got 0"),
+        ((3, 1.0, -2), "n must be >= 1, got -2"),
         ((3, -1.0, 5), "radius must be finite and > 0, got -1.0"),
         ((3, 0.0, 5), "radius must be finite and > 0, got 0.0"),
         ((3, math.nan, 2), "radius must be finite and > 0, got nan"),
@@ -1114,6 +1106,8 @@ _REAL_ARGUMENTS = {
         "grid_step", lambda x: relative_g_efficiency(*_full_and_residual(), CUBE1, x)),
     "scenario_sweep grid_step": ("grid_step",
                                  lambda x: scenario_sweep(2, 4, [1.0], CUBE1, grid_step=x)),
+    # a Design's alpha, which it keeps
+    "Design alpha": ("alpha", lambda x: Design(x, np.zeros((1, 2)), [PointClass.CENTER]).alpha),
 }
 
 
@@ -1155,49 +1149,44 @@ class TestOneRuleForRealArguments:
         assert _exact(call(value)) == _exact(call(1.0))
 
 
-@pytest.mark.parametrize("n", [*BOOLS, 2.0, np.float64(5.0), "5"], ids=repr)
-def test_sphere_points_rejects_n_not_an_integer(n):
-    with pytest.raises(TypeError, match=re.escape(f"n must be an integer, got {n!r}")):
-        sphere_points(3, 1.0, n)
+# Every value that is a bool or not an integer, some equal to a valid integer
+NOT_INTEGERS = [*BOOLS, 2.5, 3.0, np.float64(3.0), 10 ** 6 + 0.5, "3", None]
+
+# A design of 10 runs, built once, whose rows delete_rows' entry deletes
+_TEN_RUNS = gen_ccd(2, 1.0, 2)
+
+# Every public entry that takes an integer argument: the name its messages
+# give the argument, its range [low, high] (high None for no upper bound),
+# and a call with the value v.  Each range holds 3.
+_INTEGER_ARGUMENTS = {
+    "gen_ccd k": ("k", 2, _MAX_K, lambda v: gen_ccd(v, 1.5, 4)),
+    "gen_ccd n0": ("n0", 1, _MAX_N0, lambda v: gen_ccd(3, 1.5, v)),
+    "scenario_sweep k": ("k", 2, _MAX_K, lambda v: scenario_sweep(v, 4, [1.5], CUBE1)),
+    "scenario_sweep n0": ("n0", 1, _MAX_N0, lambda v: scenario_sweep(3, v, [1.5], CUBE1)),
+    "region_moments k": ("k", 2, None, lambda v: region_moments(CUBE1, v)),
+    "sphere_points k": ("k", 2, _MAX_K, lambda v: sphere_points(v, 1.0, 5)),
+    "sphere_points n": ("n", 1, None, lambda v: sphere_points(3, 1.0, v)),
+    "sample_region k": ("k", 1, None, lambda v: sample_region(CUBE1, v, 10, 0)),
+    "sample_region n": ("n", 0, None, lambda v: sample_region(CUBE1, 3, v, 0)),
+    "monte_carlo_moments k": ("k", 2, None, lambda v: monte_carlo_moments(CUBE1, v, 1000)),
+    "monte_carlo_moments n": ("n", 2, None, lambda v: monte_carlo_moments(CUBE1, 3, v)),
+    # [2, v]: a bool would otherwise be read as row 0 or 1, and [2, True]
+    # would silently delete rows 2 and 1
+    "delete_rows row index": ("row index", 0, _TEN_RUNS.n - 1,
+                              lambda v: delete_rows(_TEN_RUNS, [2, v])),
+}
+
+# Each entry with the values just outside its range and far outside it
+_OUT_OF_RANGE = [
+    pytest.param(entry, value, id=f"{entry}-{value}")
+    for entry, (_, low, high, _) in _INTEGER_ARGUMENTS.items()
+    for value in [low - 1, -10 ** 30] + ([] if high is None else [high + 1, 10 ** 30])
+]
 
 
-@pytest.mark.parametrize("n", [np.int32(5), np.uint8(5)], ids=repr)
-def test_sphere_points_accepts_numpy_integers(n):
-    assert np.array_equal(sphere_points(3, 1.0, n), sphere_points(3, 1.0, 5))
-
-
-@pytest.mark.parametrize("k", [2.5, 3.0, np.float64(3.0), True], ids=repr)
-def test_sphere_points_rejects_k_not_an_integer(k):
-    pts = sphere_points(3, 1.0, 5)  # a k equal to a valid one is checked, not coerced
-    with pytest.raises(TypeError, match=re.escape(f"k must be an integer, got {k!r}")):
-        sphere_points(k, 1.0, 5)
-    assert np.array_equal(sphere_points(np.int64(3), 1.0, 5), pts)
-
-
-NOT_INTEGERS = [*BOOLS, 2.5, np.float64(3.0), "3"]
-
-
-@pytest.mark.parametrize("k", NOT_INTEGERS, ids=repr)
-def test_region_moments_rejects_k_not_an_integer(k):
-    M = region_moments(CUBE1, 3)  # a k equal to a cached one is checked, not served
-    with pytest.raises(TypeError, match=re.escape(f"k must be an integer, got {k!r}")):
-        region_moments(CUBE1, k)
-    assert np.array_equal(region_moments(CUBE1, np.int64(3)), M)
-
-
-@pytest.mark.parametrize("name", ["k", "n"])
-@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
-def test_sample_region_rejects_k_or_n_not_an_integer(name, bad):
-    args = {"k": 3, "n": 10, name: bad}
-    with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
-        sample_region(CUBE1, args["k"], args["n"], 0)
-    assert np.array_equal(sample_region(CUBE1, np.int64(3), np.int32(10), 0),
-                          sample_region(CUBE1, 3, 10, 0))
-
-
-@pytest.mark.parametrize("name", ["k", "n"])
-@pytest.mark.parametrize("bad", [*NOT_INTEGERS, 10 ** 6 + 0.5], ids=repr)
-def test_monte_carlo_moments_rejects_k_or_n_not_an_integer(name, bad, monkeypatch):
+@pytest.fixture
+def draws(monkeypatch):
+    """The arguments of each sample_region call monte_carlo_moments makes."""
     drawn = []
     real = criteria.sample_region
 
@@ -1206,13 +1195,41 @@ def test_monte_carlo_moments_rejects_k_or_n_not_an_integer(name, bad, monkeypatc
         return real(*args)
 
     monkeypatch.setattr(criteria, "sample_region", recording)
-    args = {"k": 3, "n": 1000, name: bad}
-    with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
-        monte_carlo_moments(CUBE1, args["k"], args["n"])
-    assert drawn == []  # refused before any sample is drawn
-    for got, want in zip(monte_carlo_moments(CUBE1, np.int64(3), np.int32(1000)),
-                         monte_carlo_moments(CUBE1, 3, 1000)):
-        assert np.array_equal(got, want)
+    return drawn
+
+
+class TestOneRuleForIntegerArguments:
+    """design._check_integer's rule, shared by every integer argument.  A
+    refused value looks up no alpha = 1 design and draws no sample."""
+
+    @pytest.mark.parametrize("entry", list(_INTEGER_ARGUMENTS))
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    def test_not_an_integer_refused(self, entry, value, ccd_templates, draws):
+        name, _, _, call = _INTEGER_ARGUMENTS[entry]
+        call(3)  # a value equal to a kept int is checked, not served
+        done = ccd_templates.cache_info(), len(draws)
+        with pytest.raises(TypeError, match=re.escape(
+                f"{name} must be an integer, got {value!r}")):
+            call(value)
+        assert (ccd_templates.cache_info(), len(draws)) == done
+
+    @pytest.mark.parametrize("entry, value", _OUT_OF_RANGE)
+    def test_out_of_range_refused(self, entry, value, ccd_templates, draws):
+        name, low, high, call = _INTEGER_ARGUMENTS[entry]
+        if name == "row index":  # a row not in the design
+            error, message = IndexError, f"row index {value} out of range for n=10"
+        else:
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            error, message = ValueError, f"{name} must be {bound}, got {value}"
+        with pytest.raises(error, match=re.escape(message)):
+            call(value)
+        assert ccd_templates.cache_info().currsize == 0 and draws == []
+
+    @pytest.mark.parametrize("entry", list(_INTEGER_ARGUMENTS))
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_taken_as_its_int(self, entry, int_type):
+        _, low, _, call = _INTEGER_ARGUMENTS[entry]
+        assert _exact(call(int_type(low + 1))) == _exact(call(low + 1))
 
 
 @pytest.mark.parametrize("shape", ["cuboidal", "spherical", None, 0, ["cuboidal"], RegionShape],
