@@ -1228,8 +1228,9 @@ class TestOneRuleForIntegerArguments:
     @pytest.mark.parametrize("entry", list(_INTEGER_ARGUMENTS))
     @pytest.mark.parametrize("int_type", [np.int64, np.int32, np.uint8])
     def test_numpy_integer_taken_as_its_int(self, entry, int_type):
-        _, low, _, call = _INTEGER_ARGUMENTS[entry]
-        assert _exact(call(int_type(low + 1))) == _exact(call(low + 1))
+        _, low, high, call = _INTEGER_ARGUMENTS[entry]
+        for value in (low + 1, min(12, high or 12)):  # 2 ** 12 overflows a uint8
+            assert _exact(call(int_type(value))) == _exact(call(value))
 
 
 @pytest.mark.parametrize("shape", ["cuboidal", "spherical", None, 0, ["cuboidal"], RegionShape],
