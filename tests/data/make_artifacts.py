@@ -24,7 +24,7 @@ from pathlib import Path
 MANIFEST = Path(__file__).with_name("artifacts.json")
 
 # The CLI runs whose artifacts are pinned: the table sweeps, grid sweeps over
-# a cube and a ball, the widest design with and without a grid, a stack with
+# a cube (k = 5, and k = 4 at one alpha) and a ball, the widest design with and without a grid, a stack with
 # a singular residual with and without a grid, both plot kinds, generate and
 # verify; then the refusals, each of which exits 1 with one error line and
 # writes no file; then `--alpha` given to sweep and plot, alone and before an
@@ -35,6 +35,7 @@ COMMANDS = (
     ["sweep", "--k", "4"],
     ["sweep", "--k", "5"],
     ["sweep", "--k", "5", "--grid-step", "0.2"],
+    ["sweep", "--k", "4", "--alphas", "1", "--grid-step", "0.1"],
     ["sweep", "--k", "3", "--region", "sphere", "--grid-step", "0.1"],
     ["sweep", "--k", "12", "--alphas", "2,3.5", "--n0", "1"],
     ["sweep", "--k", "12", "--alphas", "2,3.5", "--n0", "1", "--grid-step", "1"],
