@@ -22,7 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import linalg
-from .design import (Design, _MAX_K, _Symmetry, _check_integer, _check_positive, _symmetry,
+from .design import (Design, _MAX_K, _Symmetry, _check_integer, _check_positive,
                      canonical_probe_points)
 from .model import expand_points, model_matrix, num_params
 
@@ -181,7 +181,7 @@ def _grid_chunks(region: Region, step: float,
                  symmetry: _Symmetry) -> Iterator[np.ndarray]:
     """Regular grid points at the given step in the region, in C order and
     in chunks of at most _GRID_CHUNK_ROWS points, over the fundamental
-    domain of a symmetry (flips, blocks) as _symmetry returns it: x_j >= 0
+    domain of a symmetry (flips, blocks) as a design states it: x_j >= 0
     on each flip-invariant axis, and non-decreasing coordinates within each
     block.  With no flips and one block per axis that is the whole bounding
     box, whose edge and size check, whatever the domain, are
@@ -285,11 +285,13 @@ def g_max(design: Design, region: Region,
     within _G_TIE_RTOL of the running maximum, so rounding cannot pick
     among tied maximizers; the value is the exact maximum.
 
-    The grid is searched over the fundamental domain of the design's
-    symmetry (see _symmetry and _grid_chunks), in C order: the SPV, the
+    The grid is searched over the fundamental domain of the symmetry the
+    design states (see Design and _grid_chunks), in C order: the SPV, the
     region and the grid are invariant under every sign flip and axis
     transposition that leaves the design's rows unchanged, so each grid
-    point has an image in the domain with the same SPV.
+    point has an image in the domain with the same SPV.  gen_ccd and
+    missing.delete_rows state it from the CCD's layout and the rows
+    deleted; nothing here searches the rows for it.
     - A full CCD, or one missing a center run: 0 <= x_1 <= ... <= x_k,
       up to 2^k k! times fewer points than the box.
     - Missing a factorial vertex: non-decreasing coordinates within each
@@ -297,7 +299,11 @@ def g_max(design: Design, region: Region,
       x_1 <= ... <= x_k, up to k! times fewer.
     - Missing an axial run on axis j: x_j free, and the other axes
       non-negative and non-decreasing, up to 2^(k-1) (k-1)! times fewer.
-    - A design with no such symmetry: the whole box.
+    - A design missing rows that no flip or swap fixes: the whole box.
+    - A design built directly with Design(...) states no symmetry: the
+      whole box, even when its rows are symmetric.  That is up to 2^k k!
+      times more points than its domain, for the same G within 1e-12, and
+      a tied maximum is reported at the first point of the box in C order.
     A tied grid maximum is reported at the domain's representative: at
     k=5, alpha=1, step 0.2 the full design's location is (0 0 1 1 1), not
     (-1 -1 -1 0 0).
@@ -310,7 +316,7 @@ def g_max(design: Design, region: Region,
     bad step raises ValueError where its grid is built (_grid_half_width).
     """
     head = [model_matrix(design), _probe_rows(design)]
-    symmetry = None if grid_step is None else _symmetry(design.coords)
+    symmetry = None if grid_step is None else design._stated_symmetry
     return _g_scan(design.n, information_inverse(design), design.k, symmetry, region,
                    grid_step, head)
 
@@ -321,8 +327,8 @@ def _g_scan(n: int | np.ndarray, Minv: np.ndarray, k: int, symmetry: _Symmetry |
     """g_max's scan, for g_max and missing.scenario_sweep: the maximum SPV of
     the k-factor design with run count n and inverse Minv, and its location,
     over the model rows of each chunk of head and then, when grid_step is
-    not None, of the grid domain of the design's symmetry (g_max passes
-    _symmetry of the design's coords, scenario_sweep its _sweep_symmetries).
+    not None, of the grid domain of the design's symmetry (g_max passes the
+    one the design states, scenario_sweep the one each of its designs would).
     The location is a model row's columns 1..k.  It moves to the chunk's
     first value within _G_TIE_RTOL of the chunk's maximum when that exceeds
     the running maximum by more than _G_TIE_RTOL."""

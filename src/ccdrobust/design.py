@@ -32,6 +32,12 @@ _MAX_K = 12
 # and n0 = 10,000 a design has 14,120 runs, whose model matrix takes 10.3 MB.
 _MAX_N0 = 10_000
 
+# A design's symmetry (flips, blocks): the axes whose sign flip leaves its
+# rows unchanged, and a partition of the axes into blocks whose
+# transpositions do, in canonical form (flips sorted, each block sorted,
+# blocks ordered by their first axis).  criteria.g_max reads it.
+_Symmetry = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
 # The most (k, n0) entries _unit_ccd keeps.  At n0 = 4 an alpha = 1 design
 # holds 2.2 KB of arrays at k = 5 and 0.43 MB at k = 12, so 16 of the widest
 # hold 6.9 MB; at n0 = _MAX_N0, 1.5 MB at k = 12 and 23.5 MB for 16.
@@ -54,6 +60,14 @@ class Design:
     row, both read-only and copied from what is passed in.  Equality is
     identity.  Each design expands its own model and probe rows once (_memo).
 
+    The symmetry g_max's grid search reads is stated by the function that
+    builds the design (_stating): gen_ccd states a CCD's, every flip and all
+    axes one block, and missing.delete_rows a residual's.  A design built
+    here states none, one block per axis and no flip, so its grid is the
+    whole box even when its rows are symmetric: up to 2^k k! times more
+    points than its fundamental domain, the same G within 1e-12, and a tied
+    maximum at the first point of the box in C order.
+
     The canonical ordering is: factorial points (lexicographic over levels,
     -1 before +1), then axial pairs per axis (-alpha before +alpha, axis 1
     to k), then the center replicates.  Residual designs produced by
@@ -75,6 +89,7 @@ class Design:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "_memoized", {})  # see _memo
+        self._stating(((), tuple((j,) for j in range(coords.shape[1]))))
 
     @property
     def n(self) -> int:
@@ -86,6 +101,11 @@ class Design:
 
     def rows_of_class(self, point_class: PointClass) -> np.ndarray:
         return np.flatnonzero(self.classes == point_class)
+
+    def _stating(self, symmetry: _Symmetry) -> Design:
+        """The design, whose stated symmetry is now symmetry, canonical."""
+        object.__setattr__(self, "_stated_symmetry", symmetry)
+        return self
 
     def _memo(self, key: str, make) -> np.ndarray:
         """The array make() returns, computed once per design and kept
@@ -145,7 +165,8 @@ def _check_ccd_args(k, alpha, n0) -> tuple[int, float | None, int]:
 def gen_ccd(k: int, alpha: float, n0: int) -> Design:
     """Build a full central composite design: a new Design on every call,
     whose coordinates are those of the (k, n0) design at alpha = 1
-    (_unit_ccd) with the axial entries scaled to +-alpha.
+    (_unit_ccd) with the axial entries scaled to +-alpha.  It states the
+    CCD's symmetry: every axis flips, and all axes form one block.
 
     Raises TypeError for k or n0 that is a bool or not an integer, or alpha
     that is a bool; ValueError for k < 2 (the interaction term degenerates)
@@ -155,48 +176,8 @@ def gen_ccd(k: int, alpha: float, n0: int) -> Design:
     unit = _unit_ccd(k, n0)
     coords = unit.coords.copy()
     coords[2 ** k:2 ** k + 2 * k] *= alpha
-    return Design(alpha, coords, unit.classes)
-
-
-# (flips, blocks): the flip-invariant axes, and a partition of the axes into
-# blocks of mutually transposable ones, each in axis order.
-_Symmetry = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
-
-
-def _symmetry(X: np.ndarray) -> _Symmetry:
-    """The product-form symmetry of a design's n x k coordinates X:
-    (flips, blocks), the axes whose sign flip leaves the multiset of rows
-    unchanged and the partition of the axes into blocks whose
-    transpositions do, each in axis order.  Each candidate is applied to
-    the rows, which are then sorted and compared with X's sorted rows.
-    Since (a c) = (a b)(b c)(a b), each axis is tested against the first
-    axis of each block found so far; since (a b) carries the flip of a to
-    the flip of b, a block's axes are all flip-invariant or none.  The
-    signed permutations these generate leave the SPV, the region and the
-    grid unchanged.  A symmetry not of this form (a deleted mixed-sign
-    factorial vertex is fixed by signed transpositions) contributes only its
-    product subgroup, so the search domain is larger than it could be, but
-    correct.  criteria.g_max passes a design's coords; for a CCD and its
-    class deletions, missing._sweep_symmetries states the values.
-    """
-    k = X.shape[1]
-    rows = X[np.lexsort(X.T)]
-
-    def invariant(Y: np.ndarray) -> bool:
-        return np.array_equal(Y[np.lexsort(Y.T)], rows)
-
-    flips = tuple(j for j in range(k) if invariant(np.where(np.arange(k) == j, -X, X)))
-    blocks: list[list[int]] = []
-    for j in range(k):
-        for block in blocks:
-            axes = list(range(k))
-            axes[block[0]], axes[j] = j, block[0]
-            if invariant(X[:, axes]):
-                block.append(j)
-                break
-        else:
-            blocks.append([j])
-    return flips, tuple(tuple(block) for block in blocks)
+    axes = tuple(range(k))
+    return Design(alpha, coords, unit.classes)._stating((axes, (axes,)))
 
 
 @functools.lru_cache(maxsize=_TEMPLATES)

@@ -42,7 +42,9 @@ def delete_rows(design: Design, indices: list[int]) -> Design:
     """Residual design with the given rows removed, in their order.  Raises
     TypeError for an index that is a bool or not an integer, ValueError for
     repeated ones, IndexError for one out of range.  The residual expands
-    its own model rows and probe rows, each the parent's to the bit."""
+    its own model rows and probe rows, each the parent's to the bit, and
+    states the part of the parent's symmetry that fixes every deleted row
+    (_fixing)."""
     indices = [_check_integer("row index", i, -math.inf) for i in indices]
     if len(set(indices)) != len(indices):
         raise ValueError("deleted indices must be distinct")
@@ -51,7 +53,25 @@ def delete_rows(design: Design, indices: list[int]) -> Design:
             raise IndexError(f"row index {i} out of range for n={design.n}")
     keep = np.ones(design.n, dtype=bool)
     keep[indices] = False
-    return Design(design.alpha, design.coords[keep], design.classes[keep])
+    residual = Design(design.alpha, design.coords[keep], design.classes[keep])
+    return residual._stating(_fixing(design._stated_symmetry, design.coords[indices]))
+
+
+def _fixing(symmetry: _Symmetry, rows: np.ndarray) -> _Symmetry:
+    """The part of a design's symmetry (flips, blocks) that fixes each of the
+    m x k rows, so that it is a symmetry of the design without them: a flip
+    of an axis on which every row is 0, and each block split into the axes
+    on which the rows take equal values; canonical as design._Symmetry
+    is.  For one deleted row of a CCD it is that residual's every product
+    symmetry (Box and Hunter's 1957 layout); for more rows, a subgroup."""
+    flips, blocks = symmetry
+    columns = [tuple(column) for column in rows.T.tolist()]
+    parts: dict[tuple, list[int]] = {}
+    for b, block in enumerate(blocks):
+        for j in block:
+            parts.setdefault((b, columns[j]), []).append(j)
+    return (tuple(j for j in flips if not any(columns[j])),
+            tuple(sorted(map(tuple, parts.values()))))
 
 
 def increase_in_variance(full: Design, residual: Design) -> float:
@@ -142,8 +162,9 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
       probes take one stacked call each, the last the SPV over [full rows;
       probes] with each residual's deleted row masked;
     - with a grid, each design's G is the larger of that and the maximum
-      g_max's scan (criteria._g_scan) finds over its grid domain, from its
-      symmetry, which is the same at every alpha (_sweep_symmetries).
+      g_max's scan (criteria._g_scan) finds over the grid domain of its
+      symmetry: the full design's as gen_ccd states it, and each
+      residual's as delete_rows would (_fixing of its deleted row).
     The loss and the efficiencies are the per-design functions' _loss and
     _efficiency; each design's G enters by its value alone.
     """
@@ -166,7 +187,8 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
             S[j, deleted[i - 1]] = -np.inf
         g = S.max(axis=1).tolist()
         if grid_step is not None:
-            sym = _sweep_symmetries(k)
+            sym = full._stated_symmetry
+            sym = [sym] + [_fixing(sym, full.coords[row:row + 1]) for row in deleted]
             g = [max(g[j], _g_scan(ns[j], Minv[j], k, sym[i], region, grid_step)[0])
                  for j, i in enumerate(live)]
         rep = LossReport(alpha=alpha, a_full=a[0])
@@ -178,18 +200,6 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
         rep.inestimable = [tags[i - 1] for i in (1, 2, 3) if i not in live]
         reports.append(rep)
     return reports
-
-
-def _sweep_symmetries(k: int) -> tuple[_Symmetry, ...]:
-    """The _symmetry of gen_ccd(k, alpha, n0) and of the residuals
-    scenario_sweep scores, from Box and Hunter's (1957) CCD layout: every
-    flip and swap for the full design and without a center run; the swaps
-    without row 0, the (-1, ..., -1) vertex; the flips and swaps of axes
-    2..k without row 2^k, (-alpha, 0, ..., 0).  n0 and alpha > 0 do not
-    matter: center runs sit at the origin, and an axial run has one nonzero
-    coordinate, so it never equals a vertex or the center."""
-    axes = tuple(range(k))
-    return (axes, (axes,)), ((), (axes,)), (axes[1:], ((0,), axes[1:])), (axes, (axes,))
 
 
 def _invert_stack(alpha: float, M: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -19,7 +19,7 @@ from ccdrobust import criteria, design, linalg, missing, verify
 from ccdrobust.cli import DEFAULT_ALPHAS, main
 from ccdrobust.criteria import (Region, RegionShape, _probe_rows, _sphere_rows, a_trace,
                                 criteria_report, sphere_points)
-from ccdrobust.design import Design, PointClass, _symmetry, canonical_probe_points, gen_ccd
+from ccdrobust.design import Design, PointClass, canonical_probe_points, gen_ccd
 from ccdrobust.fixtures import LOSS_TABLES, SPV_TABLES
 from ccdrobust.missing import delete_rows, scenario_sweep
 from ccdrobust.model import model_matrix, num_params
@@ -118,20 +118,26 @@ def test_templates_fill_in_the_oracles_arrays(k, n0, monkeypatch):
 
 @pytest.mark.parametrize("k", range(2, 9))
 @pytest.mark.parametrize("n0", [1, 2, 4, 7])
-def test_template_symmetries_hold_at_every_alpha(k, n0):
-    # stated for k alone, they are the symmetries of the full design and of
-    # each class deletion at every n0 and alpha (k > 8 takes seconds, and
-    # agrees through k = 12)
-    symmetries = missing._sweep_symmetries(k)
-    nf = 2 ** k
+def test_template_symmetries_hold_at_every_alpha(k, n0, monkeypatch):
+    # the symmetries scenario_sweep hands its grid scans, which do not depend
+    # on alpha, are those gen_ccd states and delete_rows states for the first
+    # run of each class, at every n0 and alpha (test_criteria.py checks them
+    # against their definition)
+    scanned = []
+
+    def recording(n, Minv, k, symmetry, region, grid_step):
+        scanned.append(symmetry)
+        return 0.0, ()
+
+    monkeypatch.setattr(missing, "_g_scan", recording)
+    rep, = scenario_sweep(k, n0, [1.5], CUBE1, grid_step=1.0)
+    assert rep.inestimable == [] and len(scanned) == 4
     seeded = np.random.default_rng(2300 + 10 * k + n0).uniform(0.05, 4.0, 3).tolist()
     for alpha in _alphas(k) + seeded:
         d = gen_ccd(k, alpha, n0)
-        want = [_symmetry(d.coords)]
-        want += [_symmetry(np.delete(d.coords, row, axis=0)) for row in (0, nf, nf + 2 * k)]
-        want += [_symmetry(delete_rows(d, [d.rows_of_class(cls)[0]]).coords)
-                 for cls in PointClass]
-        assert list(symmetries) == want[:4] and want[1:4] == want[4:]
+        stated = [d._stated_symmetry] + [delete_rows(d, [d.rows_of_class(cls)[0]])._stated_symmetry
+                                         for cls in PointClass]
+        assert stated == scanned, alpha
 
 
 @pytest.mark.parametrize("k", range(2, 13))

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ccdrobust import criteria
+from ccdrobust import criteria, missing
 from ccdrobust.cli import DEFAULT_ALPHAS, main
 from ccdrobust.criteria import (
     Region,
@@ -18,7 +18,6 @@ from ccdrobust.criteria import (
     _grid_chunks,
     _grid_half_width,
     _sphere_rows,
-    _symmetry,
     a_trace,
     criteria_report,
     g_max,
@@ -356,6 +355,13 @@ class TestReducedGSearch:
         assert loc == (0.0, 0.0, 1.0, 1.0, 1.0)
         mirror = np.array([[-1.0, -1.0, -1.0, 0.0, 0.0]])
         assert spv_many(gen_ccd(5, 1.0, 4), mirror)[0] == pytest.approx(val, rel=1e-12)
+        # the same rows built directly state no symmetry: the whole box is
+        # searched, and the tie is reported at its first point in C order
+        full = gen_ccd(5, 1.0, 4)
+        box_val, box_loc = g_max(Design(full.alpha, full.coords, full.classes), CUBE1,
+                                 grid_step=0.2)
+        assert box_val == pytest.approx(val, rel=1e-12, abs=0)
+        assert box_loc == (-1.0, -1.0, -1.0, 0.0, 0.0)
 
     def test_domain_sizes(self, monkeypatch):
         # rows handed to the SPV kernel: the design rows, 3 probes, then the
@@ -374,7 +380,10 @@ class TestReducedGSearch:
                    "center": (_deleted(full, PointClass.CENTER), 126),
                    "factorial": (_deleted(full, PointClass.FACTORIAL), 1287),
                    "axial": (_deleted(full, PointClass.AXIAL), 630),
-                   "no symmetry": (_with_points(rng.uniform(-1, 1, (30, 5))), 9 ** 5)}
+                   "no symmetry": (_with_points(rng.uniform(-1, 1, (30, 5))), 9 ** 5),
+                   # symmetric rows, but built directly: the whole box
+                   "square": (_with_points(list(itertools.product((-1, 0, 1), repeat=2))),
+                              9 ** 2)}
         for name, (d, grid) in designs.items():
             counts.append(0)
             g_max(d, CUBE1, grid_step=0.25)
@@ -396,41 +405,20 @@ def _symmetry_cases():
                 # the first axial run, on axis 0
                 yield (f"k={k}-n0={n0}-alpha={alpha}-axial", _deleted(full, PointClass.AXIAL),
                        (axes[1:], ((0,), axes[1:])))
-    yield "square", _with_points([(1, 1), (1, -1), (-1, 1), (-1, -1)]), ((0, 1), ((0, 1),))
-    yield ("flips-only rectangle", _with_points([(1, 2), (1, -2), (-1, 2), (-1, -2)]),
-           ((0, 1), ((0,), (1,))))
-    yield ("permutations-only triangle", _with_points([(1, 0), (0, 1), (0, 0)]),
-           ((), ((0, 1),)))
-    yield ("box with a longer axis",
-           _with_points(list(itertools.product((-1, 1), (-1, 1), (-2, 2)))),
-           ((0, 1, 2), ((0, 1), (2,))))
-    # sign flips and cyclic shifts of the axes, but no transposition
-    cyclic = [(x[i], x[(i + 1) % 3], x[(i + 2) % 3])
-              for x in itertools.product((-2, 2), (-1, 1), (0,)) for i in range(3)]
-    yield "cyclic", _with_points(cyclic), ((0, 1, 2), ((0,), (1,), (2,)))
-    # one run moved by one ulp: only the swap of axes 1 and 2 survives
-    pts = gen_ccd(3, 1.5, 1).coords.tolist()
-    pts[0] = (np.nextafter(-1.0, 0.0), -1.0, -1.0)
-    yield "one-ulp perturbed run", _with_points(pts), ((), ((0,), (1, 2)))
-    yield ("no symmetry", _with_points([(0.1, 0.2, 0.3), (0.5, -0.4, 0.0), (-0.7, 0.6, 0.9)]),
-           _box_symmetry(3))
 
 
 @pytest.mark.parametrize("design,want", [case[1:] for case in _symmetry_cases()],
                          ids=[case[0] for case in _symmetry_cases()])
 def test_symmetry_truth_table(design, want):
-    assert _symmetry(design.coords) == want
+    assert design._stated_symmetry == want
 
 
-def assert_symmetry_by_definition(X):
-    """_symmetry(X) against its definition, the multiset of rows counted
-    with Counter: an axis is in flips exactly when its sign flip leaves the
-    rows unchanged, and two axes share a block exactly when swapping them
-    does; the blocks partition the axes, each in axis order.  A row is
-    counted by the bytes of its values plus 0.0, which are equal exactly
-    when the values are (adding 0.0 turns -0.0 into 0.0), and a quarter as
-    costly as a tuple of floats; the counts compare as items, in C."""
-    flips, blocks = _symmetry(X)
+def _invariance(X):
+    """Whether an n x k array holds X's rows, as a multiset counted with
+    Counter.  A row is counted by the bytes of its values plus 0.0, which
+    are equal exactly when the values are (adding 0.0 turns -0.0 into 0.0),
+    and a quarter as costly as a tuple of floats; the counts compare as
+    items, in C."""
     k = X.shape[1]
 
     def counts(Y):
@@ -438,85 +426,116 @@ def assert_symmetry_by_definition(X):
         return Counter(Y.view(f"V{8 * k}").ravel().tolist()).items()
 
     rows = counts(X)
+    return lambda Y: counts(Y) == rows
 
-    def invariant(Y):
-        return counts(Y) == rows
 
-    for j in range(k):
-        assert invariant(np.where(np.arange(k) == j, -X, X)) == (j in flips), j
+def _flipped(X, j):
+    return np.where(np.arange(X.shape[1]) == j, -X, X)
+
+
+def _swapped(X, a, c):
+    axes = list(range(X.shape[1]))
+    axes[a], axes[c] = c, a
+    return X[:, axes]
+
+
+def _assert_canonical(symmetry, k):
+    """flips sorted, the blocks a partition of the axes, each sorted, and
+    the blocks ordered by their first axis."""
+    flips, blocks = symmetry
+    assert list(flips) == sorted(set(flips))
     assert sorted(j for block in blocks for j in block) == list(range(k))
     assert all(list(block) == sorted(block) for block in blocks)
+    assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
+
+
+def assert_symmetry_by_definition(X, symmetry):
+    """A stated symmetry against its definition for the rows X: an axis is
+    in flips exactly when its sign flip leaves the rows unchanged, and two
+    axes share a block exactly when swapping them does."""
+    k = X.shape[1]
+    _assert_canonical(symmetry, k)
+    flips, blocks = symmetry
+    invariant = _invariance(X)
+    for j in range(k):
+        assert invariant(_flipped(X, j)) == (j in flips), j
     block_of = {j: block for block in blocks for j in block}
     for a, c in itertools.combinations(range(k), 2):
-        axes = list(range(k))
-        axes[a], axes[c] = c, a
-        assert invariant(X[:, axes]) == (block_of[a] is block_of[c]), (a, c)
+        assert invariant(_swapped(X, a, c)) == (block_of[a] is block_of[c]), (a, c)
 
 
-def _closed_under_random_symmetries(rng, X, ops):
-    """X joined with its images under a few random sign flips and axis
-    swaps, each an involution, so the rows are invariant under the last."""
-    k = X.shape[1]
-    for _ in range(ops):
-        Y = X.copy()
-        if k == 1 or rng.random() < 0.5:
-            Y[:, rng.integers(k)] *= -1
-        else:
-            a, b = rng.choice(k, 2, replace=False)
-            Y[:, [a, b]] = Y[:, [b, a]]
-        X = np.vstack([X, Y])
-    return X
+def assert_symmetry_is_a_subgroup(X, symmetry):
+    """Every flip and every swap within a block of a stated symmetry leaves
+    the rows X unchanged; the rows may have more symmetries."""
+    _assert_canonical(symmetry, X.shape[1])
+    flips, blocks = symmetry
+    invariant = _invariance(X)
+    for j in flips:
+        assert invariant(_flipped(X, j)), j
+    for block in blocks:
+        for a, c in itertools.combinations(block, 2):
+            assert invariant(_swapped(X, a, c)), (a, c)
 
 
 class TestSymmetryAgainstOracle:
-    """_symmetry against its definition (assert_symmetry_by_definition)."""
+    """The symmetry gen_ccd and delete_rows state, against its definition."""
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
     def test_every_single_deletion(self, k):
         for alpha in (0.5, 1.0, 1.3, math.sqrt(k), 2.0):
             for n0 in (1, 4):
                 full = gen_ccd(k, alpha, n0)
-                assert_symmetry_by_definition(full.coords)
+                assert_symmetry_by_definition(full.coords, full._stated_symmetry)
                 for row in range(full.n):
-                    assert_symmetry_by_definition(delete_rows(full, [row]).coords)
+                    res = delete_rows(full, [row])
+                    assert_symmetry_by_definition(res.coords, res._stated_symmetry)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_seeded_triple_deletions(self, k):
+        # a residual without three rows states a subgroup of its symmetry:
+        # a flip or swap that maps the deleted rows onto each other is lost
         rng = np.random.default_rng(100 + k)
         for alpha in (1.0, math.sqrt(k)):
             full = gen_ccd(k, alpha, 2)
             for _ in range(40):
                 residual = delete_rows(full, rng.choice(full.n, 3, replace=False).tolist())
-                assert_symmetry_by_definition(residual.coords)
+                assert_symmetry_is_a_subgroup(residual.coords, residual._stated_symmetry)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_seeded_integer_designs(self, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(25):
-            k = int(rng.integers(1, 7))
-            X = rng.integers(-2, 3, (int(rng.integers(1, 9)), k)).astype(float)
-            d = _with_points(_closed_under_random_symmetries(rng, X, int(rng.integers(0, 4))))
-            assert_symmetry_by_definition(d.coords)
+    @pytest.mark.parametrize("k", range(2, _MAX_K + 1))
+    def test_sweep_symmetries(self, k, monkeypatch):
+        # the full design's and those of the residuals without rows 0, 2^k
+        # and 2^k + 2k, which scenario_sweep hands its grid scans
+        scanned = []
 
-    def test_wide_keys_beyond_int64(self):
-        # k = 12 with the 64 values +-1 .. +-32, so a row key in base 64 would
-        # need 64^12 >= 2^62 and overflow int64, and axis 0's flip could pass
-        # for a symmetry: the rows are compared, not keyed
-        rng = np.random.default_rng(12)
-        X = rng.integers(1, 33, (40, 12)) * rng.choice([-1, 1], (40, 12))
-        X[:, 0] = np.abs(X[:, 0])
-        X[:32, 1] = np.arange(1, 33)
-        Y = X.copy()
-        Y[:, 5] *= -1
-        X = np.vstack([X, Y])
-        Y = X.copy()
-        Y[:, [8, 9]] = Y[:, [9, 8]]
-        X = np.vstack([X, Y])
-        assert len(np.unique(np.concatenate([X, -X]))) == 64
-        d = _with_points(X.astype(float))
-        flips, blocks = _symmetry(d.coords)
-        assert 0 not in flips and 5 in flips and (8, 9) in blocks
-        assert_symmetry_by_definition(d.coords)
+        def recording(n, Minv, k, symmetry, region, grid_step):
+            scanned.append(symmetry)
+            return 0.0, ()
+
+        monkeypatch.setattr(missing, "_g_scan", recording)
+        scenario_sweep(k, 2, [1.5], CUBE1, grid_step=1.0)
+        X = gen_ccd(k, 1.5, 2).coords
+        rows = [X] + [np.delete(X, row, axis=0) for row in (0, 2 ** k, 2 ** k + 2 * k)]
+        assert len(scanned) == 4
+        for Y, symmetry in zip(rows, scanned):
+            assert_symmetry_by_definition(Y, symmetry)
+
+    def test_deletions_in_turn_state_what_one_deletion_does(self):
+        full = gen_ccd(4, 1.5, 2)
+        rows = [3, 17, 20]
+        res = full
+        for row in sorted(rows, reverse=True):
+            res = delete_rows(res, [row])
+        assert res._stated_symmetry == delete_rows(full, rows)._stated_symmetry
+        assert np.array_equal(res.coords, delete_rows(full, rows).coords)
+
+    def test_hand_built_design_states_no_symmetry(self):
+        # the rows of the square and of a CCD are symmetric, but a design
+        # built directly is searched over its whole box, as is its residual
+        full = gen_ccd(3, 1.5, 2)
+        for d in (_with_points([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+                  Design(full.alpha, full.coords, full.classes)):
+            assert d._stated_symmetry == _box_symmetry(d.k)
+            assert delete_rows(d, [d.n - 1])._stated_symmetry == _box_symmetry(d.k)
 
 
 class TestGridChunks:
@@ -626,7 +645,7 @@ class TestGridCache:
         assert main(["sweep", "--k", "3", "--grid-step", "0.5",
                      "--out", str(tmp_path)]) == 0
         # full and center-deleted designs share a symmetry at every alpha
-        symmetries = {_symmetry(d.coords) for alpha in DEFAULT_ALPHAS[3]
+        symmetries = {d._stated_symmetry for alpha in DEFAULT_ALPHAS[3]
                       for full in [gen_ccd(3, alpha, 4)]
                       for d in [full] + [_deleted(full, cls) for cls in PointClass]}
         assert len(symmetries) == 3
@@ -673,7 +692,7 @@ class TestGridCache:
         full = gen_ccd(3, 1.5, 4)
         designs = [full] + [_deleted(full, cls)
                             for cls in (PointClass.FACTORIAL, PointClass.AXIAL)]
-        keys = [(CUBE1, 0.5, _symmetry(d.coords)) for d in designs]
+        keys = [(CUBE1, 0.5, d._stated_symmetry) for d in designs]
         for d in designs:
             g_max(d, CUBE1, grid_step=0.5)
         assert list(grid_cache) == keys[:2]

@@ -133,10 +133,14 @@ class TestGenCcd:
 
     def test_a_design_is_its_arrays(self):
         # a gen_ccd design holds what a hand-built one holds, and no link to
-        # the alpha = 1 design it was scaled from
+        # the alpha = 1 design it was scaled from; only the symmetry each
+        # states differs
         d = gen_ccd(3, 1.5, 4)
         e = Design(1.5, d.coords, d.classes)
-        assert set(vars(d)) == set(vars(e)) == {"alpha", "coords", "classes", "_memoized"}
+        assert set(vars(d)) == set(vars(e)) == {"alpha", "coords", "classes", "_memoized",
+                                                "_stated_symmetry"}
+        assert d._stated_symmetry == ((0, 1, 2), ((0, 1, 2),))
+        assert e._stated_symmetry == ((), ((0,), (1,), (2,)))
 
     def test_rejects_mismatched_arrays(self):
         d = gen_ccd(2, 1.0, 4)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from ccdrobust import criteria, design, missing
+from ccdrobust import criteria, missing
 from ccdrobust.cli import DEFAULT_ALPHAS
 from ccdrobust.criteria import (
     CriteriaReport,
@@ -453,30 +453,32 @@ class TestStackedSweep:
             assert reports[1].inestimable == ["center"]
             assert calls == {"delete_rows": 0, "_grid_models": 4 + 3}
 
-    def test_grid_path_computes_no_symmetry_per_alpha(self, monkeypatch, ccd_templates,
-                                                      grid_cache):
-        # the sweep computes no symmetry, since _sweep_symmetries states its
-        # four; g_max of any design computes its own, on a grid
-        calls = []
+    def test_grid_path_reads_stated_symmetries(self, monkeypatch, grid_cache):
+        # the sweep's grid domains are those of the symmetries gen_ccd and
+        # delete_rows state, and g_max reads a residual's as it was stated
+        keys = []
+        real = criteria._grid_models
 
-        def counting(X, real=design._symmetry):
-            calls.append(X.shape)
-            return real(X)
-        assert criteria._symmetry is design._symmetry
-        for module in (design, criteria):
-            monkeypatch.setattr(module, "_symmetry", counting)
+        def recording(region, step, symmetry):
+            keys.append((region, step, symmetry))
+            return real(region, step, symmetry)
+
+        monkeypatch.setattr(criteria, "_grid_models", recording)
         for k in (3, 5):
+            keys.clear()
             reports = scenario_sweep(k, 4, [1.0, 1.7, 2.0], CUBE1, grid_step=0.5)
-            assert calls == []
+            full = gen_ccd(k, 1.7, 4)
+            stated = [full._stated_symmetry] + [
+                delete_rows(full, [full.rows_of_class(cls)[0]])._stated_symmetry
+                for cls in PointClass]
+            assert keys == 3 * [(CUBE1, 0.5, sym) for sym in stated]
             assert scenario_sweep(k, 4, [1.0, 1.7, 2.0], CUBE1, grid_step=0.5) == reports
-            assert calls == []
         # the deleted (-1, -1, +1) vertex leaves x1 <-> x2 as the only
         # symmetry, whose domain and maximum stay as they were
         res = delete_rows(gen_ccd(3, 1.7, 4), [1])
+        assert res._stated_symmetry == ((), ((0, 1), (2,)))
         assert g_max(res, CUBE1) == (14.05113396634448, (1.0, 1.0, -1.0))
-        assert calls == []
         assert g_max(res, CUBE1, grid_step=0.5) == (33.96996033357576, (-1.0, -1.0, 1.0))
-        assert calls == [(res.n, 3)]
         assert (CUBE1, 0.5, ((), ((0, 1), (2,)))) in grid_cache
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
