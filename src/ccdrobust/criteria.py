@@ -348,15 +348,15 @@ def region_moments(region: Region, k: int) -> np.ndarray:
     """Analytic p x p region-moments matrix E[f(x) f(x)'] under the
     uniform measure on the region, computed once per (region, k) and
     returned read-only, since every caller shares it.  k is checked by
-    design._check_integer (k >= 2; the cache is typed, so 3.0 is not served
-    as 3), and a size whose 3 size^4 overflows is a ValueError.
+    design._check_integer (2 <= k <= _MAX_K; the cache is typed, so 3.0 is
+    not served as 3), and a size whose 3 size^4 overflows is a ValueError.
 
     Cube [-a, a]^k: E[x_i^2] = a^2/3, E[x_i^4] = a^4/5,
     E[x_i^2 x_j^2] = a^4/9.  Ball of radius r: E[x_i^2] = r^2/(k+2),
     E[x_i^4] = 3 r^4/((k+2)(k+4)), E[x_i^2 x_j^2] = r^4/((k+2)(k+4)).
     Odd moments vanish by symmetry.
     """
-    k = _check_integer("k", k, 2)
+    k = _check_integer("k", k, 2, _MAX_K)
     s = region.size
     if not math.isfinite(3 * s * s * s * s):  # the sphere's m4 numerator, the largest
         raise ValueError(f"region size {s!r} is too large: its moments overflow")
@@ -464,8 +464,8 @@ def sample_region(region: Region, k: int, n: int,
     np.random.default_rng(seed): seeded and reproducible for an int seed,
     and the next draws of the stream for a Generator, which default_rng
     returns unchanged.  k and n are checked by design._check_integer
-    (k >= 1, n >= 0)."""
-    k = _check_integer("k", k, 1)
+    (1 <= k <= _MAX_K, n >= 0)."""
+    k = _check_integer("k", k, 1, _MAX_K)
     n = _check_integer("n", n, 0)
     rng = np.random.default_rng(seed)
     if region.shape is RegionShape.CUBOIDAL:
@@ -503,10 +503,10 @@ def monte_carlo_moments(region: Region, k: int, n: int,
     from the tile's model matrix F, which stays in cache, instead of from a
     chunk-sized F written once and streamed from memory twice.  Tiling
     reorders the sums only, so it moves no result by more than rounding.
-    k and n are checked by design._check_integer (k >= 2, and n >= 2 for a
-    standard error) before any sample is drawn.
+    k and n are checked by design._check_integer (2 <= k <= _MAX_K, and
+    n >= 2 for a standard error) before any sample is drawn.
     """
-    k = _check_integer("k", k, 2)
+    k = _check_integer("k", k, 2, _MAX_K)
     n = _check_integer("n", n, 2)
     p = num_params(k)
     total = np.zeros((p, p))

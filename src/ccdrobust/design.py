@@ -60,13 +60,10 @@ class Design:
     row, both read-only and copied from what is passed in.  Equality is
     identity.  Each design expands its own model and probe rows once (_memo).
 
-    The symmetry g_max's grid search reads is stated by the function that
-    builds the design (_stating): gen_ccd states a CCD's, every flip and all
-    axes one block, and missing.delete_rows a residual's.  A design built
-    here states none, one block per axis and no flip, so its grid is the
-    whole box even when its rows are symmetric: up to 2^k k! times more
-    points than its fundamental domain, the same G within 1e-12, and a tied
-    maximum at the first point of the box in C order.
+    Its symmetry, whose fundamental domain g_max's grid search covers, is
+    stated by the function that builds it (_stating): gen_ccd and
+    missing.delete_rows.  A design built here states none (no flip, one
+    block per axis), even for symmetric rows; g_max says what that costs.
 
     The canonical ordering is: factorial points (lexicographic over levels,
     -1 before +1), then axial pairs per axis (-alpha before +alpha, axis 1

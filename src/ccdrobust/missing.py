@@ -62,10 +62,11 @@ def _fixing(symmetry: _Symmetry, rows: np.ndarray) -> _Symmetry:
     m x k rows, so that it is a symmetry of the design without them: a flip
     of an axis on which every row is 0, and each block split into the axes
     on which the rows take equal values; canonical as design._Symmetry
-    is.  For one deleted row of a CCD it is that residual's every product
-    symmetry (Box and Hunter's 1957 layout); for more rows, a subgroup."""
+    is.  It is a subgroup of the residual's symmetry, and for one deleted
+    row of a CCD all its flips and swaps (Box and Hunter's 1957 layout); a
+    flip or swap that maps two deleted rows onto each other is lost."""
     flips, blocks = symmetry
-    columns = [tuple(column) for column in rows.T.tolist()]
+    columns = list(map(tuple, rows.T.tolist()))
     parts: dict[tuple, list[int]] = {}
     for b, block in enumerate(blocks):
         for j in block:

@@ -1182,12 +1182,13 @@ _INTEGER_ARGUMENTS = {
     "gen_ccd n0": ("n0", 1, _MAX_N0, lambda v: gen_ccd(3, 1.5, v)),
     "scenario_sweep k": ("k", 2, _MAX_K, lambda v: scenario_sweep(v, 4, [1.5], CUBE1)),
     "scenario_sweep n0": ("n0", 1, _MAX_N0, lambda v: scenario_sweep(3, v, [1.5], CUBE1)),
-    "region_moments k": ("k", 2, None, lambda v: region_moments(CUBE1, v)),
+    "region_moments k": ("k", 2, _MAX_K, lambda v: region_moments(CUBE1, v)),
     "sphere_points k": ("k", 2, _MAX_K, lambda v: sphere_points(v, 1.0, 5)),
     "sphere_points n": ("n", 1, None, lambda v: sphere_points(3, 1.0, v)),
-    "sample_region k": ("k", 1, None, lambda v: sample_region(CUBE1, v, 10, 0)),
+    "sample_region k": ("k", 1, _MAX_K, lambda v: sample_region(CUBE1, v, 10, 0)),
     "sample_region n": ("n", 0, None, lambda v: sample_region(CUBE1, 3, v, 0)),
-    "monte_carlo_moments k": ("k", 2, None, lambda v: monte_carlo_moments(CUBE1, v, 1000)),
+    "monte_carlo_moments k": ("k", 2, _MAX_K,
+                              lambda v: monte_carlo_moments(CUBE1, v, 1000)),
     "monte_carlo_moments n": ("n", 2, None, lambda v: monte_carlo_moments(CUBE1, 3, v)),
     # [2, v]: a bool would otherwise be read as row 0 or 1, and [2, True]
     # would silently delete rows 2 and 1
@@ -1195,11 +1196,12 @@ _INTEGER_ARGUMENTS = {
                               lambda v: delete_rows(_TEN_RUNS, [2, v])),
 }
 
-# Each entry with the values just outside its range and far outside it
+# Each entry with the values just outside its range and far outside it; 10**6
+# as a k once made region_moments allocate 3.64 TiB
 _OUT_OF_RANGE = [
     pytest.param(entry, value, id=f"{entry}-{value}")
     for entry, (_, low, high, _) in _INTEGER_ARGUMENTS.items()
-    for value in [low - 1, -10 ** 30] + ([] if high is None else [high + 1, 10 ** 30])
+    for value in [low - 1, -10 ** 30] + ([] if high is None else [high + 1, 10 ** 6, 10 ** 30])
 ]
 
 
