@@ -291,7 +291,7 @@ def g_max(design: Design, region: Region,
     transposition that leaves the design's rows unchanged, so each grid
     point has an image in the domain with the same SPV.  gen_ccd and
     missing.delete_rows state it from the CCD's layout and the rows
-    deleted; nothing here searches the rows for it.
+    deleted.
     - A full CCD, or one missing a center run: 0 <= x_1 <= ... <= x_k,
       up to 2^k k! times fewer points than the box.
     - Missing a factorial vertex: non-decreasing coordinates within each
