@@ -2,7 +2,9 @@
 scenarios, verify against the embedded reference tables, and plot.
 
 Each command takes only the options it reads (_COMMANDS).  A --config
-file sets defaults for them; a command ignores the keys it does not take.
+file's values that the command takes are parsed as the flags they name,
+ahead of the command line's, whose flags win; the command ignores its
+other keys, and a key that no command takes is an error.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification failure,
 3 numeric failure (an inestimable full design in a sweep or plot; an
@@ -212,7 +214,7 @@ def cmd_plot(args) -> int:
 _OPTIONS = {
     "--k": dict(type=int, default=2, help="number of factors"),
     "--n0": dict(type=int, default=4, help="number of center points"),
-    "--alpha": dict(type=float, help="axial distance"),
+    "--alpha": dict(type=float, required=True, help="axial distance"),
     "--alphas": dict(type=_float_list,
                      help="comma-separated ascending axial distances"),
     "--region": dict(choices=("cube", "sphere"), default="cube"),
@@ -222,7 +224,7 @@ _OPTIONS = {
     "--grid-step": dict(type=float,
                         help="G-max evaluation grid spacing; omit to use "
                              "design+probe points only"),
-    "--metric": dict(choices=tuple(_METRICS)),
+    "--metric": dict(choices=tuple(_METRICS), required=True),
     "--out": dict(help="file (generate) or directory (sweep, plot) to write; "
                        "verify accepts it and writes only to stdout"),
     "tables": dict(nargs="*", help="table ids, e.g. 1a 2b (default: all)"),
@@ -231,24 +233,17 @@ _OPTIONS = {
 _SWEEP_OPTIONS = ("--k", "--n0", "--alphas", "--region", "--region-size",
                   "--grid-step", "--out")
 
-# Each command: its function, its summary, the options it reads, and the
-# option it needs (checked after parsing, since a config may supply it).
+# Each command: its function, its summary, and the options it reads; a
+# config value reaches it as the flag it names.
 _COMMANDS = {
-    "generate": (cmd_generate, "emit a CCD as CSV",
-                 ("--k", "--n0", "--alpha", "--out"), "alpha"),
-    "sweep": (cmd_sweep, "loss/efficiency sweep over alphas", _SWEEP_OPTIONS,
-              None),
-    "verify": (cmd_verify, "check embedded reference tables",
-               ("tables", "--out"), None),
-    "plot": (cmd_plot, "SVG loss/efficiency curves",
-             _SWEEP_OPTIONS + ("--metric",), "metric"),
+    "generate": (cmd_generate, "emit a CCD as CSV", ("--k", "--n0", "--alpha", "--out")),
+    "sweep": (cmd_sweep, "loss/efficiency sweep over alphas", _SWEEP_OPTIONS),
+    "verify": (cmd_verify, "check embedded reference tables", ("tables", "--out")),
+    "plot": (cmd_plot, "SVG loss/efficiency curves", _SWEEP_OPTIONS + ("--metric",)),
 }
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser,
-                             dict[argparse.ArgumentParser, set[str]]]:
-    """The top-level parser, and each command's parser with the option
-    names (dests) a config file may set for it."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccdrobust",
         description="Central composite designs: criteria and robustness to "
@@ -256,52 +251,40 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     parser.add_argument("--config", help="flat key=value config file; "
                                          "command-line flags win")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[argparse.ArgumentParser, set[str]] = {}
-    for name, (func, summary, flags, _) in _COMMANDS.items():
+    for name, (func, summary, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        dests = commands[p] = set()
         for flag in flags:
-            dest = p.add_argument(flag, **_OPTIONS[flag]).dest
-            if flag.startswith("--"):  # positionals are not config keys
-                dests.add(dest)
-    return parser, commands
+            p.add_argument(flag, **_OPTIONS[flag])
+    return parser
+
+
+def _with_config(argv: list[str] | None) -> list[str]:
+    """argv without --config FILE, with each value in FILE that the command
+    takes placed right after the command name as the flag it names; a flag
+    given on the command line comes later, so it wins."""
+    pre = argparse.ArgumentParser(prog="ccdrobust", add_help=False)  # -h reaches the commands
+    pre.add_argument("--config")
+    known, argv = pre.parse_known_args(argv)
+    if known.config:
+        config = _load_config(known.config)
+        flags = {key: "--" + key.replace("_", "-") for key in config}
+        bad = sorted(key for key, flag in flags.items() if flag not in _OPTIONS)
+        if bad:
+            raise ValueError(f"unknown keys {bad}")
+        if argv and argv[0] in _COMMANDS:
+            argv[1:1] = [f"{flags[key]}={value}" for key, value in config.items()
+                         if flags[key] in _COMMANDS[argv[0]][2]]
+    return argv
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = _build_parser()
     try:
-        args, _ = parser.parse_known_args(argv)
+        args = _build_parser().parse_args(_with_config(argv))
     except SystemExit as exc:
         return 1 if exc.code else 0
-    if args.config:
-        try:
-            config = _load_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        bad = set(config).difference(*commands.values())
-        if bad:
-            print(f"config error: unknown keys {sorted(bad)}", file=sys.stderr)
-            return 1
-        for key, value in config.items():  # argparse checks only flags' choices
-            choices = _OPTIONS["--" + key.replace("_", "-")].get("choices", [value])
-            if value not in choices:
-                print(f"config error: {key} must be one of {list(choices)}, "
-                      f"got {value!r}", file=sys.stderr)
-                return 1
-        # Re-parse with config values as defaults; explicit flags win, and
-        # argparse converts string defaults through each option's type.
-        for p, dests in commands.items():
-            p.set_defaults(**{key: value for key, value in config.items()
-                              if key in dests})
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    required = _COMMANDS[args.command][3]
-    if required and getattr(args, required) is None:
-        print(f"{args.command} requires --{required}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
         return args.func(args)

@@ -57,8 +57,9 @@ class PointClass(Enum):
 class Design:
     """An immutable design with axial distance alpha (_check_positive's
     float), an n x k array of coded coordinates and the PointClass of each
-    row, both read-only and copied from what is passed in.  Equality is
-    identity.  Each design expands its own model and probe rows once (_memo).
+    row, both read-only and copied from what is passed in; a class that is
+    not a PointClass member is a TypeError.  Equality is identity.  Each
+    design expands its own model and probe rows once (_memo).
 
     Its symmetry, whose fundamental domain g_max's grid search covers, is
     stated by the function that builds it (_stating): gen_ccd and
@@ -82,6 +83,9 @@ class Design:
         if coords.ndim != 2 or classes.shape != coords.shape[:1]:
             raise ValueError(f"coords must be n x k and classes of length n, got "
                              f"shapes {coords.shape} and {classes.shape}")
+        if not set(map(type, classes.tolist())) <= {PointClass}:  # a str is not coerced
+            bad = next(c for c in classes.tolist() if type(c) is not PointClass)
+            raise TypeError(f"design class must be a PointClass, got {bad!r}")
         coords.flags.writeable = classes.flags.writeable = False
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "classes", classes)

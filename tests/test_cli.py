@@ -416,7 +416,7 @@ class TestPlot:
             # argparse rejects the choice before dispatch
             import argparse  # noqa: F401
             from ccdrobust.cli import _build_parser
-            parser, _ = _build_parser()
+            parser = _build_parser()
             parser.parse_args(["plot", "--metric", "bogus"])
 
     def test_empty_alpha_grid(self, tmp_path):
@@ -469,13 +469,60 @@ class TestConfigFile:
         assert (tmp_path / "re_g_k2.svg").exists()
 
     def test_config_choice_checked_like_the_flag(self, tmp_path, capsys):
-        cfg = tmp_path / "plot.cfg"
+        # the flag's own argparse error, worded as each Python words it
+        cfg = tmp_path / "run.cfg"
         cfg.write_text("region=ball\n")
-        assert main(["--config", str(cfg), "sweep", "--k", "2", "--alphas", "1",
-                     "--out", str(tmp_path)]) == 1
-        assert ("config error: region must be one of ['cube', 'sphere'], "
-                "got 'ball'" in capsys.readouterr().err)
+        sweep = ["sweep", "--k", "2", "--alphas", "1", "--out", str(tmp_path / "out")]
+        assert main(["--config", str(cfg)] + sweep) == 1
+        from_config = capsys.readouterr().err.splitlines()[-1]
+        assert main(sweep + ["--region", "ball"]) == 1
+        assert from_config == capsys.readouterr().err.splitlines()[-1]
         assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_overridden_config_value_is_still_parsed(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=abc\nalpha=1.5\n")
+        assert main(["--config", str(cfg), "generate", "--k", "3"]) == 1
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option", [
+        (["generate"], "--alpha"), (["plot", "--alphas", "1"], "--metric")])
+    def test_missing_required_option_is_argparse_error(self, command, option, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=3\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg)] + command + ["--out", str(out)]) == 1
+        assert (f"the following arguments are required: {option}"
+                in capsys.readouterr().err.splitlines()[-1])
+        assert not out.exists()
+
+    def test_key_the_command_does_not_take_is_ignored(self, tmp_path, capsys):
+        # region= and metric= are sweep's and plot's keys; generate reads neither
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("region=ball\nmetric=bogus\nalpha=1.5\n")
+        assert main(["--config", str(cfg), "generate"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 13
+
+    def test_config_may_follow_the_command(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=3\nalpha=1.5\n")
+        assert main(["generate", "--config", str(cfg), "--n0", "2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 17
+
+    def test_help_reaches_the_command(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=1.5\n")
+        assert main(["--config", str(cfg), "generate", "-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ccdrobust generate")
+
+    def test_main_reads_sys_argv(self, tmp_path, monkeypatch, capsys):
+        # as the console script and `python -m ccdrobust.cli` call it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=3\nalpha=1.5\n")
+        monkeypatch.setattr(sys, "argv", ["ccdrobust", "--config", str(cfg), "generate"])
+        assert main() == 0
+        assert len(capsys.readouterr().out.splitlines()) == 19
 
     def test_tables_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "verify.cfg"

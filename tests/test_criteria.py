@@ -1266,6 +1266,14 @@ def test_region_rejects_shape_not_a_region_shape(shape):
         Region(shape, math.nan)
 
 
+@pytest.mark.parametrize("cls", ["center", None, 0, "axial", PointClass], ids=repr)
+def test_design_rejects_class_not_a_point_class(cls):
+    # a str class once passed here and broke design_to_csv's cls.value
+    with pytest.raises(TypeError, match=re.escape(
+            f"design class must be a PointClass, got {cls!r}")):
+        Design(1.0, np.zeros((2, 2)), [PointClass.CENTER, cls])
+
+
 class TestRegionHash:
     def test_equal_regions_hash_equal(self):
         for shape in RegionShape:
