@@ -15,7 +15,7 @@ import itertools
 import math
 import threading
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from statistics import NormalDist
 
@@ -544,14 +544,13 @@ class CriteriaReport:
     v_avg_spherical: float
     rotatability_index: float
 
-    FIELDS = ("alpha", "a_trace", "spv_factorial", "spv_axial", "spv_center",
-              "g_max", "g_max_location", "g_eff", "v_avg_cuboidal",
-              "v_avg_spherical", "rotatability_index")
-
     def as_dict(self) -> dict:
         d = {name: getattr(self, name) for name in self.FIELDS}
         d["g_max_location"] = "(" + " ".join(f"{c:g}" for c in self.g_max_location) + ")"
         return d
+
+
+CriteriaReport.FIELDS = tuple(f.name for f in fields(CriteriaReport))
 
 
 def criteria_report(design: Design, region: Region | None = None,

@@ -16,7 +16,7 @@ scaling by the full N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -135,12 +135,14 @@ class LossReport:
     re_v_factorial: float | None = None
     re_v_axial: float | None = None
     re_v_center: float | None = None
-    inestimable: list[str] = field(default_factory=list)
 
-    FIELDS = ("alpha", "a_full",
-              "loss_factorial", "loss_axial", "loss_center",
-              "re_g_factorial", "re_g_axial", "re_g_center",
-              "re_v_factorial", "re_v_axial", "re_v_center")
+    @property
+    def inestimable(self) -> list[str]:
+        """The classes whose residual was inestimable, in PointClass order."""
+        return [cls.value for cls in PointClass if getattr(self, f"loss_{cls.value}") is None]
+
+
+LossReport.FIELDS = tuple(f.name for f in fields(LossReport))
 
 
 def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
@@ -198,7 +200,6 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
             setattr(rep, f"loss_{tag}", _loss(a[0], a[j]))
             setattr(rep, f"re_g_{tag}", _efficiency(g[0], g[j]))
             setattr(rep, f"re_v_{tag}", _efficiency(v[0], v[j]))
-        rep.inestimable = [tags[i - 1] for i in (1, 2, 3) if i not in live]
         reports.append(rep)
     return reports
 

@@ -47,8 +47,11 @@ class CellCheck:
     column: str
     expected: str
     computed: float
-    tolerance: float
     gated: bool
+
+    @property
+    def tolerance(self) -> float:
+        return ulp_tolerance(self.expected)
 
     @property
     def deviation(self) -> float:
@@ -98,16 +101,13 @@ def _verify_loss_table(tid: str) -> list[CellCheck]:
     for alpha_s, a_s, f_s, ax_s, c_s in spec["rows"]:
         full = _fixture_design(k, float(alpha_s), n0, "none")
         a_full = a_trace(full)
-        checks.append(CellCheck(tid, alpha_s, "", "a_trace", a_s, a_full,
-                                ulp_tolerance(a_s), True))
+        checks.append(CellCheck(tid, alpha_s, "", "a_trace", a_s, a_full, True))
         for cls, exp_s in zip((c.value for c in PointClass), (f_s, ax_s, c_s)):
             residual = _fixture_design(k, float(alpha_s), n0, cls)
             checks.append(CellCheck(tid, alpha_s, cls, f"loss_{cls}", exp_s,
-                                    loss_precision(full, residual),
-                                    ulp_tolerance(exp_s), True))
+                                    loss_precision(full, residual), True))
             checks.append(CellCheck(tid, alpha_s, cls, f"loss_{cls}[paper-trunc4]",
-                                    exp_s, paper_loss(a_full, a_trace(residual)),
-                                    ulp_tolerance(exp_s), False))
+                                    exp_s, paper_loss(a_full, a_trace(residual)), False))
     return checks
 
 
@@ -130,37 +130,32 @@ def _verify_spv_table(tid: str) -> list[CellCheck]:
     checks = []
     for alpha_s, missing, vf_s, va_s, vc_s, v_s in spec["rows"]:
         design = _fixture_design(k, float(alpha_s), n0, missing)
-        f, a, c = probe_spv(design)
-        for col, exp_s, val in (("spv_factorial", vf_s, f),
-                                ("spv_axial", va_s, a),
-                                ("spv_center", vc_s, c)):
-            checks.append(CellCheck(tid, alpha_s, missing, col, exp_s, val,
-                                    ulp_tolerance(exp_s), True))
+        for col, exp_s, val in zip(("spv_factorial", "spv_axial", "spv_center"),
+                                   (vf_s, va_s, vc_s), probe_spv(design)):
+            checks.append(CellCheck(tid, alpha_s, missing, col, exp_s, val, True))
         # V column: gate k=2,3 under the calibrated unit-cube convention;
         # k=4,5 reproduce only the interaction-dropped matrix (annotated).
         v_cal = v_avg(design, Region(RegionShape.CUBOIDAL, 1.0))
-        checks.append(CellCheck(tid, alpha_s, missing, "v_avg", v_s, v_cal,
-                                ulp_tolerance(v_s), k <= 3))
+        checks.append(CellCheck(tid, alpha_s, missing, "v_avg", v_s, v_cal, k <= 3))
         if k > 3:
             checks.append(CellCheck(tid, alpha_s, missing, "v_avg[paper-moments]",
-                                    v_s, _paper_v_average(design, k),
-                                    ulp_tolerance(v_s), False))
+                                    v_s, _paper_v_average(design, k), False))
     return checks
 
 
 def verify_table(tid: str) -> list[CellCheck]:
+    """The cells of one table; ValueError for an id that names none."""
     if tid in LOSS_TABLES:
         return _verify_loss_table(tid)
     if tid in SPV_TABLES:
         return _verify_spv_table(tid)
-    raise KeyError(f"unknown table id {tid!r}")
+    raise ValueError(f"unknown table id {tid!r}")
 
 
 def verify_tables(tids: list[str] | None = None) -> list[CellCheck]:
-    if tids is None:
-        tids = sorted(LOSS_TABLES) + sorted(SPV_TABLES)
+    """Each table's cells, each id once in the order given (none: all)."""
     checks = []
-    for tid in tids:
+    for tid in dict.fromkeys(tids or sorted(LOSS_TABLES) + sorted(SPV_TABLES)):
         checks.extend(verify_table(tid))
     return checks
 
@@ -169,12 +164,8 @@ def verify_tables(tids: list[str] | None = None) -> list[CellCheck]:
 class CalibrationResult:
     """Outcome of matching the k=2 V column against candidate regions."""
 
-    matched: str | None               # convention name, or None if unreconciled
+    verdict: str                      # convention name, or "unreconciled"
     max_rel_error: dict[str, float]   # per candidate, worst relative error
-
-    @property
-    def verdict(self) -> str:
-        return self.matched if self.matched else "unreconciled"
 
 
 def calibrate_v_region() -> CalibrationResult:
@@ -193,10 +184,8 @@ def calibrate_v_region() -> CalibrationResult:
                 name = f"{shape.value}({label})"
                 rel = abs(v_avg(full, Region(shape, size)) - target) / target
                 errs[name] = max(errs.get(name, 0.0), rel)
-    matched = min(errs, key=errs.get)
-    if errs[matched] > 0.02:
-        matched = None
-    return CalibrationResult(matched=matched, max_rel_error=errs)
+    best = min(errs, key=errs.get)
+    return CalibrationResult(best if errs[best] <= 0.02 else "unreconciled", errs)
 
 
 def resolve_spv_scale() -> tuple[str, dict[str, float]]:

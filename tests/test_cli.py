@@ -18,7 +18,7 @@ from ccdrobust import cli, criteria, linalg, missing, verify
 from ccdrobust.cli import main
 from ccdrobust.criteria import a_trace
 from ccdrobust.design import PointClass, gen_ccd
-from ccdrobust.fixtures import ANNOTATIONS, LOSS_TABLES
+from ccdrobust.fixtures import ANNOTATIONS, LOSS_TABLES, SPV_TABLES, ulp_tolerance
 from ccdrobust.missing import delete_rows
 from ccdrobust.svgplot import line_chart
 from ccdrobust.verify import (
@@ -27,6 +27,7 @@ from ccdrobust.verify import (
     paper_loss,
     resolve_spv_scale,
     verify_table,
+    verify_tables,
 )
 
 
@@ -323,6 +324,31 @@ class TestVerify:
 
     def test_unknown_table(self, capsys):
         assert main(["verify", "bogus"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: unknown table id 'bogus'"]
+
+    def test_unknown_table_after_a_known_one_prints_no_cell(self, capsys):
+        # verify_tables refuses zz after checking 1b; nothing is printed
+        # before every table is checked
+        assert main(["verify", "1b", "zz"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: unknown table id 'zz'"]
+
+    def test_verify_table_refuses_unknown_id(self):
+        with pytest.raises(ValueError, match=r"^unknown table id 'bogus'$"):
+            verify_table("bogus")
+
+    def test_verify_tables_checks_each_id_once_in_order(self):
+        assert verify_tables(["1b", "1a", "1b"]) == verify_table("1b") + verify_table("1a")
+
+    @pytest.mark.parametrize("tids", [None, []])
+    def test_no_ids_means_every_table(self, tids):
+        assert sorted({c.table for c in verify_tables(tids)}) == sorted(
+            list(LOSS_TABLES) + list(SPV_TABLES))
+
+    def test_cell_tolerance_is_read_from_its_printed_value(self):
+        for c in verify_table("1b"):
+            assert c.tolerance == ulp_tolerance(c.expected)
 
     def test_prints_each_annotation(self, capsys):
         main(["verify", "1b"])

@@ -232,6 +232,28 @@ class TestScenarioSweep:
     def test_empty_alphas(self):
         assert scenario_sweep(2, 4, [], CUBE1) == []
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_inestimable_lists_exactly_the_classes_with_no_cell(self, k):
+        # n0 = 1 at alpha = sqrt(k) loses the center residual; at 1.5 every
+        # residual is estimable
+        singular, estimable = scenario_sweep(k, 1, [math.sqrt(k), 1.5], CUBE1)
+        for rep, want in ((singular, ["center"]), (estimable, [])):
+            assert rep.inestimable == want
+            for cls in PointClass:
+                cells = [getattr(rep, f"{m}_{cls.value}") for m in ("loss", "re_g", "re_v")]
+                if cls.value in want:
+                    assert cells == [None, None, None]
+                else:
+                    assert None not in cells
+
+    def test_fields_are_the_dataclass_fields(self):
+        # inestimable is computed, so it is no column of the sweep CSV
+        assert LossReport.FIELDS == (
+            "alpha", "a_full", "loss_factorial", "loss_axial", "loss_center",
+            "re_g_factorial", "re_g_axial", "re_g_center",
+            "re_v_factorial", "re_v_axial", "re_v_center")
+        assert LossReport(1.0, 2.0).inestimable == ["factorial", "axial", "center"]
+
     @pytest.mark.parametrize("k,n0,exc", [(13, 4, ValueError), (1, 4, ValueError),
                                           (3, 0, ValueError), (3.0, 4, TypeError),
                                           (True, 4, TypeError), (3, np.float64(4), TypeError)])
@@ -339,8 +361,7 @@ def _sweep_alone(k, n0, alphas, region):
         for cls in PointClass:
             try:
                 r = _Alone(delete_rows(full, [full.rows_of_class(cls)[0]]))
-            except SingularMatrixError:
-                rep.inestimable.append(cls.value)
+            except SingularMatrixError:  # its cells stay None
                 continue
             setattr(rep, f"loss_{cls.value}", r.a() / f.a() - 1.0)
             setattr(rep, f"re_g_{cls.value}", f.g()[0] / r.g()[0])
