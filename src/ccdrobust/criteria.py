@@ -464,9 +464,9 @@ def sample_region(region: Region, k: int, n: int,
     np.random.default_rng(seed): seeded and reproducible for an int seed,
     and the next draws of the stream for a Generator, which default_rng
     returns unchanged.  k and n are checked by design._check_integer
-    (1 <= k <= _MAX_K, n >= 0)."""
+    (1 <= k <= _MAX_K, 0 <= n <= _MAX_SAMPLES)."""
     k = _check_integer("k", k, 1, _MAX_K)
-    n = _check_integer("n", n, 0)
+    n = _check_integer("n", n, 0, _MAX_SAMPLES)
     rng = np.random.default_rng(seed)
     if region.shape is RegionShape.CUBOIDAL:
         return rng.uniform(-region.size, region.size, size=(n, k))
@@ -479,6 +479,10 @@ def sample_region(region: Region, k: int, n: int,
 # monte_carlo_moments' samples per draw: the ball sampler draws directions
 # and radii per chunk, so this size is part of the seeded stream.
 _MC_CHUNK = 100_000
+
+# sample_region's most samples, refused before any is drawn: 10**7 of them
+# take 0.96 GB at k = 12, and no caller draws more than 200,000 at once.
+_MAX_SAMPLES = 10 ** 7
 
 # monte_carlo_moments' rows per accumulation tile.  A tile's F and F*F are
 # 2048 x p doubles, 344 KB each at k = 5, so both stay in a 2 MB L2 cache.

@@ -13,6 +13,7 @@ import pytest
 from ccdrobust import criteria, missing
 from ccdrobust.cli import DEFAULT_ALPHAS, main
 from ccdrobust.criteria import (
+    _MAX_SAMPLES,
     Region,
     RegionShape,
     _grid_chunks,
@@ -1186,7 +1187,7 @@ _INTEGER_ARGUMENTS = {
     "sphere_points k": ("k", 2, _MAX_K, lambda v: sphere_points(v, 1.0, 5)),
     "sphere_points n": ("n", 1, None, lambda v: sphere_points(3, 1.0, v)),
     "sample_region k": ("k", 1, _MAX_K, lambda v: sample_region(CUBE1, v, 10, 0)),
-    "sample_region n": ("n", 0, None, lambda v: sample_region(CUBE1, 3, v, 0)),
+    "sample_region n": ("n", 0, _MAX_SAMPLES, lambda v: sample_region(CUBE1, 3, v, 0)),
     "monte_carlo_moments k": ("k", 2, _MAX_K,
                               lambda v: monte_carlo_moments(CUBE1, v, 1000)),
     "monte_carlo_moments n": ("n", 2, None, lambda v: monte_carlo_moments(CUBE1, 3, v)),
@@ -1197,11 +1198,13 @@ _INTEGER_ARGUMENTS = {
 }
 
 # Each entry with the values just outside its range and far outside it; 10**6
-# as a k once made region_moments allocate 3.64 TiB
+# as a k once made region_moments allocate 3.64 TiB, and is left out where it
+# is in range (sample_region n)
 _OUT_OF_RANGE = [
     pytest.param(entry, value, id=f"{entry}-{value}")
     for entry, (_, low, high, _) in _INTEGER_ARGUMENTS.items()
-    for value in [low - 1, -10 ** 30] + ([] if high is None else [high + 1, 10 ** 6, 10 ** 30])
+    for value in [low - 1, -10 ** 30] + ([] if high is None else
+                                         [v for v in (high + 1, 10 ** 6, 10 ** 30) if v > high])
 ]
 
 
