@@ -18,8 +18,6 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):

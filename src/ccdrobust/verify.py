@@ -33,7 +33,6 @@ __all__ = [
     "CellCheck",
     "CalibrationResult",
     "paper_loss",
-    "verify_table",
     "verify_tables",
     "calibrate_v_region",
     "resolve_spv_scale",
@@ -143,21 +142,19 @@ def _verify_spv_table(tid: str) -> list[CellCheck]:
     return checks
 
 
-def verify_table(tid: str) -> list[CellCheck]:
-    """The cells of one table; ValueError for an id that names none."""
-    if tid in LOSS_TABLES:
-        return _verify_loss_table(tid)
-    if tid in SPV_TABLES:
-        return _verify_spv_table(tid)
-    raise ValueError(f"unknown table id {tid!r}")
+# Each table id, in the default order, with the function that checks it.
+_CHECKERS = {**{tid: _verify_loss_table for tid in sorted(LOSS_TABLES)},
+             **{tid: _verify_spv_table for tid in sorted(SPV_TABLES)}}
 
 
 def verify_tables(tids: list[str] | None = None) -> list[CellCheck]:
-    """Each table's cells, each id once in the order given (none: all)."""
-    checks = []
-    for tid in dict.fromkeys(tids or sorted(LOSS_TABLES) + sorted(SPV_TABLES)):
-        checks.extend(verify_table(tid))
-    return checks
+    """Each table's cells, each id once in the order given (none: all).
+    ValueError for the first id that names no table, before any is computed."""
+    tids = list(dict.fromkeys(tids or _CHECKERS))
+    for tid in tids:
+        if tid not in _CHECKERS:
+            raise ValueError(f"unknown table id {tid!r}")
+    return [c for tid in tids for c in _CHECKERS[tid](tid)]
 
 
 @dataclass

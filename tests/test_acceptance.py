@@ -33,7 +33,7 @@ from ccdrobust.design import PointClass, gen_ccd
 from ccdrobust.fixtures import LOSS_TABLES, SPV_TABLES, ulp_tolerance
 from ccdrobust.missing import delete_rows, increase_in_variance, loss_precision
 from ccdrobust.model import expand_points, model_matrix, num_params
-from ccdrobust.verify import _truncate, calibrate_v_region, paper_loss, verify_table
+from ccdrobust.verify import _truncate, calibrate_v_region, paper_loss, verify_tables
 
 CUBE1 = Region(RegionShape.CUBOIDAL, 1.0)
 CLASSES = {"factorial": PointClass.FACTORIAL, "axial": PointClass.AXIAL,
@@ -305,8 +305,7 @@ def test_criterion_12_determinism(tmp_path):
 
 def test_verify_harness_gated_summary():
     # companion summary: the harness's own gate over all embedded tables
-    gated = [c for tid in list(LOSS_TABLES) + list(SPV_TABLES)
-             for c in verify_table(tid) if c.gated]
+    gated = [c for c in verify_tables() if c.gated]
     passed = sum(c.passed for c in gated)
     print(f"    verify harness: {passed}/{len(gated)} gated cells at 1.5 ulp")
     assert passed / len(gated) > 0.80

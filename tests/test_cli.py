@@ -26,7 +26,6 @@ from ccdrobust.verify import (
     calibrate_v_region,
     paper_loss,
     resolve_spv_scale,
-    verify_table,
     verify_tables,
 )
 
@@ -327,19 +326,26 @@ class TestVerify:
         assert capsys.readouterr().err.splitlines() == ["error: unknown table id 'bogus'"]
 
     def test_unknown_table_after_a_known_one_prints_no_cell(self, capsys):
-        # verify_tables refuses zz after checking 1b; nothing is printed
-        # before every table is checked
-        assert main(["verify", "1b", "zz"]) == 1
+        # verify_tables refuses zz before it checks 4b
+        assert main(["verify", "4b", "zz"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["error: unknown table id 'zz'"]
 
-    def test_verify_table_refuses_unknown_id(self):
+    def test_verify_tables_refuses_unknown_id(self):
         with pytest.raises(ValueError, match=r"^unknown table id 'bogus'$"):
-            verify_table("bogus")
+            verify_tables(["bogus"])
+
+    def test_unknown_id_refused_before_any_design_is_built(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a fixture design was built")
+
+        monkeypatch.setattr(verify, "_fixture_design", fail)
+        with pytest.raises(ValueError, match=r"^unknown table id 'zz'$"):
+            verify_tables(["4b", "zz"])
 
     def test_verify_tables_checks_each_id_once_in_order(self):
-        assert verify_tables(["1b", "1a", "1b"]) == verify_table("1b") + verify_table("1a")
+        assert verify_tables(["1b", "1a", "1b"]) == verify_tables(["1b"]) + verify_tables(["1a"])
 
     @pytest.mark.parametrize("tids", [None, []])
     def test_no_ids_means_every_table(self, tids):
@@ -375,14 +381,14 @@ class TestVerify:
         assert invert_calls[0] == 104
 
     def test_table_4a_a_trace_cells(self):
-        checks = verify_table("4a")
+        checks = verify_tables(["4a"])
         a_cells = [c for c in checks if c.column == "a_trace"]
         assert len(a_cells) == 7
         assert all(c.passed for c in a_cells)
 
     def test_spv_tables_pass_rate(self):
         # probe cells reproduce to printed precision except documented rows
-        checks = [c for c in verify_table("3b") + verify_table("4b") if c.gated]
+        checks = [c for c in verify_tables(["3b", "4b"]) if c.gated]
         assert all(c.passed for c in checks)
 
 
@@ -400,7 +406,7 @@ class TestPaperLoss:
         assert paper_loss(a_full, a_res) == pytest.approx(0.108734, abs=1.5e-6)
 
     def test_all_loss_cells_pass_ungated(self):
-        checks = [c for tid in sorted(LOSS_TABLES) for c in verify_table(tid)
+        checks = [c for c in verify_tables(sorted(LOSS_TABLES))
                   if c.column.endswith("[paper-trunc4]")]
         assert len(checks) == 78
         assert not any(c.gated for c in checks)
@@ -463,6 +469,16 @@ class TestConfigFile:
         assert len(capsys.readouterr().out.splitlines()) == 17  # header + 16
         assert main(["--config", str(cfg), "generate", "--k", "2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 11
+
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+        plain.write_text("k=3\nalpha=1.5\n")
+        commented.write_text("# a k=3 design\nk=3\n\n   \nalpha=1.5\n")
+        assert cli._load_config(str(commented)) == cli._load_config(str(plain))
+        assert main(["--config", str(commented), "generate"]) == 0
+        from_commented = capsys.readouterr().out
+        assert main(["--config", str(plain), "generate"]) == 0
+        assert from_commented == capsys.readouterr().out
 
     def test_bad_config(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -651,6 +667,13 @@ class TestSvgChart:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             line_chart([], "t", "x", "y")
+
+    @pytest.mark.parametrize("xs,ys", [([1.0], [2.0 ** 52 + 2]), ([2.0 ** 52 + 2], [1.0])])
+    def test_range_the_padding_cannot_widen_is_refused(self, xs, ys):
+        # +-0.5 rounds away at an even value in (2^52, 2^53): the axis
+        # range stays empty, and its tick step is log10(0)
+        with pytest.raises(ValueError, match="math domain error"):
+            line_chart([("a", xs, ys)], "t", "x", "y")
 
     def test_deterministic_string(self):
         series = [("a", [1.0, 2.0], [0.1, 0.4]), ("b", [1.0, 2.0], [0.3, 0.2])]

@@ -613,6 +613,20 @@ class TestGridChunks:
         assert region.contains(np.array([[n1 * step]]))[0]
         assert not region.contains(np.array([[(n1 + 1) * step]]))[0]
 
+    @pytest.mark.parametrize("shape,size,step,k,floored,n1", [
+        # int(0.3 / 0.1) is 2, yet 3 * 0.1 lies inside: raised
+        (RegionShape.CUBOIDAL, 0.3, 0.1, 2, 2, 3),
+        (RegionShape.SPHERICAL, 0.3, 0.1, 2, 2, 3),
+        # int(size / step) is 4997, yet 4997 * step lies outside: lowered
+        (RegionShape.CUBOIDAL, 166566.66666666663, 33.33333333333333, 2, 4997, 4996)])
+    def test_half_width_corrects_the_floored_ratio(self, shape, size, step, k,
+                                                   floored, n1):
+        region = Region(shape, size)
+        assert int(size / step) == floored
+        assert _grid_half_width(region, step, k) == n1
+        assert region.contains(np.array([[n1 * step]]))[0]
+        assert not region.contains(np.array([[(n1 + 1) * step]]))[0]
+
     @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
     def test_tolerance_is_a_distance(self, shape):
         # 1e-12 past the edge on either shape; a tolerance on a ball's squared
