@@ -98,9 +98,9 @@ def a_trace(design: Design) -> float:
 
 def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
     """Scaled prediction variance N f'(x)(X'X)^{-1} f(x) at each row x of
-    an m x k point array: N times the row sums of (F M^{-1}) * F for the
-    model matrix F.  N is the run count of the design being evaluated, so a
-    residual design is scaled by its own (reduced) size.
+    an m x k point array: N times the column sums of (M^{-1} F') * F' for
+    the model matrix F (_spv).  N is the run count of the design being
+    evaluated, so a residual design is scaled by its own (reduced) size.
 
     Raises ValueError unless pts is m x k for the design's k and finite.
     """
@@ -120,11 +120,14 @@ def _spv_rows(design: Design, F: np.ndarray) -> np.ndarray:
 
 
 def _spv(n: int | np.ndarray, Minv: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """The SPV kernel: n times the row sums of (F M^{-1}) * F.  For one
-    inverse and run count the SPV at each row of F; for a stack of d
-    inverses and d run counts, a d x m stack of them, each row of which is
-    the one inverse's to the bit."""
-    return np.asarray(n)[..., None] * np.einsum("...ij,ij->...i", F @ Minv, F)
+    """The SPV kernel: n times the column sums of (M^{-1} F') * F', where F'
+    is the p x m C-contiguous array expand_points writes.  For one inverse
+    and run count the SPV at each row of F; for a stack of d inverses and d
+    run counts, a d x m stack of them, each row of which is the one
+    inverse's to the bit.  A value's last bits depend on F's length and the
+    row's place in it, so two scans agree to the bit only on the same F."""
+    Ft = F.T
+    return np.asarray(n)[..., None] * np.einsum("...ij,ij->...j", Minv @ Ft, Ft)
 
 
 def _probe_rows(design: Design) -> np.ndarray:
@@ -311,9 +314,10 @@ def g_max(design: Design, region: Region,
     The domain depends only on (region, grid_step, symmetry), so designs
     of one symmetry share it at any alpha; _grid_models keeps its model
     matrix while it fits in _GRID_CACHE_BYTES, else expands it on every
-    search.  Each chunk costs one product with (X'X)^{-1} and one row sum
-    (_spv).  The scan is _g_scan, which missing.scenario_sweep also runs.  A
-    bad step raises ValueError where its grid is built (_grid_half_width).
+    search.  Each chunk costs one product of (X'X)^{-1} with the chunk's
+    transposed model rows and one column sum (_spv).  The scan is _g_scan,
+    which missing.scenario_sweep also runs.  A bad step raises ValueError
+    where its grid is built (_grid_half_width).
     """
     head = [model_matrix(design), _probe_rows(design)]
     symmetry = None if grid_step is None else design._stated_symmetry

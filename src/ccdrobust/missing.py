@@ -161,9 +161,9 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
       writes them; each X'X is formed alone;
     - the four X'X are inverted in one linalg.invert call, or, if one is
       singular, each alone, so that only a singular residual is flagged;
-    - the A-traces, the V values and each design's G over its rows and the
-      probes take one stacked call each, the last the SPV over [full rows;
-      probes] with each residual's deleted row masked;
+    - the A-traces and the V values take one stacked call each, and each
+      design's G is scored on what g_max scans: its own model rows, then
+      the probes, in one stacked call for the four (criteria._spv);
     - with a grid, each design's G is the larger of that and the maximum
       g_max's scan (criteria._g_scan) finds over the grid domain of its
       symmetry: the full design's as gen_ccd states it, and each
@@ -184,11 +184,9 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
         ns = np.array([n, n - 1, n - 1, n - 1])[live]
         a = _a_traces(Minv).tolist()
         v = _v_from_moments(ns, Minv, region_moments(region, k), region).tolist()
-        F = np.vstack([X, _probe_rows(full)])
-        S = _spv(ns, Minv, F)
-        for j, i in enumerate(live[1:], 1):
-            S[j, deleted[i - 1]] = -np.inf
-        g = S.max(axis=1).tolist()
+        probes = _spv(ns, Minv, _probe_rows(full)).max(axis=1)
+        g = [max(float(_spv(ns[j], Minv[j], models[i]).max()), float(probes[j]))
+             for j, i in enumerate(live)]
         if grid_step is not None:
             sym = full._stated_symmetry
             sym = [sym] + [_fixing(sym, full.coords[row:row + 1]) for row in deleted]

@@ -24,6 +24,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         if raw <= mult * mag:
             step = mult * mag
             break
+    # a step below one ulp of the ticks would leave t += step where it is
+    step = max(step, math.ulp(max(abs(lo), abs(hi))))
     start = math.ceil(lo / step) * step
     ticks = []
     t = start

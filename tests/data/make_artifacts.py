@@ -7,13 +7,16 @@ Each command in COMMANDS runs through ccdrobust.cli.main in an empty
 directory.  The manifest holds, per command, its argv, exit code, stdout
 and stderr lines, and every file it wrote, line by line; and the Python,
 numpy and machine it was made on.  Regenerate it only in a change that
-moves an output on purpose, and list every moved cell in CHANGES.md.
+moves an output on purpose, and list every moved cell in CHANGES.md: when
+it replaces a manifest, the script prints each line that moved, as
+`command: stream or file:line: old -> new`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -97,11 +100,52 @@ def record(argv: list[str]) -> dict:
             "stderr": err.getvalue().splitlines(), "files": files}
 
 
+def _texts(command: dict) -> dict[str, list[str]]:
+    """A recorded command's stdout, stderr and files, by name, in that order."""
+    return {"stdout": command["stdout"], "stderr": command["stderr"], **command["files"]}
+
+
+def moved_lines(old: dict, new: dict) -> list[str]:
+    """What differs between two manifests, one line per moved line: the
+    command, the stream or file and its 1-based line number, and the old and
+    new line, each a repr and None where that side has no such line.  A
+    changed platform or exit code, and a command or file only one side has,
+    get a line of their own."""
+    before = {" ".join(c["argv"]): c for c in old["commands"]}
+    after = {" ".join(c["argv"]): c for c in new["commands"]}
+    moved = []
+    if old["platform"] != new["platform"]:
+        moved.append(f"platform: {old['platform']} -> {new['platform']}")
+    moved += [f"{cmd}: only in the old manifest" for cmd in before if cmd not in after]
+    for cmd, command in after.items():
+        if cmd not in before:
+            moved.append(f"{cmd}: only in the new manifest")
+            continue
+        if before[cmd]["exit"] != command["exit"]:
+            moved.append(f"{cmd}: exit {before[cmd]['exit']} -> {command['exit']}")
+        was, now = _texts(before[cmd]), _texts(command)
+        for where in [*now, *(w for w in was if w not in now)]:
+            if where not in was or where not in now:
+                moved.append(f"{cmd}: {where} only in the {'new' if where in now else 'old'} "
+                             f"manifest")
+                continue
+            for i, (a, b) in enumerate(itertools.zip_longest(was[where], now[where]), 1):
+                if a != b:
+                    moved.append(f"{cmd}: {where}:{i}: {a!r} -> {b!r}")
+    return moved
+
+
 def main() -> None:
     manifest = {"platform": platform_record(),
                 "commands": [record(argv) for argv in COMMANDS]}
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else None
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
     print(f"wrote {MANIFEST}: {len(COMMANDS)} commands")
+    if old is not None:
+        moved = moved_lines(old, manifest)
+        print(f"{len(moved)} lines moved")
+        for line in moved:
+            print(line)
 
 
 if __name__ == "__main__":

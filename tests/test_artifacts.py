@@ -82,3 +82,25 @@ def test_last_bits_pass_only_off_platform(monkeypatch):
     monkeypatch.setitem(globals(), "SAME_PLATFORM", True)
     with pytest.raises(AssertionError):
         assert_same_text(got, want, "noise")
+
+
+def test_moved_lines_name_each_line_that_moved():
+    def command(argv, code=0, stdout=(), files=None):
+        return {"argv": [argv], "exit": code, "stdout": list(stdout), "stderr": [],
+                "files": files or {}}
+
+    old = {"platform": {"numpy": "1"},
+           "commands": [command("a", 0, ["x 1.0", "y"], {"f.csv": ["1"]}), command("b")]}
+    new = {"platform": {"numpy": "2"},
+           "commands": [command("a", 1, ["x 1.5", "y", "z"], {"g.csv": ["1"]}), command("c")]}
+    assert make_artifacts.moved_lines(old, new) == [
+        "platform: {'numpy': '1'} -> {'numpy': '2'}",
+        "b: only in the old manifest",
+        "a: exit 0 -> 1",
+        "a: stdout:1: 'x 1.0' -> 'x 1.5'",
+        "a: stdout:3: None -> 'z'",
+        "a: g.csv only in the new manifest",
+        "a: f.csv only in the old manifest",
+        "c: only in the new manifest",
+    ]
+    assert make_artifacts.moved_lines(new, new) == []

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 
 import ccdrobust
-from ccdrobust import cli, criteria, linalg, missing, verify
+from ccdrobust import cli, criteria, linalg, missing, svgplot, verify
 from ccdrobust.cli import main
 from ccdrobust.criteria import a_trace
 from ccdrobust.design import PointClass, gen_ccd
@@ -674,6 +674,13 @@ class TestSvgChart:
         # range stays empty, and its tick step is log10(0)
         with pytest.raises(ValueError, match="math domain error"):
             line_chart([("a", xs, ys)], "t", "x", "y")
+
+    def test_step_below_an_ulp_of_the_ticks_ends(self):
+        # the y range [2^60, 2^60 + 256] asks for a step of 50, and
+        # 2^60 + 50 == 2^60: the step is raised to the ulp there, 256
+        svg = line_chart([("a", [1.0, 2.0], [2.0 ** 60, 2.0 ** 60 + 256])], "t", "x", "y")
+        assert svg.count('text-anchor="end"') == 2
+        assert svgplot._nice_ticks(2.0 ** 60, 2.0 ** 60 + 256) == [2.0 ** 60, 2.0 ** 60 + 256]
 
     def test_deterministic_string(self):
         series = [("a", [1.0, 2.0], [0.1, 0.4]), ("b", [1.0, 2.0], [0.3, 0.2])]

@@ -208,6 +208,23 @@ class TestSpv:
         assert flipped == pytest.approx(base, rel=1e-12)
         assert permuted == pytest.approx(base, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 12])
+    def test_stacked_kernel_is_each_inverse_alone(self, k):
+        # each row of a stacked _spv is its inverse's alone, to the bit:
+        # scenario_sweep scores its four designs' probes in one stacked call,
+        # and its G equals g_max's of each design alone only so
+        full = gen_ccd(k, 1.7, 4)
+        designs = [full] + [_deleted(full, cls) for cls in PointClass]
+        Minv = np.stack([information_inverse(d) for d in designs])
+        ns = np.array([d.n for d in designs])
+        rng = np.random.default_rng(k)
+        for m in [*range(1, 70), 200, 1001, 5000]:
+            F = expand_points(rng.uniform(-2, 2, (m, k)))
+            stacked = criteria._spv(ns, Minv, F)
+            for j, d in enumerate(designs):
+                alone = criteria._spv(d.n, Minv[j], F)
+                assert stacked[j].tobytes() == alone.tobytes(), (m, j)
+
 
 class TestGMax:
     def test_low_alpha_max_at_factorial_vertex(self):

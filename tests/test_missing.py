@@ -324,7 +324,7 @@ class _Alone:
         self.Minv = _invert_alone(self.X.T @ self.X)
 
     def spv(self, F):
-        return self.design.n * np.einsum("ij,ij->i", F @ self.Minv, F)
+        return self.design.n * np.einsum("ij,ij->j", self.Minv @ F.T, F.T)
 
     def a(self):
         return float(np.trace(self.Minv))
