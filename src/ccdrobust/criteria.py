@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
 from statistics import NormalDist
@@ -99,8 +99,8 @@ def a_trace(design: Design) -> float:
 def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
     """Scaled prediction variance N f'(x)(X'X)^{-1} f(x) at each row x of
     an m x k point array: N times the column sums of (M^{-1} F') * F' for
-    the model matrix F (_spv).  N is the run count of the design being
-    evaluated, so a residual design is scaled by its own (reduced) size.
+    the model matrix F, in one _spv call for all the points.  N is the run
+    count of the design evaluated, so a residual is scaled by its own size.
 
     Raises ValueError unless pts is m x k for the design's k and finite.
     """
@@ -119,15 +119,14 @@ def _spv_rows(design: Design, F: np.ndarray) -> np.ndarray:
     return _spv(design.n, information_inverse(design), F)
 
 
-def _spv(n: int | np.ndarray, Minv: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """The SPV kernel: n times the column sums of (M^{-1} F') * F', where F'
-    is the p x m C-contiguous array expand_points writes.  For one inverse
-    and run count the SPV at each row of F; for a stack of d inverses and d
-    run counts, a d x m stack of them, each row of which is the one
-    inverse's to the bit.  A value's last bits depend on F's length and the
-    row's place in it, so two scans agree to the bit only on the same F."""
+def _spv(n: int, Minv: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The SPV kernel, for one inverse: n times the column sums of
+    (M^{-1} F') * F', the SPV at each row of F, read down the columns of the
+    p x m C-contiguous F' that expand_points writes.  A value's last bits
+    depend on F's length and the row's place in it, so two scans agree to
+    the bit only on the same F."""
     Ft = F.T
-    return np.asarray(n)[..., None] * np.einsum("...ij,ij->...j", Minv @ Ft, Ft)
+    return n * np.einsum("ij,ij->j", Minv @ Ft, Ft)
 
 
 def _probe_rows(design: Design) -> np.ndarray:
@@ -283,10 +282,11 @@ def g_max(design: Design, region: Region,
     The evaluation set is the design's own points, the three canonical
     probe points, and (when grid_step is not None) a regular grid over
     the region at that spacing.  A finer grid can only enlarge the set,
-    so the reported maximum never shrinks under refinement.  The location
-    is the first point in evaluation order (design rows, probes, grid)
-    within _G_TIE_RTOL of the running maximum, so rounding cannot pick
-    among tied maximizers; the value is the exact maximum.
+    so the reported maximum never shrinks under refinement.  The location is
+    the first point within _G_TIE_RTOL of the maximum of the chunk (design
+    rows and probes, then the grid's) that last raised the running maximum
+    by more than _G_TIE_RTOL, so rounding cannot pick among tied maximizers;
+    the value is the exact maximum.
 
     The grid is searched over the fundamental domain of the symmetry the
     design states (see Design and _grid_chunks), in C order: the SPV, the
@@ -314,37 +314,36 @@ def g_max(design: Design, region: Region,
     The domain depends only on (region, grid_step, symmetry), so designs
     of one symmetry share it at any alpha; _grid_models keeps its model
     matrix while it fits in _GRID_CACHE_BYTES, else expands it on every
-    search.  Each chunk costs one product of (X'X)^{-1} with the chunk's
-    transposed model rows and one column sum (_spv).  The scan is _g_scan,
-    which missing.scenario_sweep also runs.  A bad step raises ValueError
-    where its grid is built (_grid_half_width).
+    search.  The scan is _g_scan, which missing.scenario_sweep also runs
+    for each of its designs; only g_max locates the maximum.  A bad step
+    raises ValueError where its grid is built (_grid_half_width).
     """
-    head = [model_matrix(design), _probe_rows(design)]
+    rows, probes = model_matrix(design), _probe_rows(design)
     symmetry = None if grid_step is None else design._stated_symmetry
-    return _g_scan(design.n, information_inverse(design), design.k, symmetry, region,
-                   grid_step, head)
+    best, (F, vals, top) = _g_scan(design.n, information_inverse(design), rows, probes,
+                                   symmetry, region, grid_step)
+    i = int(np.argmax(vals >= top * (1 - _G_TIE_RTOL)))
+    return best, tuple(F[i, 1:1 + design.k].tolist())
 
 
-def _g_scan(n: int | np.ndarray, Minv: np.ndarray, k: int, symmetry: _Symmetry | None,
-            region: Region, grid_step: float | None,
-            head: Iterable[np.ndarray] = ()) -> tuple[float, tuple[float, ...]]:
-    """g_max's scan, for g_max and missing.scenario_sweep: the maximum SPV of
-    the k-factor design with run count n and inverse Minv, and its location,
-    over the model rows of each chunk of head and then, when grid_step is
-    not None, of the grid domain of the design's symmetry (g_max passes the
-    one the design states, scenario_sweep the one each of its designs would).
-    The location is a model row's columns 1..k.  It moves to the chunk's
-    first value within _G_TIE_RTOL of the chunk's maximum when that exceeds
-    the running maximum by more than _G_TIE_RTOL."""
-    best, loc = -math.inf, ()
+def _g_scan(n: int, Minv: np.ndarray, rows: np.ndarray, probes: np.ndarray,
+            symmetry: _Symmetry | None, region: Region, grid_step: float | None
+            ) -> tuple[float, tuple[np.ndarray, np.ndarray, float]]:
+    """G, the maximum SPV of the design with run count n and inverse Minv
+    over its model rows and the probes' as one chunk, then, when grid_step
+    is not None, over each chunk of the grid domain of the symmetry; one
+    _spv call per chunk.  Returns G and the last chunk whose maximum beat
+    the running maximum by more than _G_TIE_RTOL, as (its model rows, its
+    SPVs, its maximum): the chunk in which g_max locates G."""
+    best, at = -math.inf, None
     grid = () if grid_step is None else _grid_models(region, grid_step, symmetry)
-    for F in itertools.chain(head, grid):
+    for F in itertools.chain((np.concatenate((rows, probes)),), grid):
         vals = _spv(n, Minv, F)
         top = float(vals.max())
         if top > best * (1 + _G_TIE_RTOL):  # so top > best: an SPV is >= 0
-            loc = tuple(F[int(np.argmax(vals >= top * (1 - _G_TIE_RTOL))), 1:1 + k].tolist())
+            at = F, vals, top
         best = max(best, top)
-    return best, loc
+    return best, at
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -457,9 +456,16 @@ def _sphere_rows(k: int, radius: float) -> np.ndarray:
 def rotatability_index(design: Design, radius: float) -> float:
     """Standard deviation of SPV over _ROT_POINTS (200) points on the sphere
     of the given radius (checked by design._check_positive; sphere_points,
-    expanded once by _sphere_rows); ~0 iff the design is rotatable there."""
+    expanded once by _sphere_rows); ~0 iff the design is rotatable there.
+    Raises ValueError naming the radius when the index is not finite (its
+    SPVs or their squares overflow, from about radius 1e50 at k = 3)."""
     radius = _check_positive("radius", radius)
-    return float(np.std(_spv_rows(design, _sphere_rows(design.k, radius))))
+    F = _sphere_rows(design.k, radius)  # warns where its rows overflow, as model rows do
+    with np.errstate(over="ignore", invalid="ignore"):
+        index = float(np.std(_spv_rows(design, F)))
+    if not math.isfinite(index):
+        raise ValueError(f"rotatability index at radius {radius!r} is not finite")
+    return index
 
 
 def sample_region(region: Region, k: int, n: int,

@@ -21,8 +21,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import linalg
-from .criteria import (Region, _a_traces, _g_scan, _probe_rows, _spv, _v_from_moments,
-                       a_trace, g_max, region_moments, v_avg)
+from .criteria import (Region, _a_traces, _g_scan, _probe_rows, _v_from_moments, a_trace,
+                       g_max, region_moments, v_avg)
 from .design import Design, PointClass, _Symmetry, _check_ccd_args, _check_integer, gen_ccd
 from .linalg import SingularMatrixError
 from .model import model_matrix
@@ -161,11 +161,9 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
       writes them; each X'X is formed alone;
     - the four X'X are inverted in one linalg.invert call, or, if one is
       singular, each alone, so that only a singular residual is flagged;
-    - the A-traces and the V values take one stacked call each, and each
-      design's G is scored on what g_max scans: its own model rows, then
-      the probes, in one stacked call for the four (criteria._spv);
-    - with a grid, each design's G is the larger of that and the maximum
-      g_max's scan (criteria._g_scan) finds over the grid domain of its
+    - the A-traces and the V values take one stacked call each;
+    - each design's G is g_max's scan (criteria._g_scan) of its own model
+      rows and the probes, then, with a grid, of the grid domain of its
       symmetry: the full design's as gen_ccd states it, and each
       residual's as delete_rows would (_fixing of its deleted row).
     The loss and the efficiencies are the per-design functions' _loss and
@@ -180,18 +178,19 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
         n = full.n
         X = model_matrix(full)
         models = [X] + [np.concatenate((X[:row], X[row + 1:])) for row in deleted]
-        Minv, live = _invert_stack(alpha, np.stack([Xd.T @ Xd for Xd in models]))
+        with np.errstate(over="ignore", invalid="ignore"):  # linalg.invert refuses inf
+            M = np.stack([Xd.T @ Xd for Xd in models])
+        Minv, live = _invert_stack(alpha, M)
         ns = np.array([n, n - 1, n - 1, n - 1])[live]
         a = _a_traces(Minv).tolist()
         v = _v_from_moments(ns, Minv, region_moments(region, k), region).tolist()
-        probes = _spv(ns, Minv, _probe_rows(full)).max(axis=1)
-        g = [max(float(_spv(ns[j], Minv[j], models[i]).max()), float(probes[j]))
-             for j, i in enumerate(live)]
+        sym = [None] * 4
         if grid_step is not None:
-            sym = full._stated_symmetry
-            sym = [sym] + [_fixing(sym, full.coords[row:row + 1]) for row in deleted]
-            g = [max(g[j], _g_scan(ns[j], Minv[j], k, sym[i], region, grid_step)[0])
-                 for j, i in enumerate(live)]
+            sym = [full._stated_symmetry]
+            sym += [_fixing(sym[0], full.coords[row:row + 1]) for row in deleted]
+        probes = _probe_rows(full)
+        g = [_g_scan(ns[j], Minv[j], models[i], probes, sym[i], region, grid_step)[0]
+             for j, i in enumerate(live)]
         rep = LossReport(alpha=alpha, a_full=a[0])
         for j, i in enumerate(live[1:], 1):
             tag = tags[i - 1]
@@ -205,18 +204,18 @@ def scenario_sweep(k: int, n0: int, alphas: list[float], region: Region,
 def _invert_stack(alpha: float, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """The inverses of the estimable matrices of the stack M (the full
     design's first) and their indices in it: all of M, inverted in one
-    call, or, when that call finds a singular matrix, each inverted alone.
-    Raises SingularMatrixError naming alpha when the full design is the
-    singular one."""
+    call, or, when that call finds a singular or a non-finite matrix (an
+    X'X that overflowed), each inverted alone.  Raises SingularMatrixError
+    naming alpha, with linalg's reason, when the full design is that one."""
     try:
         return linalg.invert(M), list(range(len(M)))
-    except SingularMatrixError:
+    except (SingularMatrixError, ValueError):
         pass
     inverses, live = [], []
     for i in range(len(M)):
         try:
             inverses.append(linalg.invert(M[i]))
-        except SingularMatrixError as exc:
+        except (SingularMatrixError, ValueError) as exc:
             if i == 0:
                 raise SingularMatrixError(
                     f"the full design at alpha={alpha:g} is inestimable ({exc})") from exc

@@ -9,7 +9,9 @@ and stderr lines, and every file it wrote, line by line; and the Python,
 numpy and machine it was made on.  Regenerate it only in a change that
 moves an output on purpose, and list every moved cell in CHANGES.md: when
 it replaces a manifest, the script prints each line that moved, as
-`command: stream or file:line: old -> new`.
+`command: stream or file:line: old -> new`, followed, when only the line's
+numbers moved, by `; numbers: ` and each changed number as
+`old -> new (relative change)`.
 """
 
 from __future__ import annotations
@@ -20,21 +22,27 @@ import itertools
 import json
 import os
 import platform
+import re
 import sys
 import tempfile
 from pathlib import Path
 
 MANIFEST = Path(__file__).with_name("artifacts.json")
 
+# A number in a manifest line: tests/test_artifacts.py compares lines number
+# by number, and the text between the numbers exactly.
+NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
+
 # The CLI runs whose artifacts are pinned: the table sweeps, grid sweeps over
 # a cube (k = 5, and k = 4 at one alpha) and a ball, the widest design with and without a grid, a stack with
 # a singular residual with and without a grid, both plot kinds, generate and
 # verify; then the refusals, each of which exits 1 with one error line and
 # writes no file; then `--alpha` given to sweep and plot, alone and before an
-# `--alphas`; then a full design too ill-conditioned to factorize, which exits
-# 3 and writes no file.  Its refusal does not depend on BLAS rounding: the
-# smallest pivot, from the interaction columns, is exactly 8 against a working
-# scale of 2e16.  The fine-grid sweeps are left out for their time.
+# `--alphas`; then a full design too ill-conditioned to factorize, and one
+# whose X'X overflows, each of which exits 3 and writes no file.  The first
+# refusal does not depend on BLAS rounding: the smallest pivot, from the
+# interaction columns, is exactly 8 against a working scale of 2e16.  The
+# fine-grid sweeps are left out for their time.
 #
 # `sweep --k 5 --alphas 0.01` is left out: its loss digits are rounding error
 # (one was off by a factor of 810), so they cannot be expected to agree within
@@ -71,6 +79,7 @@ COMMANDS = (
     ["plot", "--k", "2", "--metric", "loss", "--alpha", "1.5"],
     ["sweep", "--k", "2", "--alpha", "1", "--alphas", "2"],
     ["sweep", "--k", "3", "--alphas", "1e4"],
+    ["sweep", "--k", "2", "--alphas", "1e77"],
 )
 
 
@@ -105,10 +114,26 @@ def _texts(command: dict) -> dict[str, list[str]]:
     return {"stdout": command["stdout"], "stderr": command["stderr"], **command["files"]}
 
 
+def _moved_numbers(old: str, new: str) -> str:
+    """`; numbers: ` and each number that differs between two lines whose
+    text between the numbers is equal, as `old -> new (relative change)`;
+    "" when that text differs."""
+    a, b = NUMBER.split(old), NUMBER.split(new)
+    if a[::2] != b[::2]:
+        return ""
+    changes = []
+    for x, y in zip(a[1::2], b[1::2]):
+        if x != y:
+            rel = f"{(float(y) - float(x)) / abs(float(x)):+.1e}" if float(x) else "from 0"
+            changes.append(f"{x} -> {y} ({rel})")
+    return "; numbers: " + ", ".join(changes)
+
+
 def moved_lines(old: dict, new: dict) -> list[str]:
     """What differs between two manifests, one line per moved line: the
     command, the stream or file and its 1-based line number, and the old and
-    new line, each a repr and None where that side has no such line.  A
+    new line, each a repr and None where that side has no such line, and
+    each changed number when only numbers changed (_moved_numbers).  A
     changed platform or exit code, and a command or file only one side has,
     get a line of their own."""
     before = {" ".join(c["argv"]): c for c in old["commands"]}
@@ -131,7 +156,8 @@ def moved_lines(old: dict, new: dict) -> list[str]:
                 continue
             for i, (a, b) in enumerate(itertools.zip_longest(was[where], now[where]), 1):
                 if a != b:
-                    moved.append(f"{cmd}: {where}:{i}: {a!r} -> {b!r}")
+                    numbers = _moved_numbers(a, b) if a is not None and b is not None else ""
+                    moved.append(f"{cmd}: {where}:{i}: {a!r} -> {b!r}{numbers}")
     return moved
 
 

@@ -14,7 +14,6 @@ repr.
 import importlib.util
 import json
 import math
-import re
 from pathlib import Path
 
 import pytest
@@ -27,7 +26,7 @@ _spec.loader.exec_module(make_artifacts)
 MANIFEST = json.loads(make_artifacts.MANIFEST.read_text())
 RTOL = 1e-12
 _ZERO = 1e-13
-_NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
+_NUMBER = make_artifacts.NUMBER
 SAME_PLATFORM = all(make_artifacts.platform_record()[key] == MANIFEST["platform"][key]
                     for key in ("numpy", "machine", "system"))
 
@@ -90,16 +89,21 @@ def test_moved_lines_name_each_line_that_moved():
                 "files": files or {}}
 
     old = {"platform": {"numpy": "1"},
-           "commands": [command("a", 0, ["x 1.0", "y"], {"f.csv": ["1"]}), command("b")]}
+           "commands": [command("a", 0, ["x 1.0 7 -2e-3", "y 0", "w"],
+                                {"f.csv": ["1"], "h.csv": ["0,2"]}), command("b")]}
     new = {"platform": {"numpy": "2"},
-           "commands": [command("a", 1, ["x 1.5", "y", "z"], {"g.csv": ["1"]}), command("c")]}
+           "commands": [command("a", 1, ["x 1.5 7 -1e-3", "y! 2", "w", "z"],
+                                {"g.csv": ["1"], "h.csv": ["1e-300,2"]}), command("c")]}
     assert make_artifacts.moved_lines(old, new) == [
         "platform: {'numpy': '1'} -> {'numpy': '2'}",
         "b: only in the old manifest",
         "a: exit 0 -> 1",
-        "a: stdout:1: 'x 1.0' -> 'x 1.5'",
-        "a: stdout:3: None -> 'z'",
+        "a: stdout:1: 'x 1.0 7 -2e-3' -> 'x 1.5 7 -1e-3'; "
+        "numbers: 1.0 -> 1.5 (+5.0e-01), -2e-3 -> -1e-3 (+5.0e-01)",
+        "a: stdout:2: 'y 0' -> 'y! 2'",
+        "a: stdout:4: None -> 'z'",
         "a: g.csv only in the new manifest",
+        "a: h.csv:1: '0,2' -> '1e-300,2'; numbers: 0 -> 1e-300 (from 0)",
         "a: f.csv only in the old manifest",
         "c: only in the new manifest",
     ]

@@ -125,9 +125,9 @@ def test_template_symmetries_hold_at_every_alpha(k, n0, monkeypatch):
     # against their definition)
     scanned = []
 
-    def recording(n, Minv, k, symmetry, region, grid_step):
+    def recording(n, Minv, rows, probes, symmetry, region, grid_step):
         scanned.append(symmetry)
-        return 0.0, ()
+        return 1.0, None
 
     monkeypatch.setattr(missing, "_g_scan", recording)
     rep, = scenario_sweep(k, n0, [1.5], CUBE1, grid_step=1.0)
@@ -164,8 +164,8 @@ def test_overflowing_square_warns_where_the_model_is_first_needed(k):
         assert d._memoized == {}
         with pytest.raises(RuntimeWarning, match="overflow"):
             scenario_sweep(k, 1, [1e200], CUBE1)
-    # with warnings ignored, the rows are the oracle's (inf squares) and
-    # the inversion refuses them
+    # with warnings ignored, the rows are the oracle's (inf squares), the
+    # inversion refuses them, and the sweep names the full design's alpha
     want = _gen_ccd(k, 1e200, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -173,7 +173,8 @@ def test_overflowing_square_warns_where_the_model_is_first_needed(k):
         assert_same_array(_probe_rows(d), _expand_points(canonical_probe_points(want)))
         with pytest.raises(ValueError, match="NaN or inf"):
             a_trace(d)
-        with pytest.raises(ValueError, match="NaN or inf"):
+        with pytest.raises(linalg.SingularMatrixError,
+                           match=r"alpha=1e\+200 is inestimable \(matrix contains NaN or inf\)"):
             scenario_sweep(k, 1, [1e200], CUBE1)
 
 

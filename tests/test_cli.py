@@ -259,6 +259,21 @@ class TestSweep:
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [["sweep"], ["plot", "--metric", "loss"]])
+    @pytest.mark.parametrize("k, alpha", [(2, "9.8e76"), (5, "1e77")])
+    def test_overflowing_information_matrix_exits_3_naming_alpha(self, command, k, alpha,
+                                                                 tmp_path, capsys):
+        # the full design's X'X overflows to inf: was a RuntimeWarning, then
+        # exit 1 with `error: matrix contains NaN or inf`
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(command + ["--k", str(k), "--alphas", alpha,
+                                   "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"numeric failure: the full design at alpha={float(alpha):g} is inestimable "
+            "(matrix contains NaN or inf)"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_spv_scale_option_is_gone(self, tmp_path, capsys):
         assert main(["sweep", "--k", "2", "--alphas", "1", "--spv-scale", "full",
                      "--out", str(tmp_path)]) == 1

@@ -208,23 +208,6 @@ class TestSpv:
         assert flipped == pytest.approx(base, rel=1e-12)
         assert permuted == pytest.approx(base, rel=1e-12)
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 12])
-    def test_stacked_kernel_is_each_inverse_alone(self, k):
-        # each row of a stacked _spv is its inverse's alone, to the bit:
-        # scenario_sweep scores its four designs' probes in one stacked call,
-        # and its G equals g_max's of each design alone only so
-        full = gen_ccd(k, 1.7, 4)
-        designs = [full] + [_deleted(full, cls) for cls in PointClass]
-        Minv = np.stack([information_inverse(d) for d in designs])
-        ns = np.array([d.n for d in designs])
-        rng = np.random.default_rng(k)
-        for m in [*range(1, 70), 200, 1001, 5000]:
-            F = expand_points(rng.uniform(-2, 2, (m, k)))
-            stacked = criteria._spv(ns, Minv, F)
-            for j, d in enumerate(designs):
-                alone = criteria._spv(d.n, Minv[j], F)
-                assert stacked[j].tobytes() == alone.tobytes(), (m, j)
-
 
 class TestGMax:
     def test_low_alpha_max_at_factorial_vertex(self):
@@ -525,9 +508,9 @@ class TestSymmetryAgainstOracle:
         # and 2^k + 2k, which scenario_sweep hands its grid scans
         scanned = []
 
-        def recording(n, Minv, k, symmetry, region, grid_step):
+        def recording(n, Minv, rows, probes, symmetry, region, grid_step):
             scanned.append(symmetry)
-            return 0.0, ()
+            return 1.0, None
 
         monkeypatch.setattr(missing, "_g_scan", recording)
         scenario_sweep(k, 2, [1.5], CUBE1, grid_step=1.0)
@@ -1013,6 +996,16 @@ class TestRotatability:
     def test_rejects_radius_not_finite(self, radius):
         with pytest.raises(ValueError, match="radius must be finite and > 0"):
             rotatability_index(gen_ccd(2, 1.0, 4), radius)
+
+    @pytest.mark.parametrize("radius", [1e50, 1e77, 1e80, 1e100, 1e154])
+    def test_index_not_finite_is_refused_naming_the_radius(self, radius):
+        # was nan without a word from 1e80 to 1e154, and inf or nan with a
+        # RuntimeWarning below; the sphere's rows themselves are finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"rotatability index at radius {radius!r} is not finite")):
+                rotatability_index(gen_ccd(3, 1.0, 4), radius)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_index_is_the_std_of_spv_many_on_the_sphere(self, k):

@@ -333,15 +333,11 @@ class _Alone:
         return self.design.n * float(np.trace(self.Minv @ region_moments(region, self.k)))
 
     def g(self):
-        best, loc = -math.inf, ()
-        for F in (self.X, self.P):
-            vals = self.spv(F)
-            top = float(vals.max())
-            if top > best * (1 + 1e-12):
-                i = int(np.argmax(vals >= top * (1 - 1e-12)))
-                loc = tuple(float(c) for c in F[i, 1:1 + self.k])
-            best = max(best, top)
-        return best, loc
+        F = np.concatenate((self.X, self.P))
+        vals = self.spv(F)
+        top = float(vals.max())
+        i = int(np.argmax(vals >= top * (1 - 1e-12)))
+        return top, tuple(float(c) for c in F[i, 1:1 + self.k])
 
     def report(self):
         f, a, c = (float(s) for s in self.spv(self.P))
@@ -429,7 +425,8 @@ class TestStackedSweep:
     def test_grid_path_matches_per_design_functions(self, n0):
         # at alpha = sqrt(k) a one-center-run design cannot lose its center
         # run, so a singular residual rides the stack on the grid path
-        for k, step in ((2, 0.5), (3, 0.25), (3, 0.5), (4, 0.5), (5, 0.5)):
+        for k, step in ((2, None), (2, 0.5), (3, None), (3, 0.25), (3, 0.5), (4, 0.5),
+                        (5, None), (5, 0.5)):
             alphas = [0.8, 1.3, math.sqrt(k), 2.4]
             for region in (CUBE1, SPHERE[k]):
                 for rep in scenario_sweep(k, n0, alphas, region, grid_step=step):
