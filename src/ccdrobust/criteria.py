@@ -98,11 +98,12 @@ def a_trace(design: Design) -> float:
 
 def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
     """Scaled prediction variance N f'(x)(X'X)^{-1} f(x) at each row x of
-    an m x k point array: N times the column sums of (M^{-1} F') * F' for
-    the model matrix F, in one _spv call for all the points.  N is the run
-    count of the design evaluated, so a residual is scaled by its own size.
+    an m x k point array, N the run count of the design evaluated (so a
+    residual is scaled by its own size).  The points are expanded and scored
+    one _spv block at a time, so memory grows with the block, not with m.
 
-    Raises ValueError unless pts is m x k for the design's k and finite.
+    Raises ValueError unless pts is m x k for the design's k and finite, or
+    naming the first point whose SPV is not finite.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != design.k:
@@ -110,23 +111,39 @@ def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
                          f"got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    return _spv_rows(design, expand_points(pts))
+    Minv, width = information_inverse(design), _spv_width(num_params(design.k))
+    vals = np.empty(len(pts))
+    for i in range(0, len(pts), width):
+        vals[i:i + width] = _spv(design.n, Minv, expand_points(pts[i:i + width]))
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise ValueError(f"SPV at point {tuple(pts[finite.argmin()].tolist())} is not finite")
+    return vals
 
 
-def _spv_rows(design: Design, F: np.ndarray) -> np.ndarray:
-    """The design's SPV at each point whose model row is a row of F, for
-    spv_many, probe_spv and rotatability_index."""
-    return _spv(design.n, information_inverse(design), F)
+# _spv's block: p x width doubles of M^-1 F' that stay in L2, for width the
+# power of two above _SPV_BLOCK_BYTES / (8 p): 4096 at p = 10, 512 at p = 91.
+_SPV_BLOCK_BYTES = 2 ** 18
+
+
+def _spv_width(p: int) -> int:
+    return 1 << (_SPV_BLOCK_BYTES // (8 * p)).bit_length()
 
 
 def _spv(n: int, Minv: np.ndarray, F: np.ndarray) -> np.ndarray:
     """The SPV kernel, for one inverse: n times the column sums of
-    (M^{-1} F') * F', the SPV at each row of F, read down the columns of the
-    p x m C-contiguous F' that expand_points writes.  A value's last bits
-    depend on F's length and the row's place in it, so two scans agree to
-    the bit only on the same F."""
-    Ft = F.T
-    return n * np.einsum("ij,ij->j", Minv @ Ft, Ft)
+    (M^{-1} F') * F', the SPV at each row of F, read down the p x m
+    C-contiguous F' that expand_points writes, block by block when F holds
+    more than one _spv_width block.  A value's last bits depend on F's length
+    and the row's place in it, so two scans agree to the bit only on the same F."""
+    Ft, width = F.T, _spv_width(F.shape[1])
+    if Ft.shape[1] <= width:
+        return n * np.einsum("ij,ij->j", Minv @ Ft, Ft)
+    out = np.empty(Ft.shape[1])
+    for i in range(0, len(out), width):
+        B = Ft[:, i:i + width]
+        np.einsum("ij,ij->j", Minv @ B, B, out=out[i:i + width])
+    return n * out
 
 
 def _probe_rows(design: Design) -> np.ndarray:
@@ -139,7 +156,7 @@ def _probe_rows(design: Design) -> np.ndarray:
 def probe_spv(design: Design) -> tuple[float, float, float]:
     """SPV at the three canonical probe points (factorial vertex, axial
     point, center)."""
-    return tuple(float(v) for v in _spv_rows(design, _probe_rows(design)))
+    return tuple(_spv(design.n, information_inverse(design), _probe_rows(design)).tolist())
 
 
 # g_max: the largest grid (points in the region's bounding box) it accepts,
@@ -316,7 +333,8 @@ def g_max(design: Design, region: Region,
     matrix while it fits in _GRID_CACHE_BYTES, else expands it on every
     search.  The scan is _g_scan, which missing.scenario_sweep also runs
     for each of its designs; only g_max locates the maximum.  A bad step
-    raises ValueError where its grid is built (_grid_half_width).
+    raises ValueError where its grid is built (_grid_half_width), and a G
+    that is not finite one naming the region's size and the step.
     """
     rows, probes = model_matrix(design), _probe_rows(design)
     symmetry = None if grid_step is None else design._stated_symmetry
@@ -340,6 +358,9 @@ def _g_scan(n: int, Minv: np.ndarray, rows: np.ndarray, probes: np.ndarray,
     for F in itertools.chain((np.concatenate((rows, probes)),), grid):
         vals = _spv(n, Minv, F)
         top = float(vals.max())
+        if not math.isfinite(top):
+            raise ValueError(f"G over the region of size {region.size!r} at grid step "
+                             f"{grid_step!r} is not finite")
         if top > best * (1 + _G_TIE_RTOL):  # so top > best: an SPV is >= 0
             at = F, vals, top
         best = max(best, top)
@@ -462,7 +483,7 @@ def rotatability_index(design: Design, radius: float) -> float:
     radius = _check_positive("radius", radius)
     F = _sphere_rows(design.k, radius)  # warns where its rows overflow, as model rows do
     with np.errstate(over="ignore", invalid="ignore"):
-        index = float(np.std(_spv_rows(design, F)))
+        index = float(np.std(_spv(design.n, information_inverse(design), F)))
     if not math.isfinite(index):
         raise ValueError(f"rotatability index at radius {radius!r} is not finite")
     return index

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -208,6 +209,89 @@ class TestSpv:
         assert flipped == pytest.approx(base, rel=1e-12)
         assert permuted == pytest.approx(base, rel=1e-12)
 
+    def test_spv_not_finite_is_refused_naming_the_point(self):
+        # was [inf] without a word: the point's model row is finite, its
+        # quartic terms overflow in the product
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "SPV at point (1e+100, 0.0) is not finite")):
+                spv_many(gen_ccd(2, 1.0, 4), [[1e100, 0.0]])
+
+    def test_spv_of_an_overflowing_row_is_refused_after_its_warning(self):
+        # was [nan]: the expansion's own overflow warning stays, as the
+        # sphere rows' does
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=re.escape(
+                    "SPV at point (1e+200, 0.0) is not finite")):
+                spv_many(gen_ccd(2, 1.0, 4), [[1e200, 0.0]])
+        assert any("overflow" in str(w.message) for w in caught)
+
+    def test_first_point_not_finite_is_named_in_a_later_block(self):
+        d = gen_ccd(3, 1.5, 4)
+        pts = np.zeros((3 * criteria._spv_width(10), 3))
+        pts[9000] = (0.5, 1e100, 0.0)
+        pts[9001] = (1e100, 0.0, 0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "SPV at point (0.5, 1e+100, 0.0) is not finite")):
+            spv_many(d, pts)
+
+
+class TestSpvBlocks:
+    """criteria._spv and spv_many in _spv_width blocks of columns."""
+
+    def test_width_is_the_power_of_two_above_the_block_bytes(self):
+        # k = 2, 3, 5, 8 and 12
+        widths = {p: criteria._spv_width(p) for p in (6, 10, 21, 45, 91)}
+        assert widths == {6: 8192, 10: 4096, 21: 2048, 45: 1024, 91: 512}
+        for p, width in widths.items():
+            assert width // 2 < criteria._SPV_BLOCK_BYTES / (8 * p) <= width
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 12])
+    def test_kernel_against_one_shot(self, k):
+        # up to one block the kernel is the one-shot expression, to the bit;
+        # above it each block's last columns may round differently
+        d = gen_ccd(k, 1.5, 1)
+        Minv = information_inverse(d)
+        B = criteria._spv_width(num_params(k))
+        rng = np.random.default_rng(k)
+        for m in (1, B - 1, B, B + 1, 2 * B + 1):
+            F = expand_points(rng.uniform(-1.5, 1.5, (m, k)))
+            want = d.n * np.einsum("ij,ij->j", Minv @ F.T, F.T)
+            got = criteria._spv(d.n, Minv, F)
+            if m <= B:
+                assert got.tobytes() == want.tobytes(), m
+            else:
+                assert (np.abs(got - want) <= 4 * np.spacing(want)).all(), m
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_spv_many_is_its_per_block_calls(self, k):
+        d = gen_ccd(k, 1.682, 4)
+        B = criteria._spv_width(num_params(k))
+        pts = np.random.default_rng(0).uniform(-1, 1, (3 * B + 7, k))
+        want = np.concatenate([spv_many(d, pts[i:i + B]) for i in range(0, len(pts), B)])
+        assert spv_many(d, pts).tobytes() == want.tobytes()
+
+    def test_spv_many_memory_grows_with_the_block_not_m(self):
+        # 200,000 points at k = 5: 8 MB in, 1.6 MB out; the one-shot kernel
+        # peaked at 68.8 MB, for F and M^-1 F' of all the points at once
+        d = gen_ccd(5, 2.0, 4)
+        pts = np.random.default_rng(0).uniform(-1, 1, (200_000, 5))
+        spv_many(d, pts[:1])  # the inverse, kept by the design
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            vals = spv_many(d, pts)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < pts.nbytes + vals.nbytes + 2 ** 21
+
 
 class TestGMax:
     def test_low_alpha_max_at_factorial_vertex(self):
@@ -261,6 +345,25 @@ class TestGMax:
         # 2001^5 grid points; refused before anything is allocated
         with pytest.raises(ValueError, match="coarser grid step"):
             g_max(gen_ccd(5, 2.0, 4), CUBE1, grid_step=0.001)
+
+    def test_g_not_finite_is_refused_naming_size_and_step(self, grid_cache):
+        # was (inf, (0.0, 1e+100)) without a word
+        region = Region(RegionShape.CUBOIDAL, 1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "G over the region of size 1e+100 at grid step 1e+100 is not finite")):
+                g_max(gen_ccd(2, 1.0, 4), region, 1e100)
+
+    def test_nan_chunk_is_refused_not_dropped(self, grid_cache):
+        # was (9.5, (-1.0, -1.0)): the grid's nan chunk lost to max(best, nan)
+        region = Region(RegionShape.CUBOIDAL, 1e200)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=re.escape(
+                    "G over the region of size 1e+200 at grid step 1e+200 is not finite")):
+                g_max(gen_ccd(2, 1.0, 4), region, 1e200)
+        assert any("overflow" in str(w.message) for w in caught)
 
 
 def _deleted(design, cls):
