@@ -97,14 +97,10 @@ def a_trace(design: Design) -> float:
 
 
 def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
-    """Scaled prediction variance N f'(x)(X'X)^{-1} f(x) at each row x of
-    an m x k point array, N the run count of the design evaluated (so a
-    residual is scaled by its own size).  The points are expanded and scored
-    one _spv block at a time, so memory grows with the block, not with m.
-
-    Raises ValueError unless pts is m x k for the design's k and finite, or
-    naming the first point whose SPV is not finite.
-    """
+    """Scaled prediction variance N f'(x)(X'X)^{-1} f(x) at each row x of an m x k
+    point array, N the design's run count (so a residual is scaled by its own size),
+    expanded and scored one _spv block at a time.  Raises ValueError unless pts is
+    a finite m x k array, or naming the first point whose SPV is not finite."""
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != design.k:
         raise ValueError(f"points must be an m x {design.k} array, "
@@ -115,14 +111,12 @@ def spv_many(design: Design, pts: np.ndarray) -> np.ndarray:
     vals = np.empty(len(pts))
     for i in range(0, len(pts), width):
         vals[i:i + width] = _spv(design.n, Minv, expand_points(pts[i:i + width]))
-    finite = np.isfinite(vals)
-    if not finite.all():
+    if not (finite := np.isfinite(vals)).all():
         raise ValueError(f"SPV at point {tuple(pts[finite.argmin()].tolist())} is not finite")
     return vals
 
 
-# _spv's block: p x width doubles of M^-1 F' that stay in L2, for width the
-# power of two above _SPV_BLOCK_BYTES / (8 p): 4096 at p = 10, 512 at p = 91.
+# _spv's p x width blocks of M^-1 F' stay in L2; a power-of-two width aligns BLAS's kernels.
 _SPV_BLOCK_BYTES = 2 ** 18
 
 
@@ -131,11 +125,10 @@ def _spv_width(p: int) -> int:
 
 
 def _spv(n: int, Minv: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """The SPV kernel, for one inverse: n times the column sums of
-    (M^{-1} F') * F', the SPV at each row of F, read down the p x m
-    C-contiguous F' that expand_points writes, block by block when F holds
-    more than one _spv_width block.  A value's last bits depend on F's length
-    and the row's place in it, so two scans agree to the bit only on the same F."""
+    """The SPV kernel, for one inverse: n times the column sums of (M^{-1} F') * F',
+    the SPV at each row of F, in _spv_width blocks of the C-contiguous F' (one block
+    skips the loop's overhead).  A value's last bits depend on F's length and the
+    row's place in it, so two scans agree to the bit only on the same F."""
     Ft, width = F.T, _spv_width(F.shape[1])
     if Ft.shape[1] <= width:
         return n * np.einsum("ij,ij->j", Minv @ Ft, Ft)
