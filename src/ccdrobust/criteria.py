@@ -153,21 +153,18 @@ def probe_spv(design: Design) -> tuple[float, float, float]:
 
 
 # g_max: the largest grid (points in the region's bounding box) it accepts,
-# the most grid points _grid_chunks yields at once, and the relative spread
-# below which two SPVs tie (symmetric points of a design agree to ~1e-15;
-# distinct values differ by >= 1e-4).
+# and the relative spread below which two SPVs tie (symmetric points of a
+# design agree to ~1e-15; distinct values differ by >= 1e-4).
 _MAX_GRID_POINTS = 10 ** 8
-_GRID_CHUNK_ROWS = 200_000
 _G_TIE_RTOL = 1e-12
 
-# g_max's grid domains, kept for the life of the process: each domain's
-# model matrix, as the read-only chunks _grid_models yields, keyed by
-# (region, step, symmetry).  A domain is kept, for good, if it fits in the
-# bytes the kept ones leave of _GRID_CACHE_BYTES, else streamed every search.
-# The largest domain of `sweep --k 3 --grid-step 0.02`, 176,851 points, is
-# 13.5 MiB.  _grid_lock guards each lookup, and each check-and-insert.
+# g_max's grid domains, kept for the life of the process while they fit in
+# _GRID_CACHE_BYTES, which also bounds each chunk of _grid_chunks: a read-only
+# model matrix per (region, step, symmetry).  The largest domain of `sweep
+# --k 3 --grid-step 0.02`, 176,851 points, is 13.5 MiB.  _grid_lock guards
+# each lookup, and each check-and-insert.
 _GRID_CACHE_BYTES = 32 * 2 ** 20
-_grid_cache: dict[tuple, tuple[np.ndarray, ...]] = {}
+_grid_cache: dict[tuple, np.ndarray] = {}
 _grid_lock = threading.Lock()
 
 def _grid_half_width(region: Region, step: float, k: int) -> int:
@@ -191,26 +188,26 @@ def _grid_half_width(region: Region, step: float, k: int) -> int:
 
 def _grid_chunks(region: Region, step: float,
                  symmetry: _Symmetry) -> Iterator[np.ndarray]:
-    """Regular grid points at the given step in the region, in C order and
-    in chunks of at most _GRID_CHUNK_ROWS points, over the fundamental
-    domain of a symmetry (flips, blocks) as a design states it: x_j >= 0
-    on each flip-invariant axis, and non-decreasing coordinates within each
-    block.  With no flips and one block per axis that is the whole bounding
-    box, whose edge and size check, whatever the domain, are
-    _grid_half_width's.  g_max reads a domain through _grid_models, which
-    expands it once per process.
+    """Regular grid points at the given step in the region, in C order, in
+    chunks of at most _GRID_CACHE_BYTES of model rows (and at least one
+    point), over the fundamental domain of a symmetry (flips, blocks) as a
+    design states it: x_j >= 0 on each flip-invariant axis, and
+    non-decreasing coordinates within each block.  With no flips and one
+    block per axis that is the whole bounding box, whose edge and size
+    check, whatever the domain, are _grid_half_width's.
 
     The domain is the product over the blocks of each block's
     non-decreasing index tuples.  It is built axis by axis, so that C order
     holds also when a block's axes are not adjacent: the prefixes of the
-    first j axes are split into runs whose next axis adds at most
-    _GRID_CHUNK_ROWS rows, and each run is extended by that axis in turn.
+    first j axes are split into runs whose next axis adds at most a
+    chunk's rows, and each run is extended by that axis in turn.
     A cube's grid lies in the cube and is never filtered; a ball's points
     are each tested.
     """
     flips, blocks = symmetry
     k = sum(len(block) for block in blocks)
     n1 = _grid_half_width(region, step, k)
+    most = max(1, _GRID_CACHE_BYTES // (8 * num_params(k)))
     axis = np.arange(-n1, n1 + 1, dtype=float) * step
     top = 2 * n1  # the largest axis index; index n1 is x = 0
     low = [n1 if j in flips else 0 for j in range(k)]
@@ -235,8 +232,8 @@ def _grid_chunks(region: Region, step: float,
 
     def chunks(P: np.ndarray) -> Iterator[np.ndarray]:
         if P.shape[1] == k:
-            for i in range(0, len(P), _GRID_CHUNK_ROWS):
-                pts = axis[P[i:i + _GRID_CHUNK_ROWS]]
+            for i in range(0, len(P), most):
+                pts = axis[P[i:i + most]]
                 if region.shape is RegionShape.SPHERICAL:
                     pts = pts[region.contains(pts)]
                 if pts.size:
@@ -246,7 +243,7 @@ def _grid_chunks(region: Region, step: float,
         i = 0
         while i < len(P):
             stop = max(i + 1, int(np.searchsorted(
-                ends, (ends[i - 1] if i else 0) + _GRID_CHUNK_ROWS, side="right")))
+                ends, (ends[i - 1] if i else 0) + most, side="right")))
             yield from chunks(extend(P[i:stop]))
             i = stop
 
@@ -255,34 +252,42 @@ def _grid_chunks(region: Region, step: float,
 
 def _grid_models(region: Region, step: float,
                  symmetry: _Symmetry) -> Iterator[np.ndarray]:
-    """The model matrix of _grid_chunks' domain, one read-only chunk per
-    chunk of points; the points are its columns 1..k.  Served from
-    _grid_cache when the domain is there, else expanded as it is streamed
-    and kept if it fits in the bytes the kept domains leave.  The key holds
-    the step's float from design._check_positive, taken before the lookup."""
+    """The model matrix of _grid_chunks' domain, the points its columns 1..k:
+    whole and read-only if it fits in _GRID_CACHE_BYTES, from _grid_cache or
+    expanded and kept if it fits in what the kept domains leave; else in
+    _spv_width blocks counted from its first point across its chunks, each
+    expanded as it is asked for, so that _spv scores them as the whole, to
+    the bit.  The key holds the step's float from design._check_positive."""
     step = _check_positive("grid_step", step)
     key = (region, step, symmetry)
     with _grid_lock:
         cached = _grid_cache.get(key)
     if cached is not None:
-        yield from cached
+        yield cached
         return
-    kept: list[np.ndarray] | None = []
-    size = 0
-    for pts in _grid_chunks(region, step, symmetry):
-        F = expand_points(pts)
+    chunks, head, rows = _grid_chunks(region, step, symmetry), [], 0
+    for pts in chunks:  # a ball's chunks are cut before its points are tested
+        head.append(pts)
+        rows += len(pts)
+        if rows * 8 * num_params(pts.shape[1]) > _GRID_CACHE_BYTES:
+            break
+    else:
+        F = expand_points(np.concatenate(head))
         F.flags.writeable = False
-        size += F.nbytes
-        if kept is not None:
-            kept.append(F)
-            if size > _GRID_CACHE_BYTES:
-                kept = None
-        yield F
-    if kept is not None:
         with _grid_lock:
-            if size <= _GRID_CACHE_BYTES - sum(F.nbytes for chunks in _grid_cache.values()
-                                               for F in chunks):
-                _grid_cache[key] = tuple(kept)
+            if F.nbytes <= _GRID_CACHE_BYTES - sum(G.nbytes for G in _grid_cache.values()):
+                _grid_cache[key] = F
+        yield F
+        return
+    width, carry = _spv_width(num_params(pts.shape[1])), pts[:0]
+    for pts in itertools.chain(head, chunks):
+        pts = np.concatenate((carry, pts))
+        end = len(pts) - len(pts) % width
+        for i in range(0, end, width):
+            yield expand_points(pts[i:i + width])
+        carry = pts[end:]
+    if len(carry):
+        yield expand_points(carry)
 
 
 def g_max(design: Design, region: Region,
@@ -324,10 +329,11 @@ def g_max(design: Design, region: Region,
     The domain depends only on (region, grid_step, symmetry), so designs
     of one symmetry share it at any alpha; _grid_models keeps its model
     matrix while it fits in _GRID_CACHE_BYTES, else expands it on every
-    search.  The scan is _g_scan, which missing.scenario_sweep also runs
-    for each of its designs; only g_max locates the maximum.  A bad step
-    raises ValueError where its grid is built (_grid_half_width), and a G
-    that is not finite one naming the region's size and the step.
+    search, in _spv blocks if it is larger than the cache.  The scan is
+    _g_scan, which missing.scenario_sweep also runs for each of its
+    designs; only g_max locates the maximum.  A bad step raises ValueError
+    where its grid is built (_grid_half_width), and a G that is not finite
+    one naming the region's size and the step.
     """
     rows, probes = model_matrix(design), _probe_rows(design)
     symmetry = None if grid_step is None else design._stated_symmetry
@@ -342,7 +348,7 @@ def _g_scan(n: int, Minv: np.ndarray, rows: np.ndarray, probes: np.ndarray,
             ) -> tuple[float, tuple[np.ndarray, np.ndarray, float]]:
     """G, the maximum SPV of the design with run count n and inverse Minv
     over its model rows and the probes' as one chunk, then, when grid_step
-    is not None, over each chunk of the grid domain of the symmetry; one
+    is not None, over each chunk _grid_models yields for the symmetry; one
     _spv call per chunk.  Returns G and the last chunk whose maximum beat
     the running maximum by more than _G_TIE_RTOL, as (its model rows, its
     SPVs, its maximum): the chunk in which g_max locates G."""
@@ -508,14 +514,6 @@ _MC_CHUNK = 100_000
 # take 0.96 GB at k = 12, and no caller draws more than 200,000 at once.
 _MAX_SAMPLES = 10 ** 7
 
-# monte_carlo_moments' rows per accumulation tile.  A tile's F and F*F are
-# 2048 x p doubles, 344 KB each at k = 5, so both stay in a 2 MB L2 cache.
-# Accumulating one 100,000-row chunk (2-vCPU Xeon, one BLAS thread, best of
-# 30) took 8.1 ms at k = 5 and 3.2 ms at k = 3 with 2048-row tiles, 8.3 and
-# 3.2 ms with 4096, 11.0 and 4.5 ms with 512 (per-tile call overhead), and
-# 11.9 and 4.9 ms untiled.
-_MC_TILE = 2048
-
 
 def monte_carlo_moments(region: Region, k: int, n: int,
                         seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -526,9 +524,9 @@ def monte_carlo_moments(region: Region, k: int, n: int,
     Samples are drawn in chunks of _MC_CHUNK points, and the chunk size
     fixes the seeded stream: the ball sampler draws all of a chunk's
     directions before its radii, so another chunk size would draw other
-    points.  Each chunk is accumulated in tiles of _MC_TILE rows, and the
-    tile size fixes the memory footprint: F'F and (F*F)'(F*F) are summed
-    from the tile's model matrix F, which stays in cache, instead of from a
+    points.  Each chunk is accumulated in tiles of _spv_width(p) rows, the
+    block an _spv scan expands: F'F and (F*F)'(F*F) are summed from the
+    tile's model matrix F, which stays in cache, instead of from a
     chunk-sized F written once and streamed from memory twice.  Tiling
     reorders the sums only, so it moves no result by more than rounding.
     k and n are checked by design._check_integer (2 <= k <= _MAX_K, and
@@ -537,6 +535,7 @@ def monte_carlo_moments(region: Region, k: int, n: int,
     k = _check_integer("k", k, 2, _MAX_K)
     n = _check_integer("n", n, 2)
     p = num_params(k)
+    width = _spv_width(p)
     total = np.zeros((p, p))
     total_sq = np.zeros((p, p))
     rng = np.random.default_rng(seed)
@@ -544,8 +543,8 @@ def monte_carlo_moments(region: Region, k: int, n: int,
     while done < n:
         m = min(_MC_CHUNK, n - done)
         pts = sample_region(region, k, m, rng)
-        for start in range(0, m, _MC_TILE):
-            F = expand_points(pts[start:start + _MC_TILE])
+        for start in range(0, m, width):
+            F = expand_points(pts[start:start + width])
             F2 = F * F
             total += F.T @ F
             total_sq += F2.T @ F2

@@ -80,9 +80,9 @@ class Design:
         object.__setattr__(self, "alpha", _check_positive("alpha", self.alpha))
         coords = np.array(self.coords, dtype=float)
         classes = np.array(self.classes, dtype=object)
-        if coords.ndim != 2 or classes.shape != coords.shape[:1]:
-            raise ValueError(f"coords must be n x k and classes of length n, got "
-                             f"shapes {coords.shape} and {classes.shape}")
+        if coords.ndim != 2 or coords.shape[1] == 0 or classes.shape != coords.shape[:1]:
+            raise ValueError(f"coords must be n x k with k >= 1 and classes of length n, "
+                             f"got shapes {coords.shape} and {classes.shape}")
         if not set(map(type, classes.tolist())) <= {PointClass}:  # a str is not coerced
             bad = next(c for c in classes.tolist() if type(c) is not PointClass)
             raise TypeError(f"design class must be a PointClass, got {bad!r}")

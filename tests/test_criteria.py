@@ -645,7 +645,7 @@ class TestSymmetryAgainstOracle:
 class TestGridChunks:
     @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
     def test_bounded_chunks_in_c_order(self, shape, monkeypatch):
-        monkeypatch.setattr(criteria, "_GRID_CHUNK_ROWS", 100)
+        monkeypatch.setattr(criteria, "_GRID_CACHE_BYTES", 100 * 8 * num_params(3))
         region = Region(shape, 1.0)
         chunks = list(_grid_chunks(region, 0.25, _box_symmetry(3)))
         assert max(len(c) for c in chunks) <= 100
@@ -664,12 +664,13 @@ class TestGridChunks:
     @pytest.mark.parametrize("chunk_rows", [1, 100])
     def test_fundamental_domain_in_c_order(self, shape, symmetry, chunk_rows,
                                            monkeypatch):
-        monkeypatch.setattr(criteria, "_GRID_CHUNK_ROWS", chunk_rows)
+        flips, blocks = symmetry
+        k = sum(map(len, blocks))
+        monkeypatch.setattr(criteria, "_GRID_CACHE_BYTES", chunk_rows * 8 * num_params(k))
         region = Region(shape, 1.0)
         chunks = list(_grid_chunks(region, 0.25, symmetry))
         assert max(len(c) for c in chunks) <= chunk_rows
-        flips, blocks = symmetry
-        box = _box_grid(region, sum(map(len, blocks)), 0.25)
+        box = _box_grid(region, k, 0.25)
         keep = np.all(box[:, list(flips)] >= 0, axis=1)
         for block in blocks:
             keep &= np.all(np.diff(box[:, list(block)], axis=1) >= 0, axis=1)
@@ -686,7 +687,7 @@ class TestGridChunks:
             return real(self, pts)
 
         monkeypatch.setattr(Region, "contains", recording)
-        monkeypatch.setattr(criteria, "_GRID_CHUNK_ROWS", 100)
+        monkeypatch.setattr(criteria, "_GRID_CACHE_BYTES", 100 * 8 * num_params(3))
         chunks = list(_grid_chunks(CUBE1, 0.25, _box_symmetry(3)))
         assert tested == [[[1.0]], [[1.25]]]
         monkeypatch.undo()
@@ -773,11 +774,10 @@ class TestGridCache:
 
     def test_cached_arrays_are_read_only(self, grid_cache):
         g_max(gen_ccd(3, 1.5, 4), CUBE1, grid_step=0.25)
-        (chunks,) = grid_cache.values()
-        for F in chunks:
-            assert not F.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                F[0, 0] = 2.0
+        (F,) = grid_cache.values()
+        assert not F.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            F[0, 0] = 2.0
 
     def test_domain_over_budget_streams_and_is_not_kept(self, grid_cache, monkeypatch):
         # the k=3 full domain at step 0.25 is 35 points x 10 columns x 8 bytes
@@ -814,11 +814,11 @@ class TestGridCache:
         for d in designs:
             g_max(d, CUBE1, grid_step=0.5)
         assert list(grid_cache) == keys[:2]
-        assert [sum(F.nbytes for F in grid_cache[key]) for key in keys[:2]] == [800, 2800]
+        assert [grid_cache[key].nbytes for key in keys[:2]] == [800, 2800]
         g_max(_deleted(gen_ccd(3, 2.0, 4), PointClass.AXIAL), CUBE1, grid_step=0.5)
         assert built == [key[2] for key in keys] + [keys[2][2]]
         assert list(grid_cache) == keys[:2]
-        assert sum(F.nbytes for chunks in grid_cache.values() for F in chunks) <= 5000
+        assert sum(F.nbytes for F in grid_cache.values()) <= 5000
 
     def test_cyclic_sweep_rebuilds_only_the_domain_that_does_not_fit(
             self, grid_cache, monkeypatch):
@@ -874,7 +874,7 @@ class TestGridCache:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert len(results) == 8 * 25 and all(r == want for r in results)
-        assert sum(F.nbytes for chunks in grid_cache.values() for F in chunks) <= 5000
+        assert sum(F.nbytes for F in grid_cache.values()) <= 5000
 
     @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -898,6 +898,109 @@ class TestGridCache:
         assert not grid_cache
         # repr round-trips a float exactly, the sign of a zero included
         assert repr(cold) == repr(warm) == repr(streamed)
+
+    @pytest.mark.parametrize("shape,k,step", [
+        (RegionShape.CUBOIDAL, 3, 0.05), (RegionShape.SPHERICAL, 3, 0.05),
+        (RegionShape.CUBOIDAL, 5, 0.125), (RegionShape.SPHERICAL, 5, 0.2)])
+    @pytest.mark.parametrize("chunk_rows", [997, 5000])
+    def test_streamed_blocks_agree_with_the_whole_scan(self, grid_cache, monkeypatch,
+                                                       shape, k, step, chunk_rows):
+        # the residuals' domains span several _spv blocks (4096 points at
+        # k = 3, 2048 at k = 5), and their streamed chunks end inside a block
+        region = Region(shape, 1.0 if shape is RegionShape.CUBOIDAL else math.sqrt(k))
+        full = gen_ccd(k, 1.5, 4)
+        designs = [full] + [_deleted(full, cls) for cls in PointClass]
+
+        def searches():
+            return [g_max(d, region, grid_step=step) for d in designs]
+
+        kept = searches()
+        assert len(grid_cache) == 3
+        warm = searches()
+        monkeypatch.setattr(criteria, "_GRID_CACHE_BYTES", chunk_rows * 8 * num_params(k))
+        grid_cache.clear()
+        rows = []
+        real = criteria.expand_points
+
+        def counting(pts):
+            rows.append(len(pts))
+            return real(pts)
+
+        monkeypatch.setattr(criteria, "expand_points", counting)
+        streamed = searches()
+        assert all(len(F) <= chunk_rows for F in grid_cache.values())
+        assert rows.count(criteria._spv_width(num_params(k))) >= 4
+        assert repr(kept) == repr(warm) == repr(streamed)
+
+    def test_domain_that_finds_the_cache_full_is_scanned_whole(self, grid_cache,
+                                                               monkeypatch):
+        # the k=3 factorial-deleted domain at step 0.05, 12,341 points of 80
+        # bytes (four _spv blocks), fits the cache alone but not beside the
+        # full design's 1,771 points
+        full = gen_ccd(3, 1.5, 4)
+        residual = _deleted(full, PointClass.FACTORIAL)
+        key = (CUBE1, 0.05, residual._stated_symmetry)
+        kept = g_max(residual, CUBE1, grid_step=0.05)
+        assert grid_cache[key].shape == (12341, 10)
+        monkeypatch.setattr(criteria, "_GRID_CACHE_BYTES", 12341 * 80)
+        grid_cache.clear()
+        g_max(full, CUBE1, grid_step=0.05)
+        rows = []
+        real = criteria.expand_points
+
+        def counting(pts):
+            rows.append(len(pts))
+            return real(pts)
+
+        monkeypatch.setattr(criteria, "expand_points", counting)
+        assert repr(g_max(residual, CUBE1, grid_step=0.05)) == repr(kept)
+        assert rows == [12341] and key not in grid_cache
+
+    def test_ball_domain_that_fits_is_kept_though_its_box_takes_chunks(
+            self, grid_cache, monkeypatch):
+        # x_1 <= x_2 <= x_3 at step 0.25 in the ball of radius sqrt(3): 283
+        # points, cut from 455 points of the box before they are tested
+        monkeypatch.setattr(criteria, "_GRID_CACHE_BYTES", 283 * 10 * 8)
+        built = []
+        real = criteria._grid_chunks
+
+        def recording(*args):
+            for pts in real(*args):
+                built.append(len(pts))
+                yield pts
+
+        monkeypatch.setattr(criteria, "_grid_chunks", recording)
+        residual = _deleted(gen_ccd(3, 1.5, 4), PointClass.FACTORIAL)
+        ball = Region(RegionShape.SPHERICAL, math.sqrt(3))
+        first = g_max(residual, ball, grid_step=0.25)
+        (F,) = grid_cache.values()
+        assert len(built) > 1 and sum(built) == len(F) == 283
+        assert g_max(residual, ball, grid_step=0.25) == first and sum(built) == 283
+
+    @pytest.mark.parametrize("k,step", [(3, 0.02), (8, 0.5), (12, 1.0)])
+    def test_chunks_and_streamed_blocks_stay_within_their_budgets(self, grid_cache,
+                                                                  monkeypatch, k, step):
+        # whole boxes of 101^3, 5^8 and 3^12 points, each more model rows than
+        # the cache holds; a chunk of 200,000 points would be 139 MiB at k = 12
+        p = num_params(k)
+        chunks, rows = [], []
+        real_chunks, real_expand = criteria._grid_chunks, criteria.expand_points
+
+        def recording_chunks(*args):
+            for pts in real_chunks(*args):
+                chunks.append(len(pts))
+                yield pts
+
+        def recording_expand(pts):
+            rows.append(len(pts))
+            return real_expand(pts)
+
+        monkeypatch.setattr(criteria, "_grid_chunks", recording_chunks)
+        monkeypatch.setattr(criteria, "expand_points", recording_expand)
+        streamed = sum(len(F) for F in criteria._grid_models(CUBE1, step, _box_symmetry(k)))
+        assert streamed == sum(chunks) == sum(rows) == (int(2 / step) + 1) ** k
+        assert len(chunks) > 1 and max(chunks) * 8 * p <= criteria._GRID_CACHE_BYTES
+        assert max(rows) == criteria._spv_width(p) and not grid_cache
 
 
 class TestGEfficiency:
@@ -1006,7 +1109,8 @@ class TestMonteCarloMoments:
     def test_tiles_only_reorder_the_sums(self, shape, monkeypatch):
         # crosses a chunk boundary and leaves partial tiles in both chunks
         region, k, seed = Region(shape, 1.7), 4, 9
-        n = criteria._MC_CHUNK + criteria._MC_TILE + 1
+        tile = criteria._spv_width(num_params(k))
+        n = criteria._MC_CHUNK + tile + 1
         rng = np.random.default_rng(seed)
         pts = np.vstack([sample_region(region, k, m, rng)
                          for m in (criteria._MC_CHUNK, n - criteria._MC_CHUNK)])
@@ -1018,12 +1122,12 @@ class TestMonteCarloMoments:
 
         monkeypatch.setattr(criteria, "expand_points", counting_expand)
         self.assert_close(monte_carlo_moments(region, k, n, seed), self.untiled(pts, n))
-        assert max(rows) == criteria._MC_TILE and sum(rows) == n
+        assert max(rows) == tile and sum(rows) == n
 
     @pytest.mark.parametrize("shape", [RegionShape.CUBOIDAL, RegionShape.SPHERICAL])
     def test_one_chunk_samples_are_sample_region_rows(self, shape):
         region, k, seed = Region(shape, 1.7), 3, 4
-        n = 3 * criteria._MC_TILE + 5
+        n = 3 * criteria._spv_width(num_params(k)) + 5
         self.assert_close(monte_carlo_moments(region, k, n, seed),
                           self.untiled(sample_region(region, k, n, seed), n))
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,9 @@ class TestGenCcd:
             Design(1.0, d.coords[0], d.classes[:1])
         with pytest.raises(ValueError, match="n x k"):
             Design(1.0, d.coords, d.classes[1:])
+        with pytest.raises(ValueError, match=re.escape("k >= 1 and classes of length n, "
+                                                       "got shapes (3, 0) and (3,)")):
+            Design(1.0, np.zeros((3, 0)), [PointClass.CENTER] * 3)
 
     def test_equality_is_identity(self):
         a = gen_ccd(2, 1.0, 4)
